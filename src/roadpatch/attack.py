@@ -24,8 +24,10 @@ from .camera import (
     CameraConfig,
     Frame,
     patch_footprint,
+    patch_pixels,
     splat_camera_to_bev,
     warp_bev_to_camera,
+    warp_bev_to_points,
 )
 from .controller import ControllerConfig, path_derivatives, steer_from_path
 from .detector import (
@@ -34,7 +36,9 @@ from .detector import (
     LaneDetection,
     desired_path,
     detect_lanes,
+    detect_lanes_on_support,
     detector_gradient,
+    support_set,
 )
 from .errors import (
     DetectionFailedError,
@@ -166,12 +170,21 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     plant then advances.  A mid-run detection failure truncates the
     record (flagged) rather than raising; geometric failures such as an
     unsourced model input propagate.
+
+    Whole frames are rendered (the dense warp) only when the caller needs
+    them: ``keep_frames`` for a gradient pass, or a ``frame_sink``.
+    Otherwise each frame renders just the detector's pixel support and,
+    with a patch, the patch footprint; states, steers, detections and
+    patch projections are bit-identical either way.
     """
     pipe.validate()
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
     bev = scene if patch is None else composite_patch(scene, patch, line_mask)
-    rect_rs, rect_cs = pipe.camera.rect_slices
+    cam = pipe.camera
+    rect_rs, rect_cs = cam.rect_slices
+    dense = keep_frames or frame_sink is not None
+    support = None if dense else support_set(pipe.detector, cam)
 
     states = [state0]
     steers: list[float] = []
@@ -183,20 +196,31 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
 
     s = state0
     for t in range(1, horizon + 1):
-        frame = warp_bev_to_camera(bev, pipe.camera, s, index=t)
+        if dense:
+            frame = warp_bev_to_camera(bev, cam, s, index=t)
+            if patch is not None:
+                fp = patch_footprint(cam, s, patch)
+                seen = frame.pixels[fp]
+        else:
+            values = warp_bev_to_points(bev, cam, s, support.xf, support.yf,
+                                        support.front)
+            if patch is not None:
+                fp, seen = patch_pixels(bev, cam, s, patch)
         if patch is not None:
-            fp = patch_footprint(pipe.camera, s, patch)
             proj = PatchProjection(
                 index=t, count=int(fp.sum()),
                 rect_count=int(fp[rect_rs, rect_cs].sum()),
-                pixel_values=frame.pixels[fp], pose=s,
+                pixel_values=seen, pose=s,
                 mask=fp if keep_frames else None)
         else:
             proj = PatchProjection(index=t, count=0, rect_count=0,
                                    pixel_values=np.zeros(0), pose=s,
                                    mask=None)
         try:
-            det = detect_lanes(frame, pipe.detector, pipe.camera)
+            if dense:
+                det = detect_lanes(frame, pipe.detector, cam)
+            else:
+                det = detect_lanes_on_support(values, pipe.detector, cam)
         except DetectionFailedError:
             truncated = True
             break

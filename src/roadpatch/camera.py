@@ -190,6 +190,14 @@ def _vehicle_ground_grid(cfg: CameraConfig):
     return xf, yf, front
 
 
+@lru_cache(maxsize=8)
+def _first_ground_row(cfg: CameraConfig) -> int:
+    """First image row whose rays meet the ground; every row above it is
+    at or over the horizon (``front`` depends on the row only)."""
+    rows = np.flatnonzero(_vehicle_ground_grid(cfg)[2][:, 0])
+    return int(rows[0]) if rows.size else cfg.image_size[1]
+
+
 def pixel_ground_points(cfg: CameraConfig, pose: VehicleState):
     """Road-frame ground hit of every pixel plus a front-of-camera mask."""
     xf, yf, front = _vehicle_ground_grid(cfg)
@@ -206,43 +214,133 @@ def check_pose_bounds(pose: VehicleState,
             f"the supported envelope (|y|<={max_lateral}, |heading|<={max_heading})")
 
 
+def _sample_ground(bev: BevImage, gx, gy, front):
+    """Bilinear scene values at ground points, zero where unsourced.
+
+    Returns ``(values, valid)``.  Every step is elementwise, so any subset
+    of pixels gets exactly the values the full-image warp gives them.
+    """
+    fi, fj = bev.fractional_index(gx, gy)
+    valid = front & interp.inside(fi, fj, bev.pixels.shape)
+    values = interp.gather(bev.pixels,
+                           np.clip(fi, 0.0, bev.pixels.shape[0] - 1),
+                           np.clip(fj, 0.0, bev.pixels.shape[1] - 1))
+    values[~valid] = 0.0
+    return values, valid
+
+
+def _check_model_input(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
+                       valid: np.ndarray | None = None) -> None:
+    """Raise ``IncompleteModelInputError`` iff a model-input pixel is unsourced.
+
+    Decided from the rect's four corner pixels.  ``front`` is a per-row
+    property, so the rect lies below the horizon iff its top corners do.
+    There the pixel-to-ground map is projective: it takes the rect onto
+    the convex quadrilateral spanned by the corners' ground points, and
+    the sourced part of the ground (the raster's interior) is convex too.
+    ``valid``, a full-image mask, is read only to count the bad pixels
+    for the error message.
+    """
+    rx, ry, rw, rh = cfg.model_input_rect
+    rows = [ry, ry, ry + rh - 1, ry + rh - 1]
+    cols = [rx, rx + rw - 1, rx, rx + rw - 1]
+    xf, yf, front = _vehicle_ground_grid(cfg)
+    gx, gy = _vehicle_to_world(pose, xf[rows, cols], yf[rows, cols])
+    fi, fj = bev.fractional_index(gx, gy)
+    if np.all(front[rows, cols] & interp.inside(fi, fj, bev.pixels.shape)):
+        return
+    rs, cs = cfg.rect_slices
+    bad = "some" if valid is None else int(np.count_nonzero(~valid[rs, cs]))
+    raise IncompleteModelInputError(
+        f"{bad} model-input pixels have no BEV source at pose "
+        f"(x={pose.x:.1f}, y={pose.y:.2f}, heading={pose.heading:.3f})")
+
+
 def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
                        *, index: int = 0,
                        max_lateral: float = DEFAULT_MAX_LATERAL,
                        max_heading: float = DEFAULT_MAX_HEADING) -> Frame:
     """Render the camera view of the BEV scene at ``pose``.
 
-    Every pixel ray is intersected with the ground plane and the scene is
-    sampled bilinearly there.  Pixels above the horizon or looking outside
-    the scene extent are zeroed with ``valid`` False; if any such pixel
-    lies inside the model-input rect the frame is rejected, because the
-    detector contract requires a fully sourced crop.
+    Every pixel ray below the horizon is intersected with the ground
+    plane and the scene is sampled bilinearly there.  Pixels above the
+    horizon or looking outside the scene extent are zeroed with ``valid``
+    False; if any such pixel lies inside the model-input rect the frame
+    is rejected, because the detector contract requires a fully sourced
+    crop.
     """
     cfg.validate()
     check_pose_bounds(pose, max_lateral, max_heading)
-    gx, gy, front = pixel_ground_points(cfg, pose)
-    fi, fj = bev.fractional_index(gx, gy)
-    valid = front & interp.inside(fi, fj, bev.pixels.shape)
-    pixels = interp.gather(bev.pixels,
-                           np.clip(fi, 0.0, bev.pixels.shape[0] - 1),
-                           np.clip(fj, 0.0, bev.pixels.shape[1] - 1))
-    pixels[~valid] = 0.0
-    rs, cs = cfg.rect_slices
-    if not np.all(valid[rs, cs]):
-        bad = int(np.count_nonzero(~valid[rs, cs]))
-        raise IncompleteModelInputError(
-            f"{bad} model-input pixels have no BEV source at pose "
-            f"(x={pose.x:.1f}, y={pose.y:.2f}, heading={pose.heading:.3f})")
+    xf, yf, front = _vehicle_ground_grid(cfg)
+    r0 = _first_ground_row(cfg)
+    pixels = np.zeros(front.shape)
+    valid = np.zeros(front.shape, dtype=bool)
+    gx, gy = _vehicle_to_world(pose, xf[r0:], yf[r0:])
+    pixels[r0:], valid[r0:] = _sample_ground(bev, gx, gy, front[r0:])
+    _check_model_input(bev, cfg, pose, valid)
     return Frame(pixels=pixels, valid=valid, pose=pose, index=index)
+
+
+def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
+                       xf: np.ndarray, yf: np.ndarray, front: np.ndarray, *,
+                       max_lateral: float = DEFAULT_MAX_LATERAL,
+                       max_heading: float = DEFAULT_MAX_HEADING) -> np.ndarray:
+    """The warp restricted to a pixel set given by its vehicle-frame ground
+    points (``_vehicle_ground_grid`` entries); same checks, same values."""
+    check_pose_bounds(pose, max_lateral, max_heading)
+    _check_model_input(bev, cfg, pose)
+    gx, gy = _vehicle_to_world(pose, xf, yf)
+    return _sample_ground(bev, gx, gy, front)[0]
+
+
+def _rows_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
+    """The image rows whose ground points can fall inside ``rect``.
+
+    Every pixel of a row lies the same distance ahead of the vehicle, and
+    every point of the rect lies between its corners' distances ahead, so
+    only rows in that range can hit it; one row of margin on each side
+    absorbs round-off.
+    """
+    x_lo, x_hi, y_lo, y_hi = rect
+    ahead, _ = _world_to_vehicle(pose, np.array([x_lo, x_lo, x_hi, x_hi]),
+                                 np.array([y_lo, y_hi, y_lo, y_hi]))
+    r0 = _first_ground_row(cfg)
+    back = -_vehicle_ground_grid(cfg)[0][r0:, 0]     # increases down the image
+    a = int(np.searchsorted(back, -ahead.max(), side="left"))
+    b = int(np.searchsorted(back, -ahead.min(), side="right"))
+    return slice(r0 + max(a - 1, 0), r0 + min(b + 1, back.size))
+
+
+def _footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
+    """Image mask of the pixels whose ground point lies inside ``rect``,
+    computed on the rows that can see it; also returns those rows' ground
+    points and rect hits as ``(mask, gx, gy, hit)``."""
+    rows = _rows_seeing(cfg, pose, rect)
+    xf, yf, front = _vehicle_ground_grid(cfg)
+    gx, gy = _vehicle_to_world(pose, xf[rows], yf[rows])
+    x_lo, x_hi, y_lo, y_hi = rect
+    hit = (front[rows] & (gx >= x_lo) & (gx <= x_hi)
+           & (gy >= y_lo) & (gy <= y_hi))
+    mask = np.zeros(front.shape, dtype=bool)
+    mask[rows] = hit
+    return mask, gx, gy, hit
 
 
 def patch_footprint(cfg: CameraConfig, pose: VehicleState,
                     patch: PatchState) -> np.ndarray:
     """Image mask of pixels whose ground point lies inside the patch rect."""
-    gx, gy, front = pixel_ground_points(cfg, pose)
-    x_lo, x_hi, y_lo, y_hi = patch.placement.rect
-    return (front & (gx >= x_lo) & (gx <= x_hi)
-            & (gy >= y_lo) & (gy <= y_hi))
+    return _footprint_band(cfg, pose, patch.placement.rect)[0]
+
+
+def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
+                 patch: PatchState) -> tuple[np.ndarray, np.ndarray]:
+    """The patch footprint and the warped grays over it, in row-major order.
+
+    Equals ``(patch_footprint(...), warp_bev_to_camera(...).pixels[mask])``
+    but samples only the footprint pixels.
+    """
+    mask, gx, gy, hit = _footprint_band(cfg, pose, patch.placement.rect)
+    return mask, _sample_ground(bev, gx[hit], gy[hit], True)[0]
 
 
 def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
@@ -263,16 +361,21 @@ def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
         raise AdjointMismatchError(
             "gradient image was produced at a different pose than the splat target")
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
-    gx, gy, front = pixel_ground_points(cfg, pose)
-    fi, fj = scene.fractional_index(gx, gy)
-    valid = front & interp.inside(fi, fj, scene.pixels.shape)
-    # Any pixel with a bilinear tap inside the patch rectangle contributes.
+    # Any pixel with a bilinear tap inside the patch rectangle contributes;
+    # only the rows that see the rectangle grown by one scene pixel can.
+    mpp, (ox, oy) = scene.meters_per_pixel, scene.origin
+    rows = _rows_seeing(cfg, pose, (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
+                                    oy + (j_lo - 1) * mpp, oy + (j_hi + 1) * mpp))
+    xf, yf, front = _vehicle_ground_grid(cfg)
+    fi, fj = scene.fractional_index(*_vehicle_to_world(pose, xf[rows],
+                                                       yf[rows]))
+    valid = front[rows] & interp.inside(fi, fj, scene.pixels.shape)
     near = (valid & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
             & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
     row0, col0 = i_lo - 2, j_lo - 2
     local_shape = (i_hi - i_lo + 5, j_hi - j_lo + 5)
     local = interp.scatter(local_shape, fi[near] - row0, fj[near] - col0,
-                           grad_image[near])
+                           grad_image[rows][near])
     return composite_adjoint_local(local, row0, col0, scene, patch, line_mask)
 
 

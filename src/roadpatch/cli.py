@@ -31,6 +31,7 @@ from .attack import optimize_patch
 from .config import (
     ScenarioConfig,
     builtin_scenarios,
+    config_hash,
     load_config,
     resolve_scenario,
 )
@@ -134,8 +135,9 @@ def cmd_optimize(args) -> int:
     if args.iterations is not None:
         if args.iterations < 0:
             raise ConfigError("attack.iterations", "must be >= 0")
-        cfg.attack = type(cfg.attack)(**{**cfg.merged["attack"],
-                                         "iterations": args.iterations})
+        cfg.merged["attack"]["iterations"] = args.iterations
+        cfg.attack = type(cfg.attack)(**cfg.merged["attack"])
+        cfg.hash = config_hash(cfg.merged)
     out = _out_dir(args, cfg)
     scene, mask = cfg.build_scene()
     t0 = time.perf_counter()

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import interp
-from .camera import CameraConfig, Frame, ground_to_image
+from .camera import CameraConfig, Frame, _vehicle_ground_grid, ground_to_image
 from .errors import (
     DetectionFailedError,
     IllConditionedFitError,
@@ -148,6 +148,30 @@ def _plan(det: DetectorConfig, cam: CameraConfig) -> _Plan:
     return _Plan(det, cam)
 
 
+class Support:
+    """The image pixels the detector's bilinear samples read.
+
+    ``pixels`` holds their sorted flat image indices and ``xf``/``yf``/
+    ``front`` their pose-independent ground points in the vehicle frame;
+    ``taps``/``weights`` are the four bilinear taps of every sample at
+    ``(_Plan.v, _Plan.u)``, remapped to positions in ``pixels``.
+    """
+
+    def __init__(self, plan: _Plan):
+        w, h = plan.cam.image_size
+        idx, self.weights = interp.taps(plan.v, plan.u, (h, w))
+        self.pixels = np.unique(np.concatenate([k.ravel() for k in idx]))
+        self.taps = tuple(np.searchsorted(self.pixels, k) for k in idx)
+        self.xf, self.yf, self.front = (
+            a.ravel()[self.pixels] for a in _vehicle_ground_grid(plan.cam))
+
+
+@lru_cache(maxsize=16)
+def support_set(det: DetectorConfig, cam: CameraConfig) -> Support:
+    """The pixel support of a (detector, camera) pair, computed once."""
+    return Support(_plan(det, cam))
+
+
 def soft_argmax(response: np.ndarray, tau: float):
     """Sub-pixel index of a 1-D response plus its exact derivative.
 
@@ -250,9 +274,28 @@ def detect_lanes(frame: Frame, det: DetectorConfig,
     if not np.all(frame.valid[rs, cs]):
         raise IncompleteModelInputError("model-input crop contains unsourced pixels")
     samples = interp.gather(frame.pixels, plan.v, plan.u)
+    return _lane_detection(samples, plan, frame)
+
+
+def detect_lanes_on_support(values: np.ndarray, det: DetectorConfig,
+                            cam: CameraConfig) -> LaneDetection:
+    """:func:`detect_lanes` from the grays of the ``support_set`` pixels alone.
+
+    The samples are the same tap sums over the same pixel values, so the
+    detection is bit-identical to the full-frame one; it carries no tape.
+    """
+    sup = support_set(det, cam)
+    samples = interp.combine(values, sup.taps, sup.weights)
+    return _lane_detection(samples, _plan(det, cam), None)
+
+
+def _lane_detection(samples: np.ndarray, plan: _Plan,
+                    frame: Frame | None) -> LaneDetection:
+    """Forward pass from the sample grid; taped when ``frame`` is given."""
     responses, halves = _detect_core(samples, plan)
-    tape = DetectionTape(frame=frame, samples=samples,
-                         relu_mask=responses > 0.0, halves=halves)
+    tape = None if frame is None else DetectionTape(
+        frame=frame, samples=samples, relu_mask=responses > 0.0,
+        halves=halves)
     left, right = halves["left"], halves["right"]
     return LaneDetection(
         left_coeffs=left["coeffs"], right_coeffs=right["coeffs"],

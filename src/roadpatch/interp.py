@@ -39,7 +39,16 @@ def taps(fi: np.ndarray, fj: np.ndarray, shape: tuple[int, int]):
 def gather(arr: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     """Bilinearly sample ``arr`` at fractional indices (clamped by caller)."""
     idx, w = taps(fi, fj, arr.shape)
-    flat = arr.ravel()
+    return combine(arr.ravel(), idx, w)
+
+
+def combine(flat: np.ndarray, idx, w) -> np.ndarray:
+    """Weighted sum of the four taps ``flat[idx[k]] * w[k]``, in tap order.
+
+    Every bilinear read goes through this one sum, so reading the same
+    taps from a subset of a raster (with remapped indices) gives the
+    bit-identical value.
+    """
     return (flat[idx[0]] * w[0] + flat[idx[1]] * w[1]
             + flat[idx[2]] * w[2] + flat[idx[3]] * w[3])
 

@@ -204,12 +204,16 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float) -> BevImage
     ys = origin[1] + np.arange(n_y) * meters_per_pixel
     line_cols = _line_columns(road, ys)
 
-    pixels = np.full((n_x, n_y), road.asphalt_intensity)
     if road.texture_noise_amp > 0.0:
+        # noise + asphalt == asphalt + noise bit for bit, so the raster is
+        # built in the noise buffer without a second full-size array.
         rng = np.random.default_rng(road.texture_seed)
-        noise = rng.uniform(-road.texture_noise_amp, road.texture_noise_amp,
-                            size=(n_x, n_y))
-        pixels = np.clip(pixels + noise, 0.0, 1.0)
+        pixels = rng.uniform(-road.texture_noise_amp, road.texture_noise_amp,
+                             size=(n_x, n_y))
+        pixels += road.asphalt_intensity
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+    else:
+        pixels = np.full((n_x, n_y), road.asphalt_intensity)
     pixels[:, line_cols] = road.line_intensity
     return BevImage(pixels=pixels, meters_per_pixel=meters_per_pixel, origin=origin)
 

@@ -24,6 +24,17 @@ from roadpatch.config import load_config, resolve_scenario
 _CHECKS: list[tuple[str, bool, str]] = []
 
 
+# The full-budget optimize/evaluate fixtures; ``pytest -m 'not slow'``
+# skips every test that needs one.
+_SLOW_FIXTURES = {"attack72", "attack126"}
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        if _SLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _CHECKS:
         return

@@ -22,6 +22,7 @@ from roadpatch.camera import splat_camera_to_bev
 from roadpatch.detector import DesiredPath
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
 from roadpatch.motion import VehicleState
+from roadpatch.sim import run_closed_loop
 
 BASE = 0.45
 
@@ -296,3 +297,53 @@ def test_optimize_is_deterministic(scenario72, scene72):
     np.testing.assert_array_equal(a.patch.values, b.patch.values)
     assert ([h.breakdown.directed for h in a.history]
             == [h.breakdown.directed for h in b.history])
+
+
+@pytest.mark.parametrize("name", ["scenario72", "scenario105", "scenario126"])
+def test_support_loop_matches_the_dense_loop(name, request):
+    # Without a frame sink the loop renders only the detector's pixel
+    # support; a sink forces the dense warp.  Both must drive identically.
+    cfg = request.getfixturevalue(name)
+    scene, mask = cfg.build_scene()
+    args = (scene, mask, None, cfg.initial_state(), cfg.duration_s,
+            cfg.pipeline(), cfg.goal_m)
+    support = run_closed_loop(*args, frame_sink=None)
+    dense = run_closed_loop(*args, frame_sink=lambda f: None)
+    assert support.frames_evaluated == dense.frames_evaluated == cfg.n_frames
+    assert support.states == dense.states
+    assert support.steers == dense.steers
+
+
+@pytest.mark.parametrize("kind", ["initial", "random"])
+def test_support_rollout_sees_the_patch_like_the_dense_one(kind, scenario72,
+                                                           scene72):
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    cfg = scenario72.attack
+    patch = scenario72.initial_patch()
+    if kind == "random":
+        rng = np.random.default_rng(5)
+        patch = patch.with_values(rng.uniform(patch.v_min, patch.v_max,
+                                              patch.values.shape))
+    records = [rollout_with_patch(scene, mask, patch,
+                                  scenario72.initial_state(),
+                                  cfg.horizon_frames, pipe, keep_frames=keep)
+               for keep in (False, True)]
+    support, dense = records
+    assert support.frames is None and dense.frames is not None
+    assert support.states == dense.states and support.steers == dense.steers
+    assert any(p.rect_count for p in dense.projections)
+    for a, b in zip(support.projections, dense.projections, strict=True):
+        assert (a.index, a.count, a.rect_count) == (b.index, b.count,
+                                                    b.rect_count)
+        np.testing.assert_array_equal(a.pixel_values, b.pixel_values)
+    scores = [rollout_objective(r.paths, r.projections, cfg.lambda_reg,
+                                pipe.controller.decision_points,
+                                cfg.direction, patch.base_value)
+              for r in records]
+    assert scores[0].path_term == scores[1].path_term
+    assert scores[0].reg_term == scores[1].reg_term
+    np.testing.assert_array_equal(scores[0].per_frame_path,
+                                  scores[1].per_frame_path)
+    np.testing.assert_array_equal(scores[0].per_frame_reg,
+                                  scores[1].per_frame_reg)

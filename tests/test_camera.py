@@ -5,7 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from roadpatch import interp
 from roadpatch.camera import (
+    DEFAULT_MAX_HEADING,
+    DEFAULT_MAX_LATERAL,
     CameraConfig,
     Frame,
     check_pose_bounds,
@@ -14,9 +17,13 @@ from roadpatch.camera import (
     image_to_ground,
     model_input,
     patch_footprint,
+    patch_pixels,
+    pixel_ground_points,
     splat_camera_to_bev,
     warp_bev_to_camera,
+    warp_bev_to_points,
 )
+from roadpatch.detector import DetectorConfig, support_set
 from roadpatch.errors import (
     AdjointMismatchError,
     IncompleteModelInputError,
@@ -27,6 +34,8 @@ from roadpatch.motion import VehicleState
 from roadpatch.scene import (
     PatchPlacement,
     RoadSpec,
+    _rect_index_ranges,
+    composite_adjoint_local,
     composite_patch,
     lane_line_mask,
     render_road_bev,
@@ -168,3 +177,131 @@ def test_splat_input_checks():
 def test_camera_config_is_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         CAM.focal = 600.0  # type: ignore[misc]
+
+
+def _per_pixel_warp(scene, pose):
+    """The warp computed for every pixel of the image, horizon included."""
+    gx, gy, front = pixel_ground_points(CAM, pose)
+    fi, fj = scene.fractional_index(gx, gy)
+    valid = front & interp.inside(fi, fj, scene.pixels.shape)
+    n_i, n_j = scene.pixels.shape
+    pixels = interp.gather(scene.pixels, np.clip(fi, 0.0, n_i - 1),
+                           np.clip(fj, 0.0, n_j - 1))
+    pixels[~valid] = 0.0
+    return pixels, valid
+
+
+@pytest.mark.parametrize("pose", [ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),
+                                  VehicleState(15.0, -2.5, -0.15, 10.0)])
+def test_dense_warp_matches_a_per_pixel_reference(pose):
+    scene, _ = _scene()
+    want, want_valid = _per_pixel_warp(scene, pose)
+    assert not want_valid[0].any() and want_valid[-1].all()
+    frame = warp_bev_to_camera(scene, CAM, pose)
+    np.testing.assert_array_equal(frame.pixels, want)
+    np.testing.assert_array_equal(frame.valid, want_valid)
+
+
+def _crop_unsourced(scene, pose):
+    """Per-pixel rule: some model-input pixel has no BEV source."""
+    return not _per_pixel_warp(scene, pose)[1][CAM.rect_slices].all()
+
+
+def _support_raises(scene, pose):
+    sup = support_set(DetectorConfig(), CAM)
+    try:
+        warp_bev_to_points(scene, CAM, pose, sup.xf, sup.yf, sup.front)
+    except IncompleteModelInputError:
+        return True
+    return False
+
+
+def _dense_raises(scene, pose):
+    try:
+        warp_bev_to_camera(scene, CAM, pose)
+    except IncompleteModelInputError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("y, heading", [(0.0, 0.0), (1.0, 0.1)])
+def test_crop_check_at_the_road_end_transition(y, heading, scene72):
+    # Bisect the last sourced x to one ulp with the per-pixel rule; the
+    # corner rule must flip between the same two poses.
+    scene = scene72[0]
+    lo, hi = 150.0, 270.0
+    assert not _crop_unsourced(scene, VehicleState(lo, y, heading, 20.0))
+    assert _crop_unsourced(scene, VehicleState(hi, y, heading, 20.0))
+    while np.nextafter(lo, np.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, np.inf)
+        if _crop_unsourced(scene, VehicleState(mid, y, heading, 20.0)):
+            hi = mid
+        else:
+            lo = mid
+    for x, bad in ((lo, False), (hi, True)):
+        pose = VehicleState(x, y, heading, 20.0)
+        assert _support_raises(scene, pose) is bad
+        assert _dense_raises(scene, pose) is bad
+
+
+@pytest.mark.parametrize("extent, x_range", [
+    ((0.0, 270.0, -48.0, 48.0), (180.0, 215.0)),   # road end
+    ((0.0, 80.0, -32.0, 32.0), (-3.0, 22.0)),      # near edge and both sides
+])
+def test_crop_check_matches_the_per_pixel_rule(extent, x_range):
+    road = RoadSpec(road_length=extent[1])
+    scene = render_road_bev(road, extent, 0.05)
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for _ in range(150):
+        pose = VehicleState(rng.uniform(*x_range),
+                            rng.uniform(-DEFAULT_MAX_LATERAL,
+                                        DEFAULT_MAX_LATERAL),
+                            rng.uniform(-DEFAULT_MAX_HEADING,
+                                        DEFAULT_MAX_HEADING), 20.0)
+        want = _crop_unsourced(scene, pose)
+        assert _support_raises(scene, pose) is want, pose
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("pose", [ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),
+                                  VehicleState(30.0, -2.5, -0.15, 10.0)])
+def test_patch_footprint_matches_a_per_pixel_reference(pose):
+    scene, mask = _scene()
+    patch = uniform_patch(PatchPlacement(25.0, 0.3, 2.4, 10.0), 0.1, 0.45)
+    gx, gy, front = pixel_ground_points(CAM, pose)
+    x_lo, x_hi, y_lo, y_hi = patch.placement.rect
+    want = front & (gx >= x_lo) & (gx <= x_hi) & (gy >= y_lo) & (gy <= y_hi)
+    assert want.any()
+    np.testing.assert_array_equal(patch_footprint(CAM, pose, patch), want)
+    bev = composite_patch(scene, patch, mask)
+    got_mask, got_values = patch_pixels(bev, CAM, pose, patch)
+    np.testing.assert_array_equal(got_mask, want)
+    np.testing.assert_array_equal(got_values, _per_pixel_warp(bev, pose)[0][want])
+
+
+@pytest.mark.parametrize("pose", [ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),
+                                  VehicleState(15.0, -2.5, -0.15, 10.0)])
+def test_splat_matches_a_per_pixel_reference(pose):
+    # The splat reads only the rows that can see the patch; scattering
+    # from every pixel of the image must give the identical result.
+    scene, mask = _scene()
+    patch = uniform_patch(PatchPlacement(20.0, 0.2, 2.0, 12.0), 0.1, 0.40)
+    g = np.random.default_rng(3).standard_normal((480, 640))
+    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
+    gx, gy, front = pixel_ground_points(CAM, pose)
+    fi, fj = scene.fractional_index(gx, gy)
+    near = (front & interp.inside(fi, fj, scene.pixels.shape)
+            & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
+            & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
+    assert near.any()
+    local = interp.scatter((i_hi - i_lo + 5, j_hi - j_lo + 5),
+                           fi[near] - (i_lo - 2), fj[near] - (j_lo - 2),
+                           g[near])
+    want = composite_adjoint_local(local, i_lo - 2, j_lo - 2, scene, patch,
+                                   mask)
+    np.testing.assert_array_equal(
+        splat_camera_to_bev(g, CAM, pose, scene, patch, mask), want)

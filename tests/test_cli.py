@@ -6,6 +6,7 @@ import pytest
 
 from conftest import run_cli
 from roadpatch.artifacts import read_report, read_trajectory_csv
+from roadpatch.config import config_hash, load_config
 from roadpatch.pgmio import load_patch, read_pgm
 
 
@@ -145,3 +146,16 @@ def test_default_out_directory(tiny, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("benign", tiny, "--deterministic") == 0
     assert (tmp_path / "runs" / "tiny" / "benign_report.json").exists()
+
+
+def test_iterations_override_is_part_of_the_config_hash(tiny, tmp_path):
+    hashes = {}
+    for n in (0, 1):
+        out = tmp_path / str(n)
+        assert run_cli("optimize", tiny, "--out", out, "--deterministic",
+                       "--iterations", n) == 0
+        hashes[n] = read_report(out / "optimize_report.json")["config_hash"]
+        cfg = load_config(tiny)
+        cfg.merged["attack"]["iterations"] = n
+        assert hashes[n] == config_hash(cfg.merged)
+    assert hashes[0] != hashes[1]

@@ -194,3 +194,18 @@ def test_composite_adjoint_matches_the_forward_inner_product():
     lhs = float(np.sum(g * (f1 - f0)))
     rhs = float(np.sum(composite_adjoint(g, scene, patch, mask) * dv))
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_in_place_rendering_matches_the_two_step_formula():
+    road = _road(texture_seed=4, asphalt_intensity=0.99, line_intensity=1.0,
+                 texture_noise_amp=0.02)
+    got = render_road_bev(road, EXTENT, MPP)
+    rng = np.random.default_rng(road.texture_seed)
+    noise = rng.uniform(-road.texture_noise_amp, road.texture_noise_amp,
+                        size=got.pixels.shape)
+    want = np.clip(np.full(got.pixels.shape, road.asphalt_intensity) + noise,
+                   0.0, 1.0)
+    lines = lane_line_mask(road, EXTENT, MPP)
+    assert np.any(want[~lines] == 1.0)    # the clip is exercised
+    want[lines] = road.line_intensity
+    np.testing.assert_array_equal(got.pixels, want)
