@@ -26,6 +26,7 @@ from .camera import (
     patch_footprint,
     patch_pixels,
     splat_camera_to_bev,
+    splat_pixels,
     warp_bev_to_camera,
     warp_bev_to_points,
 )
@@ -38,6 +39,7 @@ from .detector import (
     detect_lanes,
     detect_lanes_on_support,
     detector_gradient,
+    support_gradient,
     support_set,
 )
 from .errors import (
@@ -105,7 +107,8 @@ class PatchProjection:
     rect_count: int                 # of those, pixels inside the model input
     pixel_values: np.ndarray        # frame grays over the footprint
     pose: VehicleState
-    mask: np.ndarray | None = None  # full image mask (kept for gradient runs)
+    mask: np.ndarray | None = None  # full image mask (kept with the frames)
+    pixels: np.ndarray | None = None  # sorted flat indices of ``mask`` (taped)
 
 
 @dataclass
@@ -171,11 +174,15 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     record (flagged) rather than raising; geometric failures such as an
     unsourced model input propagate.
 
-    Whole frames are rendered (the dense warp) only when the caller needs
-    them: ``keep_frames`` for a gradient pass, or a ``frame_sink``.
-    Otherwise each frame renders just the detector's pixel support and,
-    with a patch, the patch footprint; states, steers, detections and
-    patch projections are bit-identical either way.
+    Whole frames are rendered (the dense warp) only when the caller asks
+    for them: ``keep_frames``, or a ``frame_sink``.  Otherwise each frame
+    renders just the detector's pixel support and, with a patch, the patch
+    footprint; states, steers, detections and patch projections are
+    bit-identical either way.  A gradient pass needs no frames: with a
+    patch, such a rollout keeps each frame's detector tape (holding no
+    frame) beside the footprint's pixels and grays.  A dense rollout keeps
+    its tapes only with ``keep_frames``, so a frame sink leaves no frame
+    alive.
     """
     pipe.validate()
     if horizon < 1:
@@ -185,6 +192,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     rect_rs, rect_cs = cam.rect_slices
     dense = keep_frames or frame_sink is not None
     support = None if dense else support_set(pipe.detector, cam)
+    taped = keep_frames or (patch is not None and not dense)
 
     states = [state0]
     steers: list[float] = []
@@ -212,6 +220,8 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
                 rect_count=int(fp[rect_rs, rect_cs].sum()),
                 pixel_values=seen, pose=s,
                 mask=fp if keep_frames else None)
+            if taped:
+                proj.pixels = np.flatnonzero(fp)
         else:
             proj = PatchProjection(index=t, count=0, rect_count=0,
                                    pixel_values=np.zeros(0), pose=s,
@@ -224,7 +234,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
         except DetectionFailedError:
             truncated = True
             break
-        if not keep_frames:
+        if not taped:
             det.tape = None
         path = desired_path(det, pipe.detector)
         steer = steer_from_path(path, pipe.controller, pipe.vehicle)
@@ -250,7 +260,9 @@ def rollout_objective(paths, projections, lambda_reg: float, decision_points,
 
     ``path_term`` sums the desired-path derivative over every frame and
     decision distance; ``reg_term`` sums squared deviation of the
-    patch's visible frame pixels from the neutral ``base_value``.
+    patch's visible frame pixels from the neutral ``base_value``.  The
+    squares are summed by numpy's own pairwise reduction, not a BLAS dot,
+    so ``reg_term`` does not depend on the BLAS thread count.
     """
     if len(paths) != len(projections):
         raise InvalidArgumentError("paths and projections must align")
@@ -261,11 +273,39 @@ def rollout_objective(paths, projections, lambda_reg: float, decision_points,
         per_path[k] = float(np.sum(path_derivatives(path, decision_points)))
         if proj.pixel_values.size:
             dev = proj.pixel_values - base_value
-            per_reg[k] = float(dev @ dev)
+            per_reg[k] = float(np.sum(dev * dev))
     return ObjectiveBreakdown(path_term=float(per_path.sum()),
                               reg_term=float(per_reg.sum()),
                               lambda_reg=lambda_reg, direction=direction,
                               per_frame_path=per_path, per_frame_reg=per_reg)
+
+
+def _path_upstream(cfg: AttackConfig, pipe: PipelineConfig,
+                   decision_points) -> np.ndarray:
+    """Gradient of the directed path term in the desired-path coefficients."""
+    pts = np.asarray(decision_points, dtype=float)
+    degree = pipe.detector.poly_degree
+    upstream = np.zeros(degree + 1)
+    for k in range(1, degree + 1):
+        upstream[k] = cfg.direction_sign * float(np.sum(k * pts ** (k - 1)))
+    return upstream
+
+
+def _taped_detection(record: RolloutRecord, t: int) -> LaneDetection:
+    if not 0 <= t < record.frames_evaluated:
+        raise InvalidArgumentError(f"frame index {t} outside the record")
+    detection = record.detections[t]
+    if detection.tape is None:
+        raise InvalidArgumentError(
+            "rollout kept no detector tapes: rerun it with a patch and no "
+            "frame sink, or with keep_frames=True")
+    return detection
+
+
+def _stealth_gradient(proj: PatchProjection, lambda_reg: float,
+                      base_value: float) -> np.ndarray:
+    """Gradient of the stealth term on the footprint pixels."""
+    return 2.0 * lambda_reg * (proj.pixel_values - base_value)
 
 
 def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
@@ -274,29 +314,23 @@ def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
     """Pixel gradient of the directed objective for frame index ``t`` (0-based).
 
     States are taken as recorded: only this frame's detection and its
-    visible patch pixels vary.  Support is the model-input rect (path
-    term) plus the patch footprint (stealth term).
+    visible patch pixels vary.  The gradient is zero outside the
+    detector's pixel support (path term) and the patch footprint (stealth
+    term).  It is computed from the detection tape and the footprint grays
+    the rollout recorded, so any record with tapes will do, with or
+    without frames.
     """
     cfg.validate()
-    if record.frames is None:
-        raise InvalidArgumentError(
-            "rollout was recorded without frames; rerun with keep_frames=True")
-    if not 0 <= t < record.frames_evaluated:
-        raise InvalidArgumentError(f"frame index {t} outside the record")
-    frame = record.frames[t]
-    detection = record.detections[t]
-    pts = np.asarray(decision_points, dtype=float)
-    degree = pipe.detector.poly_degree
-    upstream = np.zeros(degree + 1)
-    for k in range(1, degree + 1):
-        upstream[k] = cfg.direction_sign * float(np.sum(k * pts ** (k - 1)))
-    img = detector_gradient(frame, detection, upstream,
+    detection = _taped_detection(record, t)
+    frame = None if record.frames is None else record.frames[t]
+    img = detector_gradient(frame, detection,
+                            _path_upstream(cfg, pipe, decision_points),
                             pipe.detector, pipe.camera)
     proj = record.projections[t]
-    if proj.mask is not None and proj.count:
-        img[proj.mask] += 2.0 * cfg.lambda_reg * (frame.pixels[proj.mask]
-                                                  - base_value)
-    return FrameGradient(image=img, pose=frame.pose, index=t)
+    if proj.count:
+        img.ravel()[proj.pixels] += _stealth_gradient(proj, cfg.lambda_reg,
+                                                      base_value)
+    return FrameGradient(image=img, pose=proj.pose, index=t)
 
 
 def aggregate_gradients_bev(grads, counts, weight_mode: str, camera: CameraConfig,
@@ -310,22 +344,52 @@ def aggregate_gradients_bev(grads, counts, weight_mode: str, camera: CameraConfi
     mode.  Frames that never saw the patch contribute nothing; if no
     frame saw it, there is nothing to optimize.
     """
-    if weight_mode not in ("coverage", "uniform"):
-        raise InvalidArgumentError("weight_mode must be 'coverage' or 'uniform'")
     if len(grads) != len(counts):
         raise InvalidArgumentError("grads and counts must align")
+    weights = _frame_weights(counts, weight_mode)
+    splats = [splat_camera_to_bev(g.image, camera, g.pose, scene, patch,
+                                  line_mask)
+              for g, w in zip(grads, weights) if w]
+    return _weighted_mean(splats, [w for w in weights if w], patch)
+
+
+def _frame_weights(counts, weight_mode: str) -> list[float]:
+    """Per-frame weights: footprint pixel count in ``coverage`` mode, one
+    for every frame that saw the patch in ``uniform`` mode."""
+    if weight_mode not in ("coverage", "uniform"):
+        raise InvalidArgumentError("weight_mode must be 'coverage' or 'uniform'")
+    return [float(c) if weight_mode == "coverage" else (1.0 if c else 0.0)
+            for c in counts]
+
+
+def _weighted_mean(splats, weights, patch: PatchState) -> np.ndarray:
     acc = np.zeros_like(patch.values)
     total = 0.0
-    for g, c in zip(grads, counts):
-        w = float(c) if weight_mode == "coverage" else (1.0 if c else 0.0)
-        if w == 0.0:
-            continue
-        acc += w * splat_camera_to_bev(g.image, camera, g.pose,
-                                       scene, patch, line_mask)
+    for s, w in zip(splats, weights):
+        acc += w * s
         total += w
     if total == 0.0:
         raise NoVisibilityError("no frame in the horizon ever saw the patch")
     return acc / total
+
+
+def _union_values(a: np.ndarray, va: np.ndarray, b: np.ndarray,
+                  vb: np.ndarray):
+    """Sorted union of the sorted index sets ``a`` and ``b``, with values.
+
+    One stable sort of the two sorted runs is a linear merge (``np.union1d``
+    hashes instead).  An index in both sets comes out ``a`` first and gets
+    ``va + vb``, the sum an image that holds ``va`` and then adds ``vb``
+    would hold.
+    """
+    both = np.concatenate([a, b])
+    order = np.argsort(both, kind="stable")
+    pixels = both[order]
+    values = np.concatenate([va, vb])[order]
+    dup = pixels[1:] == pixels[:-1]
+    values[:-1][dup] += values[1:][dup]
+    keep = np.concatenate([[True], ~dup])
+    return pixels[keep], values[keep]
 
 
 def project_patch(values: np.ndarray, gradient: np.ndarray, step_size: float,
@@ -352,13 +416,33 @@ def project_patch(values: np.ndarray, gradient: np.ndarray, step_size: float,
 def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                    pipe: PipelineConfig, scene: BevImage, patch: PatchState,
                    line_mask: np.ndarray) -> np.ndarray:
-    """Full gradient pass: per-frame image gradients splatted and averaged."""
-    pts = pipe.controller.decision_points
-    grads = [frame_gradient(record, t, cfg, pipe, pts, patch.base_value)
-             for t in range(record.frames_evaluated)]
-    counts = [p.count for p in record.projections]
-    return aggregate_gradients_bev(grads, counts, cfg.weight_mode,
-                                   pipe.camera, scene, patch, line_mask)
+    """Full gradient pass: :func:`frame_gradient` of every frame, splatted
+    and averaged as in :func:`aggregate_gradients_bev`.
+
+    Each frame's gradient is taken on the sorted union of the detector's
+    pixel support and the patch footprint, from the detection tape and the
+    footprint grays the rollout recorded, so no frame is rendered or read
+    and dense and frame-free records take the same path.  Every pixel left
+    out has exactly zero gradient, so the result is bit-identical to
+    splatting the whole images.
+    """
+    cfg.validate()
+    upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
+    support = support_set(pipe.detector, pipe.camera).pixels
+    weights = _frame_weights([p.count for p in record.projections],
+                             cfg.weight_mode)
+    grads = []
+    for t, w in enumerate(weights):
+        if not w:
+            continue
+        proj = record.projections[t]
+        path = support_gradient(_taped_detection(record, t), upstream,
+                                pipe.detector, pipe.camera)
+        stealth = _stealth_gradient(proj, cfg.lambda_reg, patch.base_value)
+        grads.append((proj.pose,
+                      *_union_values(support, path, proj.pixels, stealth)))
+    splats = splat_pixels(grads, pipe.camera, scene, patch, line_mask)
+    return _weighted_mean(splats, [w for w in weights if w], patch)
 
 
 @dataclass
@@ -385,7 +469,7 @@ class OptimizeResult:
 
 def _evaluate(scene, line_mask, patch, state0, pipe, cfg):
     record = rollout_with_patch(scene, line_mask, patch, state0,
-                                cfg.horizon_frames, pipe, keep_frames=True)
+                                cfg.horizon_frames, pipe)
     bd = rollout_objective(record.paths, record.projections, cfg.lambda_reg,
                        pipe.controller.decision_points, cfg.direction,
                        patch.base_value)

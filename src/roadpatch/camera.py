@@ -350,9 +350,7 @@ def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
     """Pull an image-space gradient back onto the patch grid.
 
     Exact adjoint of ``warp(composite(patch))`` as a linear map in the
-    patch values: the warp taps are transposed into scene space (only the
-    patch's scene rectangle needs to be materialized) and the composite
-    resampling is transposed onto the patch raster.
+    patch values: :func:`splat_pixels` over every pixel of the image.
     """
     cfg.validate()
     if grad_image.shape != tuple(reversed(cfg.image_size)):
@@ -360,22 +358,47 @@ def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
     if frame is not None and _pose_tuple(frame.pose) != _pose_tuple(pose):
         raise AdjointMismatchError(
             "gradient image was produced at a different pose than the splat target")
+    pixels = np.arange(grad_image.size)
+    return splat_pixels([(pose, pixels, grad_image.ravel())], cfg, scene,
+                        patch, line_mask)[0]
+
+
+def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
+                 line_mask: np.ndarray) -> np.ndarray:
+    """Pull sparse image-space gradients back onto the patch grid.
+
+    ``grads`` holds one ``(pose, pixels, values)`` triple per frame: sorted
+    flat image indices and the gradient there, zero at every other pixel.
+    Returns the stacked patch-grid gradients, one per triple.
+
+    The warp taps are transposed into scene space (only the patch's scene
+    rectangle is materialized) and the composite resampling is transposed
+    onto the patch raster, once for the whole stack.  Only pixels on the
+    rows that see the rectangle grown by one scene pixel can have a tap
+    inside it.  Leaving out zero-gradient pixels adds nothing to any sum
+    and keeps the rest in row-major order, so the result is bit-identical
+    to splatting the whole image.
+    """
+    width = cfg.image_size[0]
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
-    # Any pixel with a bilinear tap inside the patch rectangle contributes;
-    # only the rows that see the rectangle grown by one scene pixel can.
     mpp, (ox, oy) = scene.meters_per_pixel, scene.origin
-    rows = _rows_seeing(cfg, pose, (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
-                                    oy + (j_lo - 1) * mpp, oy + (j_hi + 1) * mpp))
-    xf, yf, front = _vehicle_ground_grid(cfg)
-    fi, fj = scene.fractional_index(*_vehicle_to_world(pose, xf[rows],
-                                                       yf[rows]))
-    valid = front[rows] & interp.inside(fi, fj, scene.pixels.shape)
-    near = (valid & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
-            & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
+    grown = (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
+             oy + (j_lo - 1) * mpp, oy + (j_hi + 1) * mpp)
     row0, col0 = i_lo - 2, j_lo - 2
-    local_shape = (i_hi - i_lo + 5, j_hi - j_lo + 5)
-    local = interp.scatter(local_shape, fi[near] - row0, fj[near] - col0,
-                           grad_image[rows][near])
+    local = np.zeros((len(grads), i_hi - i_lo + 5, j_hi - j_lo + 5))
+    xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
+    for k, (pose, pixels, values) in enumerate(grads):
+        rows = _rows_seeing(cfg, pose, grown)
+        band = slice(*np.searchsorted(pixels, (rows.start * width,
+                                               rows.stop * width)))
+        pix = pixels[band]
+        fi, fj = scene.fractional_index(*_vehicle_to_world(pose, xf[pix],
+                                                           yf[pix]))
+        near = (front[pix] & interp.inside(fi, fj, scene.pixels.shape)
+                & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
+                & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
+        local[k] = interp.scatter(local.shape[1:], fi[near] - row0,
+                                  fj[near] - col0, values[band][near])
     return composite_adjoint_local(local, row0, col0, scene, patch, line_mask)
 
 

@@ -10,7 +10,9 @@ coefficient-wise mean of the two line fits.
 
 Every stage is an explicit closed form, so the exact pixel gradient of
 any scalar in the fitted coefficients is available analytically; the
-forward pass records a tape that the backward pass consumes.
+forward pass records a tape that the backward pass consumes.  The
+gradient lives on the detector's pixel support (``support_set``): the
+backward pass needs the tape, never the frame.
 """
 
 from __future__ import annotations
@@ -92,11 +94,14 @@ class LaneDetection:
 
 @dataclass
 class DetectionTape:
-    """Forward-pass record needed to run the analytic backward pass."""
+    """Forward-pass record needed to run the analytic backward pass.
 
-    frame: Frame
-    samples: np.ndarray
-    relu_mask: np.ndarray
+    ``frame`` is the frame a full-frame detection ran on, or None for a
+    detection run on the support pixels' grays alone.
+    """
+
+    frame: Frame | None
+    responses: np.ndarray
     halves: dict
 
 
@@ -282,7 +287,8 @@ def detect_lanes_on_support(values: np.ndarray, det: DetectorConfig,
     """:func:`detect_lanes` from the grays of the ``support_set`` pixels alone.
 
     The samples are the same tap sums over the same pixel values, so the
-    detection is bit-identical to the full-frame one; it carries no tape.
+    detection is bit-identical to the full-frame one; its tape holds no
+    frame.
     """
     sup = support_set(det, cam)
     samples = interp.combine(values, sup.taps, sup.weights)
@@ -291,11 +297,9 @@ def detect_lanes_on_support(values: np.ndarray, det: DetectorConfig,
 
 def _lane_detection(samples: np.ndarray, plan: _Plan,
                     frame: Frame | None) -> LaneDetection:
-    """Forward pass from the sample grid; taped when ``frame`` is given."""
+    """Forward pass from the sample grid, taped for the backward pass."""
     responses, halves = _detect_core(samples, plan)
-    tape = None if frame is None else DetectionTape(
-        frame=frame, samples=samples, relu_mask=responses > 0.0,
-        halves=halves)
+    tape = DetectionTape(frame=frame, responses=responses, halves=halves)
     left, right = halves["left"], halves["right"]
     return LaneDetection(
         left_coeffs=left["coeffs"], right_coeffs=right["coeffs"],
@@ -312,20 +316,41 @@ def desired_path(detection: LaneDetection, det: DetectorConfig) -> DesiredPath:
                        valid_range=(det.band_near, det.band_far))
 
 
-def detector_gradient(frame: Frame, detection: LaneDetection,
+def detector_gradient(frame: Frame | None, detection: LaneDetection,
                       upstream: np.ndarray, det: DetectorConfig,
                       cam: CameraConfig) -> np.ndarray:
-    """Exact pixel gradient of ``upstream . desired_path_coeffs``.
+    """:func:`support_gradient` placed in an image, zero off the support.
 
-    ``upstream`` is the gradient of some scalar objective with respect to
-    the desired-path coefficients.  The result is an image-shaped array,
-    zero outside the model-input rect; all stages of the forward pass
-    (soft argmax, confidence weights, weighted fit) are differentiated.
+    ``frame`` is the frame the detection ran on (None for a detection run
+    on the support grays); a tape from any other frame is stale.
     """
     tape = detection.tape
     if tape is None or tape.frame is not frame:
         raise StaleForwardStateError(
             "detection tape does not belong to this frame")
+    w, h = cam.image_size
+    image = np.zeros(h * w)
+    image[support_set(det, cam).pixels] = support_gradient(detection, upstream,
+                                                           det, cam)
+    return image.reshape(h, w)
+
+
+def support_gradient(detection: LaneDetection, upstream: np.ndarray,
+                     det: DetectorConfig, cam: CameraConfig) -> np.ndarray:
+    """Exact pixel gradient of ``upstream . desired_path_coeffs``.
+
+    ``upstream`` is the gradient of some scalar objective with respect to
+    the desired-path coefficients.  The result holds one value per pixel
+    of ``support_set(det, cam).pixels``; every other pixel's gradient is
+    zero.  All stages of the forward pass (soft argmax, confidence
+    weights, weighted fit) are differentiated.  The sample gradients are
+    scattered through the support's taps with the same sums as a
+    full-image :func:`interp.scatter`, so the values are bit-identical to
+    that image's values on the support.
+    """
+    tape = detection.tape
+    if tape is None:
+        raise StaleForwardStateError("detection carries no tape")
     plan = _plan(det, cam)
     g_line = 0.5 * np.asarray(upstream, dtype=float)  # mean over two lines
     d_resp = np.zeros((plan.det.n_bands, plan.det.n_lateral))
@@ -343,8 +368,10 @@ def detector_gradient(frame: Frame, detection: LaneDetection,
         block *= (d_idx / plan.det.tau)[:, None]
         block += d_mass[:, None]
         d_resp[:, h["cols"]] += block
-    d_samples = d_resp * tape.relu_mask
-    return interp.scatter(frame.pixels.shape, plan.v, plan.u, d_samples)
+    d_samples = d_resp * (tape.responses > 0.0)
+    sup = support_set(det, cam)
+    return interp.accumulate(sup.pixels.size, sup.taps, sup.weights,
+                             d_samples)
 
 
 def sampling_positions(det: DetectorConfig, cam: CameraConfig):

@@ -57,13 +57,22 @@ def scatter(shape: tuple[int, int], fi: np.ndarray, fj: np.ndarray,
             values: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`gather`: accumulate ``values`` into a raster."""
     idx, w = taps(fi, fj, shape)
-    size = shape[0] * shape[1]
+    return accumulate(shape[0] * shape[1], idx, w, values).reshape(shape)
+
+
+def accumulate(size: int, idx, w, values: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`combine`: add ``values * w[k]`` at ``idx[k]``.
+
+    Every bilinear scatter goes through these four ``bincount`` calls in
+    tap order, so scattering the same taps into a subset of a raster
+    (with remapped indices) gives the bit-identical sums.
+    """
     out = np.zeros(size)
     for k in range(4):
         out += np.bincount(idx[k].ravel(),
                            weights=(values * w[k]).ravel(),
                            minlength=size)
-    return out.reshape(shape)
+    return out
 
 
 def inside(fi: np.ndarray, fj: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

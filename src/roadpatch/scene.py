@@ -309,14 +309,23 @@ def composite_adjoint_local(local_grad: np.ndarray, row0: int, col0: int,
     Exact transpose of the resampling performed by :func:`composite_patch`:
     only the replaced pixels contribute, with the same bilinear weights.
     ``local_grad`` may cover just the patch's scene rectangle; ``row0`` and
-    ``col0`` give the scene indices of its first cell.
+    ``col0`` give the scene indices of its first cell.  A stack of such
+    gradients (leading axes) comes back as a stack of patch gradients; the
+    replaced pixels and their patch-grid taps depend only on the placement
+    and the line mask, so they are computed once for the whole stack.
     """
+    local_grad = np.asarray(local_grad)
+    lead, shape = local_grad.shape[:-2], patch.values.shape
+    stack = local_grad.reshape((-1,) + local_grad.shape[-2:])
+    out = np.zeros((stack.shape[0], shape[0] * shape[1]))
     rows, cols = _composite_indices(scene, patch, line_mask)
-    if not rows.size:
-        return np.zeros_like(patch.values)
-    fi, fj = _patch_fractional(scene, patch, rows, cols)
-    return interp.scatter(patch.values.shape, fi, fj,
-                          local_grad[rows - row0, cols - col0])
+    if rows.size:
+        idx, w = interp.taps(*_patch_fractional(scene, patch, rows, cols),
+                             shape)
+        rows, cols = rows - row0, cols - col0
+        for k, g in enumerate(stack):
+            out[k] = interp.accumulate(out.shape[1], idx, w, g[rows, cols])
+    return out.reshape(lead + shape)
 
 
 def composite_adjoint(scene_grad: np.ndarray, scene: BevImage, patch: PatchState,

@@ -1,10 +1,14 @@
 """Rollout recording, the bending objective, gradients, and the optimizer."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from roadpatch import attack
 from roadpatch.attack import (
     AttackConfig,
     FrameGradient,
@@ -18,8 +22,8 @@ from roadpatch.attack import (
     project_patch,
     rollout_with_patch,
 )
-from roadpatch.camera import splat_camera_to_bev
-from roadpatch.detector import DesiredPath
+from roadpatch.camera import splat_camera_to_bev, splat_pixels
+from roadpatch.detector import DesiredPath, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
 from roadpatch.motion import VehicleState
 from roadpatch.sim import run_closed_loop
@@ -159,11 +163,17 @@ def test_frame_gradient_guards(scenario72, scene72):
     scene, mask = scene72
     pipe = scenario72.pipeline()
     cfg = scenario72.attack
-    blind = rollout_with_patch(scene, mask, scenario72.initial_patch(),
-                               scenario72.initial_state(), 1, pipe)
-    with pytest.raises(InvalidArgumentError):
-        frame_gradient(blind, 0, cfg, pipe,
-                       pipe.controller.decision_points, BASE)
+    # A frame sink without keep_frames drops every detector tape, and a
+    # rollout without a patch keeps none either.
+    untaped = [rollout_with_patch(scene, mask, patch,
+                                  scenario72.initial_state(), 1, pipe,
+                                  frame_sink=sink)
+               for patch, sink in ((scenario72.initial_patch(),
+                                    lambda f: None), (None, None))]
+    for blind in untaped:
+        with pytest.raises(InvalidArgumentError):
+            frame_gradient(blind, 0, cfg, pipe,
+                           pipe.controller.decision_points, BASE)
     record = rollout_with_patch(scene, mask, scenario72.initial_patch(),
                                 scenario72.initial_state(), 1, pipe,
                                 keep_frames=True)
@@ -347,3 +357,123 @@ def test_support_rollout_sees_the_patch_like_the_dense_one(kind, scenario72,
                                   scores[1].per_frame_path)
     np.testing.assert_array_equal(scores[0].per_frame_reg,
                                   scores[1].per_frame_reg)
+
+
+def _patched(cfg, kind):
+    patch = cfg.initial_patch()
+    if kind == "random":
+        rng = np.random.default_rng(17)
+        patch = patch.with_values(rng.uniform(patch.v_min, patch.v_max,
+                                              patch.values.shape))
+    return patch
+
+
+@pytest.mark.parametrize("kind", ["initial", "random"])
+@pytest.mark.parametrize("name", ["scenario72", "scenario126"])
+def test_patch_gradient_is_the_same_with_and_without_frames(name, kind,
+                                                            request):
+    cfg = request.getfixturevalue(name)
+    scene, mask = cfg.build_scene()
+    pipe = cfg.pipeline()
+    patch = _patched(cfg, kind)
+    support, dense = (rollout_with_patch(scene, mask, patch,
+                                         cfg.initial_state(),
+                                         cfg.attack.horizon_frames, pipe,
+                                         keep_frames=keep)
+                      for keep in (False, True))
+    assert support.frames is None and dense.frames is not None
+    got = patch_gradient(support, cfg.attack, pipe, scene, patch, mask)
+    want = patch_gradient(dense, cfg.attack, pipe, scene, patch, mask)
+    assert np.any(got != 0.0)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    patch = scenario72.initial_patch()
+    record = rollout_with_patch(scene, mask, patch,
+                                scenario72.initial_state(), 3, pipe)
+    rng = np.random.default_rng(8)
+    for proj in record.projections:
+        assert proj.count
+        pixels = np.union1d(support_set(pipe.detector, pipe.camera).pixels,
+                            proj.pixels)
+        values = rng.standard_normal(pixels.size)
+        image = np.zeros(pipe.camera.image_size[::-1])
+        image.ravel()[pixels] = values
+        sparse = splat_pixels([(proj.pose, pixels, values)], pipe.camera,
+                              scene, patch, mask)
+        assert sparse.shape == (1,) + patch.values.shape
+        np.testing.assert_array_equal(
+            sparse[0], splat_camera_to_bev(image, pipe.camera, proj.pose,
+                                           scene, patch, mask))
+
+
+def test_frame_gradient_of_a_frameless_record(scenario72, scene72):
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    patch = scenario72.initial_patch()
+    records = [rollout_with_patch(scene, mask, patch,
+                                  scenario72.initial_state(), 2, pipe,
+                                  keep_frames=keep) for keep in (False, True)]
+    support = support_set(pipe.detector, pipe.camera).pixels
+    pts = pipe.controller.decision_points
+    for t in range(2):
+        fg, want = (frame_gradient(r, t, scenario72.attack, pipe, pts,
+                                   patch.base_value) for r in records)
+        np.testing.assert_array_equal(fg.image, want.image)
+        assert fg.pose == want.pose == records[0].states[t]
+        allowed = np.zeros(fg.image.size, dtype=bool)
+        allowed[support] = True
+        allowed[records[0].projections[t].pixels] = True
+        assert np.any(fg.image.ravel()[allowed] != 0.0)
+        assert not np.any(fg.image.ravel()[~allowed])
+
+
+def test_optimizer_never_renders_a_frame(scenario72, scene72, monkeypatch):
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    patch = scenario72.initial_patch()
+    record = rollout_with_patch(scene, mask, patch,
+                                scenario72.initial_state(), 2, pipe)
+    assert record.frames is None
+    assert all(d.tape is not None and d.tape.frame is None
+               for d in record.detections)
+
+    def no_dense_warp(*args, **kwargs):
+        raise AssertionError("the optimizer rendered a whole frame")
+
+    monkeypatch.setattr(attack, "warp_bev_to_camera", no_dense_warp)
+    cfg = dataclasses.replace(scenario72.attack, iterations=2,
+                              horizon_frames=4)
+    result = optimize_patch(scene, mask, patch, scenario72.initial_state(),
+                            pipe, cfg)
+    assert result.iterations_run == 2
+
+
+_REG_TERM = """
+import numpy as np
+from roadpatch.attack import PatchProjection, rollout_objective
+from roadpatch.detector import DesiredPath
+from roadpatch.motion import VehicleState
+rng = np.random.default_rng(3)
+path = DesiredPath(coeffs=(0.0, 0.01, 0.001, 0.0), valid_range=(6.0, 50.0))
+projs = [PatchProjection(index=k, count=38000, rect_count=38000,
+                         pixel_values=rng.uniform(0.05, 0.88, 38000),
+                         pose=VehicleState(0.0, 0.0, 0.0, 20.0))
+         for k in range(4)]
+bd = rollout_objective([path] * 4, projs, 2e-5, (9.0, 13.0), "right", 0.45)
+print(repr(bd.reg_term))
+"""
+
+
+def test_stealth_term_does_not_depend_on_blas_threads():
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _REG_TERM], env=env,
+                              capture_output=True, text=True, check=True)
+        out.append(float(done.stdout))
+    assert out[0] == out[1]
