@@ -60,12 +60,6 @@ class PipelineConfig:
     controller: ControllerConfig = ControllerConfig()
     vehicle: VehicleParams = VehicleParams()
 
-    def validate(self) -> None:
-        self.camera.validate()
-        self.detector.validate()
-        self.controller.validate()
-        self.vehicle.validate()
-
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -74,10 +68,9 @@ class AttackConfig:
     direction: str = "right"
     step_size: float = 0.05
     iterations: int = 100
-    weight_mode: str = "coverage"
     max_halvings: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.horizon_frames < 1:
             raise InvalidArgumentError("horizon_frames must be >= 1")
         if self.lambda_reg < 0.0:
@@ -88,8 +81,6 @@ class AttackConfig:
             raise InvalidArgumentError("step_size must be positive")
         if self.iterations < 0:
             raise InvalidArgumentError("iterations must be >= 0")
-        if self.weight_mode not in ("coverage", "uniform"):
-            raise InvalidArgumentError("weight_mode must be 'coverage' or 'uniform'")
         if self.max_halvings < 0:
             raise InvalidArgumentError("max_halvings must be >= 0")
 
@@ -184,7 +175,6 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     its tapes only with ``keep_frames``, so a frame sink leaves no frame
     alive.
     """
-    pipe.validate()
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
     bev = scene if patch is None else composite_patch(scene, patch, line_mask)
@@ -320,7 +310,6 @@ def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
     the rollout recorded, so any record with tapes will do, with or
     without frames.
     """
-    cfg.validate()
     detection = _taped_detection(record, t)
     frame = None if record.frames is None else record.frames[t]
     img = detector_gradient(frame, detection,
@@ -333,44 +322,31 @@ def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
     return FrameGradient(image=img, pose=proj.pose, index=t)
 
 
-def aggregate_gradients_bev(grads, counts, weight_mode: str, camera: CameraConfig,
+def aggregate_gradients_bev(grads, counts, camera: CameraConfig,
                             scene: BevImage, patch: PatchState,
                             line_mask: np.ndarray) -> np.ndarray:
     """Average per-frame gradients on the patch grid.
 
     Each image gradient is splatted through the exact warp/composite
-    adjoint at its own pose, then combined with per-frame weights:
-    footprint pixel count in ``coverage`` mode, all-ones in ``uniform``
-    mode.  Frames that never saw the patch contribute nothing; if no
-    frame saw it, there is nothing to optimize.
+    adjoint at its own pose; every frame that saw the patch (nonzero
+    footprint count) weighs 1.  Frames that never saw the patch
+    contribute nothing; if no frame saw it, there is nothing to optimize.
     """
     if len(grads) != len(counts):
         raise InvalidArgumentError("grads and counts must align")
-    weights = _frame_weights(counts, weight_mode)
-    splats = [splat_camera_to_bev(g.image, camera, g.pose, scene, patch,
-                                  line_mask)
-              for g, w in zip(grads, weights) if w]
-    return _weighted_mean(splats, [w for w in weights if w], patch)
+    return _mean([splat_camera_to_bev(g.image, camera, g.pose, scene, patch,
+                                      line_mask)
+                  for g, c in zip(grads, counts) if c])
 
 
-def _frame_weights(counts, weight_mode: str) -> list[float]:
-    """Per-frame weights: footprint pixel count in ``coverage`` mode, one
-    for every frame that saw the patch in ``uniform`` mode."""
-    if weight_mode not in ("coverage", "uniform"):
-        raise InvalidArgumentError("weight_mode must be 'coverage' or 'uniform'")
-    return [float(c) if weight_mode == "coverage" else (1.0 if c else 0.0)
-            for c in counts]
-
-
-def _weighted_mean(splats, weights, patch: PatchState) -> np.ndarray:
-    acc = np.zeros_like(patch.values)
-    total = 0.0
-    for s, w in zip(splats, weights):
-        acc += w * s
-        total += w
-    if total == 0.0:
+def _mean(splats) -> np.ndarray:
+    """Mean of the frames' patch-grid gradients, summed in frame order."""
+    if not len(splats):
         raise NoVisibilityError("no frame in the horizon ever saw the patch")
-    return acc / total
+    acc = np.zeros_like(splats[0])
+    for s in splats:
+        acc += s
+    return acc / len(splats)
 
 
 def _union_values(a: np.ndarray, va: np.ndarray, b: np.ndarray,
@@ -416,8 +392,9 @@ def project_patch(values: np.ndarray, gradient: np.ndarray, step_size: float,
 def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                    pipe: PipelineConfig, scene: BevImage, patch: PatchState,
                    line_mask: np.ndarray) -> np.ndarray:
-    """Full gradient pass: :func:`frame_gradient` of every frame, splatted
-    and averaged as in :func:`aggregate_gradients_bev`.
+    """Full gradient pass: :func:`frame_gradient` of every frame that saw
+    the patch, splatted and averaged with equal weights as in
+    :func:`aggregate_gradients_bev`.
 
     Each frame's gradient is taken on the sorted union of the detector's
     pixel support and the patch footprint, from the detection tape and the
@@ -426,23 +403,18 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
     out has exactly zero gradient, so the result is bit-identical to
     splatting the whole images.
     """
-    cfg.validate()
     upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
     support = support_set(pipe.detector, pipe.camera).pixels
-    weights = _frame_weights([p.count for p in record.projections],
-                             cfg.weight_mode)
     grads = []
-    for t, w in enumerate(weights):
-        if not w:
+    for t, proj in enumerate(record.projections):
+        if not proj.count:
             continue
-        proj = record.projections[t]
         path = support_gradient(_taped_detection(record, t), upstream,
                                 pipe.detector, pipe.camera)
         stealth = _stealth_gradient(proj, cfg.lambda_reg, patch.base_value)
         grads.append((proj.pose,
                       *_union_values(support, path, proj.pixels, stealth)))
-    splats = splat_pixels(grads, pipe.camera, scene, patch, line_mask)
-    return _weighted_mean(splats, [w for w in weights if w], patch)
+    return _mean(splat_pixels(grads, pipe.camera, scene, patch, line_mask))
 
 
 @dataclass
@@ -492,9 +464,6 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
     The history gains one entry per iteration plus one for the initial
     patch, so ``iterations=0`` still yields a single scored entry.
     """
-    cfg.validate()
-    pipe.validate()
-    patch0.validate()
     bounds = (patch0.v_min, patch0.v_max)
 
     current = patch0

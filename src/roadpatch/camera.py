@@ -29,7 +29,6 @@ import numpy as np
 from . import interp
 from .errors import (
     AdjointMismatchError,
-    DegenerateGeometryError,
     IncompleteModelInputError,
     InvalidArgumentError,
     NoGroundIntersectionError,
@@ -59,7 +58,7 @@ class CameraConfig:
     image_size: tuple[int, int] = (640, 480)          # (width, height)
     model_input_rect: tuple[int, int, int, int] = (64, 224, 512, 256)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.focal <= 0.0:
             raise InvalidArgumentError("focal must be positive")
         if self.height <= 0.0:
@@ -94,34 +93,6 @@ def _pose_tuple(pose: VehicleState) -> tuple[float, float, float]:
     return (pose.x, pose.y, pose.heading)
 
 
-def homography_matrix(cfg: CameraConfig, pose: VehicleState) -> np.ndarray:
-    """3x3 map from road homogeneous (x, y, 1) to pixel homogeneous coords.
-
-    The third homogeneous output component equals camera depth, so points
-    behind the camera come out with a non-positive scale.
-    """
-    cfg.validate()
-    f = cfg.focal
-    u0, v0 = cfg.principal_point
-    h = cfg.height
-    ct, st = math.cos(cfg.pitch), math.sin(cfg.pitch)
-    cam = np.array([
-        [u0 * ct, -f, u0 * h * st],
-        [v0 * ct - f * st, 0.0, f * h * ct + v0 * h * st],
-        [ct, 0.0, h * st],
-    ])
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    world_to_vehicle = np.array([
-        [c, s, -(c * pose.x + s * pose.y)],
-        [-s, c, s * pose.x - c * pose.y],
-        [0.0, 0.0, 1.0],
-    ])
-    H = cam @ world_to_vehicle
-    if abs(np.linalg.det(H)) < 1e-12:
-        raise DegenerateGeometryError("ground-to-image homography is singular")
-    return H
-
-
 def _world_to_vehicle(pose: VehicleState, gx, gy):
     c, s = math.cos(pose.heading), math.sin(pose.heading)
     dx = np.asarray(gx) - pose.x
@@ -136,7 +107,6 @@ def _vehicle_to_world(pose: VehicleState, xf, yf):
 
 def ground_to_image(cfg: CameraConfig, pose: VehicleState, points):
     """Project road-frame ground points (..., 2) to pixel (u, v) arrays."""
-    cfg.validate()
     pts = np.asarray(points, dtype=float)
     xf, yf = _world_to_vehicle(pose, pts[..., 0], pts[..., 1])
     ct, st = math.cos(cfg.pitch), math.sin(cfg.pitch)
@@ -153,7 +123,6 @@ def ground_to_image(cfg: CameraConfig, pose: VehicleState, points):
 
 def image_to_ground(cfg: CameraConfig, pose: VehicleState, pixels):
     """Intersect pixel rays (..., 2) of (u, v) with the ground plane."""
-    cfg.validate()
     px = np.asarray(pixels, dtype=float)
     x_dir = (px[..., 0] - cfg.principal_point[0]) / cfg.focal
     y_dir = (px[..., 1] - cfg.principal_point[1]) / cfg.focal
@@ -269,7 +238,6 @@ def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     is rejected, because the detector contract requires a fully sourced
     crop.
     """
-    cfg.validate()
     check_pose_bounds(pose, max_lateral, max_heading)
     xf, yf, front = _vehicle_ground_grid(cfg)
     r0 = _first_ground_row(cfg)
@@ -352,7 +320,6 @@ def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
     Exact adjoint of ``warp(composite(patch))`` as a linear map in the
     patch values: :func:`splat_pixels` over every pixel of the image.
     """
-    cfg.validate()
     if grad_image.shape != tuple(reversed(cfg.image_size)):
         raise InvalidArgumentError("grad_image shape must match the camera image")
     if frame is not None and _pose_tuple(frame.pose) != _pose_tuple(pose):
@@ -400,9 +367,3 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
         local[k] = interp.scatter(local.shape[1:], fi[near] - row0,
                                   fj[near] - col0, values[band][near])
     return composite_adjoint_local(local, row0, col0, scene, patch, line_mask)
-
-
-def model_input(frame: Frame, cfg: CameraConfig) -> np.ndarray:
-    """The detector's crop of a frame."""
-    rs, cs = cfg.rect_slices
-    return frame.pixels[rs, cs]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -122,7 +123,6 @@ def defaults() -> dict:
             "direction": atk.direction,
             "step_size": atk.step_size,
             "iterations": atk.iterations,
-            "weight_mode": atk.weight_mode,
             "max_halvings": atk.max_halvings,
         },
     }
@@ -130,6 +130,18 @@ def defaults() -> dict:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite(value, dotted: str) -> float:
+    """``value`` as a float; NaN, infinities and ints past the float range
+    are refused (Python's ``json`` accepts ``NaN`` and ``Infinity``)."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(dotted, "expected a finite number")
+    return out
 
 
 def _coerce(uval, dval, dotted: str):
@@ -148,7 +160,7 @@ def _coerce(uval, dval, dotted: str):
     if isinstance(dval, float):
         if not (_is_int(uval) or isinstance(uval, float)):
             raise ConfigError(dotted, "expected a number")
-        return float(uval)
+        return _finite(uval, dotted)
     if isinstance(dval, list):
         if not isinstance(uval, list):
             raise ConfigError(dotted, "expected a list of numbers")
@@ -166,7 +178,7 @@ def _coerce(uval, dval, dotted: str):
             else:
                 if not (_is_int(v) or isinstance(v, float)):
                     raise ConfigError(dotted, "entries must be numbers")
-                out.append(float(v))
+                out.append(_finite(v, dotted))
         return out
     raise ConfigError(dotted, "unsupported field type")        # pragma: no cover
 
@@ -264,9 +276,7 @@ class ScenarioConfig:
 
 def _build(section: str, ctor, kwargs):
     try:
-        obj = ctor(**kwargs)
-        obj.validate()
-        return obj
+        return ctor(**kwargs)
     except InvalidArgumentError as exc:
         raise ConfigError(section, str(exc)) from exc
 

@@ -25,7 +25,7 @@ class ControllerConfig:
     steer_gain: float = 1.0
     max_steer: float = 0.45
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.decision_points:
             raise InvalidArgumentError("decision_points must be non-empty")
         pts = self.decision_points
@@ -53,7 +53,6 @@ def path_derivatives(path: DesiredPath, points) -> np.ndarray:
 def steer_from_path(path: DesiredPath, cfg: ControllerConfig,
                     params: VehicleParams) -> float:
     """Pure-pursuit steering toward the path, clamped to the actuator limit."""
-    cfg.validate()
     lo, hi = path.valid_range
     if not lo <= cfg.lookahead <= hi:
         raise OutOfRangeError(
@@ -61,6 +60,4 @@ def steer_from_path(path: DesiredPath, cfg: ControllerConfig,
     offset = path.value(cfg.lookahead)
     raw = cfg.steer_gain * math.atan(
         2.0 * params.wheelbase * offset / (cfg.lookahead ** 2))
-    limit = min(cfg.max_steer, params.max_steer)
-    clamped, _ = clamp_steer(raw, VehicleParams(params.wheelbase, params.dt, limit))
-    return clamped
+    return clamp_steer(raw, min(cfg.max_steer, params.max_steer))[0]

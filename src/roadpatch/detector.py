@@ -49,7 +49,7 @@ class DetectorConfig:
     response_bias: float = 0.40
     split: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.poly_degree < 1:
             raise InvalidArgumentError("poly_degree must be >= 1")
         if self.n_bands < self.poly_degree + 1:
@@ -109,8 +109,6 @@ class _Plan:
     """Everything about a (detector, camera) pair that frames share."""
 
     def __init__(self, det: DetectorConfig, cam: CameraConfig):
-        det.validate()
-        cam.validate()
         self.det = det
         self.cam = cam
         self.dists = np.linspace(det.band_near, det.band_far, det.n_bands)
@@ -177,24 +175,6 @@ def support_set(det: DetectorConfig, cam: CameraConfig) -> Support:
     return Support(_plan(det, cam))
 
 
-def soft_argmax(response: np.ndarray, tau: float):
-    """Sub-pixel index of a 1-D response plus its exact derivative.
-
-    Weights are ``exp(r_i / tau)`` normalized (computed shift-invariantly);
-    the derivative of the index w.r.t. entry j is ``w_j (j - idx) / tau``.
-    """
-    if tau <= 0.0:
-        raise InvalidArgumentError("tau must be positive")
-    r = np.asarray(response, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise InvalidArgumentError("response must be a non-empty 1-D array")
-    e = np.exp((r - r.max()) / tau)
-    w = e / e.sum()
-    idx = float(np.dot(w, np.arange(r.size)))
-    grad = w * (np.arange(r.size) - idx) / tau
-    return idx, grad
-
-
 def _soft_argmax_rows(resp: np.ndarray, tau: float):
     """Row-wise soft argmax over a (bands, columns) response block."""
     m = resp.max(axis=1, keepdims=True)
@@ -202,35 +182,6 @@ def _soft_argmax_rows(resp: np.ndarray, tau: float):
     w = e / e.sum(axis=1, keepdims=True)
     idx = w @ np.arange(resp.shape[1], dtype=float)
     return idx, w
-
-
-def fit_polynomial_wls(points: np.ndarray, weights: np.ndarray,
-                       degree: int) -> np.ndarray:
-    """Weighted least-squares polynomial fit, coefficients in ascending powers.
-
-    ``points`` is (N, 2) of (distance, lateral offset).  The system is
-    solved in a shifted/scaled basis and mapped back, so plain normal
-    equations stay well conditioned over ranges like 6-50 m.
-    """
-    pts = np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or w.shape != (pts.shape[0],):
-        raise InvalidArgumentError("points must be (N, 2) with N matching weights")
-    if np.any(w < 0.0):
-        raise InvalidArgumentError("weights must be >= 0")
-    good = w > 0.0
-    if np.unique(pts[good, 0]).size < degree + 1:
-        raise IllConditionedFitError(
-            "need at least degree+1 distinct weighted distances")
-    d = pts[:, 0]
-    mid = 0.5 * (d[good].min() + d[good].max())
-    hr = 0.5 * (d[good].max() - d[good].min())
-    T = np.vander((d - mid) / hr, degree + 1, increasing=True)
-    A = T.T @ (w[:, None] * T)
-    if np.linalg.cond(A) > _COND_LIMIT:
-        raise IllConditionedFitError("weighted normal equations are near singular")
-    ct = np.linalg.solve(A, T.T @ (w * pts[:, 1]))
-    return _basis_change(mid, hr, degree) @ ct
 
 
 def _fit_half(plan: _Plan, y_est: np.ndarray, w: np.ndarray):
@@ -378,13 +329,3 @@ def sampling_positions(det: DetectorConfig, cam: CameraConfig):
     """(u, v) image positions of every detector grid point (for tests)."""
     plan = _plan(det, cam)
     return plan.u.copy(), plan.v.copy()
-
-
-def detect_from_samples(samples: np.ndarray, det: DetectorConfig,
-                        cam: CameraConfig):
-    """Forward pass from a raw sample grid (synthetic-content tests)."""
-    plan = _plan(det, cam)
-    if samples.shape != (det.n_bands, det.n_lateral):
-        raise InvalidArgumentError("sample grid shape mismatch")
-    _, halves = _detect_core(np.asarray(samples, dtype=float), plan)
-    return halves

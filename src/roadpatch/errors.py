@@ -23,10 +23,6 @@ class OutOfExtentError(RoadPatchError):
     """A ground-plane query falls outside a raster's extent."""
 
 
-class DegenerateGeometryError(RoadPatchError):
-    """Camera geometry does not admit the requested construction."""
-
-
 class NoGroundIntersectionError(RoadPatchError):
     """A pixel ray does not hit the ground plane in front of the camera."""
 

@@ -9,7 +9,7 @@ it is the plant the lane-keeping loop and the attack optimizer share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class VehicleParams:
     dt: float = 0.05
     max_steer: float = 0.45
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.wheelbase <= 0.0:
             raise InvalidArgumentError("wheelbase must be positive")
         if self.dt <= 0.0:
@@ -52,12 +52,12 @@ class VehicleParams:
             raise InvalidArgumentError("max_steer must be in (0, pi/2)")
 
 
-def clamp_steer(steer: float, params: VehicleParams) -> tuple[float, bool]:
-    """Clamp a steering command to the actuator limit; flag if it clipped."""
-    if steer > params.max_steer:
-        return params.max_steer, True
-    if steer < -params.max_steer:
-        return -params.max_steer, True
+def clamp_steer(steer: float, limit: float) -> tuple[float, bool]:
+    """Clamp a steering command to ``[-limit, limit]``; flag if it clipped."""
+    if steer > limit:
+        return limit, True
+    if steer < -limit:
+        return -limit, True
     return steer, False
 
 
@@ -69,10 +69,9 @@ def step(state: VehicleState, steer: float, params: VehicleParams) -> VehicleSta
     Steering beyond the limit is clamped (see :func:`clamp_steer` to
     observe the flag).
     """
-    params.validate()
     if not math.isfinite(steer):
         raise InvalidArgumentError("steer must be finite")
-    delta, _ = clamp_steer(steer, params)
+    delta, _ = clamp_steer(steer, params.max_steer)
     v, h, dt = state.speed, state.heading, params.dt
     return VehicleState(
         x=state.x + v * math.cos(h) * dt,
@@ -88,16 +87,11 @@ def rollout(state0: VehicleState, steers, params: VehicleParams):
     clamped = []
     s = state0
     for d in steers:
-        _, flag = clamp_steer(float(d), params)
+        _, flag = clamp_steer(float(d), params.max_steer)
         clamped.append(flag)
         s = step(s, float(d), params)
         states.append(s)
     return states, clamped
-
-
-def lateral_deviation(state: VehicleState) -> float:
-    """Unsigned offset from the lane center line."""
-    return abs(state.y)
 
 
 def trajectory_array(states, dt: float) -> np.ndarray:
@@ -106,8 +100,3 @@ def trajectory_array(states, dt: float) -> np.ndarray:
     for k, s in enumerate(states):
         out[k] = (k * dt, s.x, s.y, s.heading, s.speed)
     return out
-
-
-def with_speed(state: VehicleState, speed: float) -> VehicleState:
-    """Copy of ``state`` at a different constant speed."""
-    return replace(state, speed=speed)

@@ -111,16 +111,14 @@ def load_patch(path) -> PatchState:
     snapped = np.clip(values, float(meta["v_min"]), float(meta["v_max"]))
     values = np.where(np.abs(snapped - values) <= 0.5 / _MAXVAL,
                       snapped, values)
-    patch = PatchState(values=values,
-                       grid_mpp=float(meta["grid_mpp"]),
-                       v_min=float(meta["v_min"]),
-                       v_max=float(meta["v_max"]),
-                       base_value=float(meta["base_value"]),
-                       placement=PatchPlacement(
-                           start_x=float(pm["start_x"]),
-                           center_y=float(pm["center_y"]),
-                           width=float(pm["width"]),
-                           length=float(pm["length"]),
-                           margin=float(pm["margin"])))
-    patch.validate()
-    return patch
+    return PatchState(values=values,
+                      grid_mpp=float(meta["grid_mpp"]),
+                      v_min=float(meta["v_min"]),
+                      v_max=float(meta["v_max"]),
+                      base_value=float(meta["base_value"]),
+                      placement=PatchPlacement(
+                          start_x=float(pm["start_x"]),
+                          center_y=float(pm["center_y"]),
+                          width=float(pm["width"]),
+                          length=float(pm["length"]),
+                          margin=float(pm["margin"])))

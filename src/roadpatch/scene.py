@@ -38,7 +38,7 @@ class RoadSpec:
     texture_seed: int = 0
     road_length: float = 200.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 < self.lane_line_width < self.lane_width:
             raise InvalidArgumentError(
                 "lane_line_width must be positive and smaller than lane_width")
@@ -94,7 +94,7 @@ class PatchPlacement:
     length: float
     margin: float = 0.15
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.width <= 0.0 or self.length <= 0.0:
             raise InvalidArgumentError("patch width and length must be positive")
         if self.margin < 0.0:
@@ -118,8 +118,7 @@ class PatchState:
     base_value: float
     placement: PatchPlacement
 
-    def validate(self) -> None:
-        self.placement.validate()
+    def __post_init__(self):
         if self.grid_mpp <= 0.0:
             raise InvalidArgumentError("patch grid_mpp must be positive")
         if not 0.0 <= self.v_min < self.v_max <= 1.0:
@@ -142,7 +141,6 @@ class PatchState:
 
 def check_placement(placement: PatchPlacement, road: RoadSpec) -> None:
     """Raise unless the patch (plus margin) stays off both lane lines."""
-    placement.validate()
     half_interior = 0.5 * (road.lane_width - road.lane_line_width)
     reach = abs(placement.center_y) + 0.5 * placement.width + placement.margin
     if reach > half_interior + _EDGE_EPS:
@@ -157,12 +155,10 @@ def uniform_patch(placement: PatchPlacement, grid_mpp: float, value: float,
     """Patch filled with a single gray value (the optimization start state)."""
     n_len = max(int(round(placement.length / grid_mpp)), 1)
     n_wid = max(int(round(placement.width / grid_mpp)), 1)
-    state = PatchState(values=np.full((n_len, n_wid), float(value)),
-                       grid_mpp=grid_mpp, v_min=v_min, v_max=v_max,
-                       base_value=value if base_value is None else base_value,
-                       placement=placement)
-    state.validate()
-    return state
+    return PatchState(values=np.full((n_len, n_wid), float(value)),
+                      grid_mpp=grid_mpp, v_min=v_min, v_max=v_max,
+                      base_value=value if base_value is None else base_value,
+                      placement=placement)
 
 
 def _line_columns(road: RoadSpec, ys: np.ndarray) -> np.ndarray:
@@ -199,7 +195,6 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float) -> BevImage
     is clamped to [0, 1].  The same (road, extent, seed) always renders a
     bit-identical raster.
     """
-    road.validate()
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
     ys = origin[1] + np.arange(n_y) * meters_per_pixel
     line_cols = _line_columns(road, ys)
@@ -220,7 +215,6 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float) -> BevImage
 
 def lane_line_mask(road: RoadSpec, extent, meters_per_pixel: float) -> np.ndarray:
     """Boolean raster that is True exactly where rendering paints a line."""
-    road.validate()
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
     ys = origin[1] + np.arange(n_y) * meters_per_pixel
     return np.broadcast_to(_line_columns(road, ys), (n_x, n_y)).copy()
@@ -242,15 +236,6 @@ def _rect_index_ranges(scene: BevImage, placement: PatchPlacement):
     j_hi = int(np.floor((y_hi - scene.origin[1]) / mpp + _EDGE_EPS))
     return (max(i_lo, 0), min(i_hi, scene.pixels.shape[0] - 1),
             max(j_lo, 0), min(j_hi, scene.pixels.shape[1] - 1))
-
-
-def patch_scene_footprint(scene: BevImage, placement: PatchPlacement) -> np.ndarray:
-    """Boolean scene mask of pixels whose centers lie inside the patch rect."""
-    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, placement)
-    mask = np.zeros(scene.pixels.shape, dtype=bool)
-    if i_hi >= i_lo and j_hi >= j_lo:
-        mask[i_lo:i_hi + 1, j_lo:j_hi + 1] = True
-    return mask
 
 
 def _patch_fractional(scene: BevImage, patch: PatchState, rows, cols):
@@ -286,7 +271,6 @@ def composite_patch(scene: BevImage, patch: PatchState,
     camera-side gradient splat an exact adjoint.  Compositing the same
     patch twice is a no-op by construction (pure replacement).
     """
-    patch.validate()
     if line_mask.shape != scene.pixels.shape:
         raise InvalidArgumentError("line_mask shape must match the scene")
     if not patch.within_bounds():
@@ -326,12 +310,6 @@ def composite_adjoint_local(local_grad: np.ndarray, row0: int, col0: int,
         for k, g in enumerate(stack):
             out[k] = interp.accumulate(out.shape[1], idx, w, g[rows, cols])
     return out.reshape(lead + shape)
-
-
-def composite_adjoint(scene_grad: np.ndarray, scene: BevImage, patch: PatchState,
-                      line_mask: np.ndarray) -> np.ndarray:
-    """:func:`composite_adjoint_local` over a full-scene gradient array."""
-    return composite_adjoint_local(scene_grad, 0, 0, scene, patch, line_mask)
 
 
 def identity_patch(placement: PatchPlacement, grid_mpp: float,

@@ -103,18 +103,17 @@ def test_project_patch_validation():
     dict(direction="up"),
     dict(step_size=0.0),
     dict(iterations=-1),
-    dict(weight_mode="mean"),
     dict(max_halvings=-1),
 ])
 def test_attack_config_validation(bad):
     with pytest.raises(InvalidArgumentError):
-        AttackConfig(**bad).validate()
+        AttackConfig(**bad)
 
 
 def test_direction_sign_and_default_pipeline():
     assert AttackConfig(direction="right").direction_sign == 1.0
     assert AttackConfig(direction="left").direction_sign == -1.0
-    PipelineConfig().validate()
+    PipelineConfig()
 
 
 def test_rollout_without_patch(scenario72, scene72):
@@ -200,7 +199,8 @@ def test_frame_gradient_support(scenario72, scene72):
     assert not np.any(nonzero & ~allowed)
 
 
-def test_aggregate_weight_modes(scenario72, scene72):
+def test_aggregate_is_the_mean_over_frames_that_saw_the_patch(scenario72,
+                                                              scene72):
     scene, mask = scene72
     pipe = scenario72.pipeline()
     patch = scenario72.initial_patch()
@@ -215,31 +215,28 @@ def test_aggregate_weight_modes(scenario72, scene72):
     splats = [splat_camera_to_bev(g.image, pipe.camera, g.pose, scene,
                                   patch, mask) for g in fg]
 
-    single = aggregate_gradients_bev(fg[:1], counts[:1], "uniform",
-                                     pipe.camera, scene, patch, mask)
+    single = aggregate_gradients_bev(fg[:1], counts[:1], pipe.camera, scene,
+                                     patch, mask)
     np.testing.assert_array_equal(single, splats[0])
 
-    cov = aggregate_gradients_bev(fg, counts, "coverage",
-                                  pipe.camera, scene, patch, mask)
-    want = (counts[0] * splats[0] + counts[1] * splats[1]) / sum(counts)
-    np.testing.assert_allclose(cov, want, rtol=1e-12, atol=1e-18)
+    # every frame that saw the patch weighs 1, whatever its pixel count
+    assert counts[0] != counts[1]
+    both = aggregate_gradients_bev(fg, counts, pipe.camera, scene, patch,
+                                   mask)
+    np.testing.assert_array_equal(both, (splats[0] + splats[1]) / 2)
 
     # zero-count frames are skipped before their image is ever touched
     junk = FrameGradient(image=np.ones_like(fg[0].image), pose=fg[0].pose,
                          index=9)
-    skip = aggregate_gradients_bev([junk, fg[1]], [0, counts[1]], "uniform",
+    skip = aggregate_gradients_bev([junk, fg[1]], [0, counts[1]],
                                    pipe.camera, scene, patch, mask)
     np.testing.assert_array_equal(skip, splats[1])
 
     with pytest.raises(NoVisibilityError):
-        aggregate_gradients_bev([junk], [0], "uniform", pipe.camera, scene,
-                                patch, mask)
+        aggregate_gradients_bev([junk], [0], pipe.camera, scene, patch, mask)
     with pytest.raises(InvalidArgumentError):
-        aggregate_gradients_bev(fg, counts[:1], "uniform", pipe.camera,
-                                scene, patch, mask)
-    with pytest.raises(InvalidArgumentError):
-        aggregate_gradients_bev(fg, counts, "mean", pipe.camera, scene,
-                                patch, mask)
+        aggregate_gradients_bev(fg, counts[:1], pipe.camera, scene, patch,
+                                mask)
 
 
 def test_patch_gradient_is_the_documented_composition(scenario72, scene72):
@@ -254,8 +251,8 @@ def test_patch_gradient_is_the_documented_composition(scenario72, scene72):
     manual = aggregate_gradients_bev(
         [frame_gradient(record, t, cfg, pipe, pts, patch.base_value)
          for t in range(2)],
-        [p.count for p in record.projections], cfg.weight_mode,
-        pipe.camera, scene, patch, mask)
+        [p.count for p in record.projections], pipe.camera, scene, patch,
+        mask)
     auto = patch_gradient(record, cfg, pipe, scene, patch, mask)
     np.testing.assert_array_equal(auto, manual)
 

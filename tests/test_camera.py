@@ -13,9 +13,7 @@ from roadpatch.camera import (
     Frame,
     check_pose_bounds,
     ground_to_image,
-    homography_matrix,
     image_to_ground,
-    model_input,
     patch_footprint,
     patch_pixels,
     pixel_ground_points,
@@ -54,25 +52,12 @@ def _scene(road_length=80.0, **road_kw):
 
 
 def test_config_validation():
-    CAM.validate()
     with pytest.raises(InvalidArgumentError):
-        CameraConfig(focal=0.0).validate()
+        CameraConfig(focal=0.0)
     with pytest.raises(InvalidArgumentError):
-        CameraConfig(height=-1.0).validate()
+        CameraConfig(height=-1.0)
     with pytest.raises(InvalidArgumentError):
-        CameraConfig(model_input_rect=(0, 0, 700, 100)).validate()
-
-
-def test_homography_matrix_agrees_with_the_projection():
-    pose = VehicleState(2.0, -0.5, 0.05, 10.0)
-    H = homography_matrix(CAM, pose)
-    pts = np.array([[8.0, 1.0], [15.0, -2.0], [30.0, 0.3]])
-    u, v = ground_to_image(CAM, pose, pts)
-    for (x, y), uu, vv in zip(pts, u, v):
-        vec = H @ np.array([x, y, 1.0])
-        assert vec[2] > 0.0  # in front of the camera
-        assert vec[0] / vec[2] == pytest.approx(uu, rel=1e-12)
-        assert vec[1] / vec[2] == pytest.approx(vv, rel=1e-12)
+        CameraConfig(model_input_rect=(0, 0, 700, 100))
 
 
 def test_pixel_to_ground_round_trip():
@@ -130,10 +115,10 @@ def test_short_scene_cannot_source_the_model_input():
 def test_model_input_is_the_configured_crop():
     scene, _ = _scene()
     frame = warp_bev_to_camera(scene, CAM, ORIGIN)
-    crop = model_input(frame, CAM)
-    assert crop.shape == (256, 512)
     rs, cs = CAM.rect_slices
-    np.testing.assert_array_equal(crop, frame.pixels[rs, cs])
+    crop = frame.pixels[rs, cs]
+    assert crop.shape == (256, 512)
+    np.testing.assert_array_equal(crop, frame.pixels[224:480, 64:576])
 
 
 def test_patch_footprint_tracks_the_pose():

@@ -112,6 +112,12 @@ def test_error_exit_codes(tiny, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["field"] == "attack.iterations"
 
+    endless = tmp_path / "endless.json"
+    endless.write_text('{"duration_s": Infinity}')
+    assert run_cli("benign", endless, "--out", tmp_path) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["field"] == "duration_s"
+
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_cli("evaluate", tiny, "--out", empty) == 2

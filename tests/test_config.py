@@ -1,10 +1,13 @@
 """Scenario documents: merging, coercion, seeds, cross checks, builders."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from roadpatch.attack import AttackConfig
+from roadpatch.camera import CameraConfig
 from roadpatch.config import (
     SEED_ENV_VAR,
     builtin_scenarios,
@@ -15,8 +18,11 @@ from roadpatch.config import (
     merge_with_defaults,
     resolve_scenario,
 )
-from roadpatch.errors import ConfigError
-from roadpatch.motion import VehicleState
+from roadpatch.controller import ControllerConfig
+from roadpatch.detector import DetectorConfig
+from roadpatch.errors import ConfigError, InvalidArgumentError
+from roadpatch.motion import VehicleParams, VehicleState
+from roadpatch.scene import PatchPlacement, PatchState, RoadSpec
 
 
 def _err(doc, **kw):
@@ -48,7 +54,7 @@ def test_empty_document_is_a_full_scenario():
     assert cfg.extent == (0.0, 200.0, -48.0, 48.0)
     assert cfg.n_frames == 200
     assert cfg.placement.start_x == 60.0
-    cfg.pipeline().validate()
+    cfg.pipeline()
 
 
 def test_defaults_are_isolated():
@@ -72,6 +78,38 @@ def test_resolve_scenario_paths(tmp_path):
 def test_unknown_fields_are_named():
     assert _err({"detector": {"bogus": 1}}) == "detector.bogus"
     assert _err({"extra_top": 1}) == "extra_top"
+    assert _err({"attack": {"weight_mode": "uniform"}}) == "attack.weight_mode"
+
+
+_PLACEMENT = dict(start_x=5.0, center_y=0.0, width=2.0, length=10.0)
+_PATCH = dict(values=np.full((2, 2), 0.3), grid_mpp=0.1, v_min=0.05,
+              v_max=0.6, base_value=0.3,
+              placement=PatchPlacement(**_PLACEMENT))
+
+
+_INVALID = [
+    (CameraConfig, {}, dict(pitch=-0.1)),
+    (DetectorConfig, {}, dict(tau=0.0)),
+    (ControllerConfig, {}, dict(max_steer=0.0)),
+    (VehicleParams, {}, dict(dt=0.0)),
+    (VehicleParams, {}, dict(max_steer=2.0)),
+    (VehicleParams, {}, dict(wheelbase=-2.7)),
+    (AttackConfig, {}, dict(step_size=0.0)),
+    (RoadSpec, {}, dict(lane_line_width=0.0)),
+    (RoadSpec, {}, dict(asphalt_intensity=0.95)),
+    (PatchPlacement, _PLACEMENT, dict(width=0.0)),
+    (PatchPlacement, _PLACEMENT, dict(margin=-0.1)),
+    (PatchState, _PATCH, dict(v_min=0.6, v_max=0.5, base_value=0.55)),
+]
+
+
+@pytest.mark.parametrize("cls, valid, bad", _INVALID, ids=[
+    f"{cls.__name__}-{'-'.join(bad)}" for cls, _, bad in _INVALID])
+def test_invalid_configs_cannot_be_built(cls, valid, bad):
+    with pytest.raises(InvalidArgumentError):
+        cls(**{**valid, **bad})
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(cls(**valid), **bad)
 
 
 def test_type_coercion_complaints():
@@ -108,6 +146,24 @@ def test_hash_tracks_the_effective_document(monkeypatch):
     assert config_from_dict({}, seed_override=3).hash == h3
     merged = merge_with_defaults({"seed": 3})
     assert config_hash(merged) == h3
+
+
+_NON_FINITE = [
+    ("duration_s", float("inf")),
+    ("speed_kmh", float("nan")),
+    ("goal_m", float("nan")),
+    ("attack.step_size", float("inf")),
+    ("attack.lambda_reg", float("nan")),
+    ("camera.principal_point", [320.0, float("-inf")]),
+    ("road.road_length", 10 ** 400),          # past the float range
+]
+
+
+@pytest.mark.parametrize("field, value", _NON_FINITE,
+                         ids=[field for field, _ in _NON_FINITE])
+def test_non_finite_numbers_are_refused(field, value):
+    section, _, key = field.rpartition(".")
+    assert _err({section: {key: value}} if section else {key: value}) == field
 
 
 def test_scalar_range_checks():

@@ -80,14 +80,13 @@ def test_lookahead_must_stay_in_the_trusted_range():
 
 
 def test_config_validation():
-    ControllerConfig().validate()
     with pytest.raises(InvalidArgumentError):
-        ControllerConfig(decision_points=()).validate()
+        ControllerConfig(decision_points=())
     with pytest.raises(InvalidArgumentError):
-        ControllerConfig(decision_points=(10.0, 10.0)).validate()
+        ControllerConfig(decision_points=(10.0, 10.0))
     with pytest.raises(InvalidArgumentError):
-        ControllerConfig(decision_points=(15.0, 10.0)).validate()
+        ControllerConfig(decision_points=(15.0, 10.0))
     with pytest.raises(InvalidArgumentError):
-        ControllerConfig(lookahead=0.0).validate()
+        ControllerConfig(lookahead=0.0)
     with pytest.raises(InvalidArgumentError):
-        ControllerConfig(steer_gain=0.0).validate()
+        ControllerConfig(steer_gain=0.0)

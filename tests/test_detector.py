@@ -6,17 +6,17 @@ import pytest
 from roadpatch.camera import CameraConfig, Frame, warp_bev_to_camera
 from roadpatch.detector import (
     DetectorConfig,
+    _fit_half,
+    _lane_detection,
+    _plan,
+    _soft_argmax_rows,
     desired_path,
-    detect_from_samples,
     detect_lanes,
     detector_gradient,
-    fit_polynomial_wls,
     sampling_positions,
-    soft_argmax,
 )
 from roadpatch.errors import (
     DetectionFailedError,
-    IllConditionedFitError,
     IncompleteModelInputError,
     InvalidArgumentError,
     StaleForwardStateError,
@@ -53,68 +53,78 @@ def _detect_at(scene, y=0.0):
 ])
 def test_config_validation(bad):
     with pytest.raises(InvalidArgumentError):
-        DetectorConfig(**bad).validate()
+        DetectorConfig(**bad)
+
+
+def _soft_argmax(r, tau):
+    """One row through the detector's row-wise soft argmax."""
+    idx, w = _soft_argmax_rows(np.asarray(r, dtype=float)[None, :], tau)
+    return idx[0], w[0]
 
 
 def test_soft_argmax_basics():
-    idx, _ = soft_argmax(np.zeros(7), 0.1)
+    idx, _ = _soft_argmax(np.zeros(7), 0.1)
     assert idx == pytest.approx(3.0, abs=1e-12)
-    idx, _ = soft_argmax(np.array([0.0, 1.0, 0.0]), 0.1)
+    idx, _ = _soft_argmax(np.array([0.0, 1.0, 0.0]), 0.1)
     assert idx == pytest.approx(1.0, abs=1e-4)
+    # The detector never runs it on a half of fewer than 2 columns (nor at
+    # tau <= 0: see test_config_validation).
     with pytest.raises(InvalidArgumentError):
-        soft_argmax(np.zeros(3), 0.0)
-    with pytest.raises(InvalidArgumentError):
-        soft_argmax(np.array([]), 0.1)
-    with pytest.raises(InvalidArgumentError):
-        soft_argmax(np.zeros((2, 2)), 0.1)
+        _plan(DetectorConfig(split=2.95), CAM)
 
 
 def test_soft_argmax_gradient_matches_finite_differences():
+    # The backward pass takes d idx / d r_j = w_j (j - idx) / tau.
     rng = np.random.default_rng(0)
     r = rng.uniform(size=9)
-    _, grad = soft_argmax(r, 0.2)
+    idx, w = _soft_argmax(r, 0.2)
+    grad = w * (np.arange(r.size) - idx) / 0.2
     h = 1e-6
     for j in range(r.size):
         bump = np.zeros_like(r)
         bump[j] = h
-        fd = (soft_argmax(r + bump, 0.2)[0]
-              - soft_argmax(r - bump, 0.2)[0]) / (2.0 * h)
+        fd = (_soft_argmax(r + bump, 0.2)[0]
+              - _soft_argmax(r - bump, 0.2)[0]) / (2.0 * h)
         assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
     # shift invariance: adding a constant moves nothing
     assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
 
+def _wls_plan(degree):
+    """A detector plan whose fit basis spans 12 bands over 6-50 m."""
+    return _plan(DetectorConfig(n_bands=12, band_near=6.0, band_far=50.0,
+                                poly_degree=degree), CAM)
+
+
 def test_wls_recovers_an_exact_line():
-    d = np.linspace(6.0, 50.0, 12)
-    pts = np.stack([d, 2.0 + 0.5 * d], axis=1)
-    coeffs = fit_polynomial_wls(pts, np.ones(12), 3)
+    plan = _wls_plan(3)
+    coeffs = _fit_half(plan, 2.0 + 0.5 * plan.dists, np.ones(12))[0]
     np.testing.assert_allclose(coeffs, [2.0, 0.5, 0.0, 0.0], atol=1e-9)
 
 
 def test_wls_weight_handling():
-    d = np.linspace(6.0, 50.0, 12)
-    pts = np.stack([d, 1.0 - 0.02 * d + 0.001 * d * d], axis=1)
+    plan = _wls_plan(2)
+    d = plan.dists
+    y = 1.0 - 0.02 * d + 0.001 * d * d
     w = np.linspace(0.5, 2.0, 12)
-    base = fit_polynomial_wls(pts, w, 2)
-    np.testing.assert_allclose(fit_polynomial_wls(pts, 2.0 * w, 2), base,
+    base = _fit_half(plan, y, w)[0]
+    np.testing.assert_allclose(_fit_half(plan, y, 2.0 * w)[0], base,
                                atol=1e-12)
-    spoiled = pts.copy()
-    spoiled[4, 1] = 99.0
+    spoiled = y.copy()
+    spoiled[4] = 99.0
     w0 = w.copy()
     w0[4] = 0.0
-    clean = fit_polynomial_wls(pts, w0, 2)
-    np.testing.assert_allclose(fit_polynomial_wls(spoiled, w0, 2), clean,
+    clean = _fit_half(plan, y, w0)[0]
+    np.testing.assert_allclose(_fit_half(plan, spoiled, w0)[0], clean,
                                atol=1e-9)
-    with pytest.raises(InvalidArgumentError):
-        fit_polynomial_wls(pts, -w, 2)
-    with pytest.raises(InvalidArgumentError):
-        fit_polynomial_wls(pts, w[:-1], 2)
 
 
 def test_wls_needs_enough_distinct_distances():
-    pts = np.array([[10.0, 1.0], [10.0, 1.1], [20.0, 2.0], [30.0, 2.9]])
-    with pytest.raises(IllConditionedFitError):
-        fit_polynomial_wls(pts, np.ones(4), 3)
+    plan = _wls_plan(3)
+    w = np.zeros(12)
+    w[[2, 5, 9]] = 1.0
+    with pytest.raises(DetectionFailedError):
+        _fit_half(plan, np.ones(12), w)
 
 
 def test_clean_road_lines_are_found_where_painted(clean_scene):
@@ -144,10 +154,10 @@ def test_synthetic_ridge_is_localized():
     col_r = int(np.argmin(np.abs(ys + 1.5)))
     samples = np.full((DET.n_bands, DET.n_lateral), 0.30)
     samples[:, [col_l, col_r]] = 0.9
-    halves = detect_from_samples(samples, DET, CAM)
-    assert halves["left"]["coeffs"][0] == pytest.approx(ys[col_l], abs=0.01)
-    assert halves["right"]["coeffs"][0] == pytest.approx(ys[col_r], abs=0.01)
-    assert np.max(np.abs(halves["left"]["coeffs"][1:])) < 1e-8
+    det = _lane_detection(samples, _plan(DET, CAM), None)
+    assert det.left_coeffs[0] == pytest.approx(ys[col_l], abs=0.01)
+    assert det.right_coeffs[0] == pytest.approx(ys[col_r], abs=0.01)
+    assert np.max(np.abs(det.left_coeffs[1:])) < 1e-8
 
 
 def test_dead_bands_are_flagged_but_tolerated():
@@ -156,19 +166,17 @@ def test_dead_bands_are_flagged_but_tolerated():
     samples[:, [int(np.argmin(np.abs(ys - 1.5))),
                 int(np.argmin(np.abs(ys + 1.5)))]] = 0.9
     samples[:10, ys > 0.0] = 0.0
-    halves = detect_from_samples(samples, DET, CAM)
-    assert halves["left"]["low"][:10].all()
-    assert not halves["left"]["low"][10:].any()
-    assert not halves["right"]["low"].any()
-    assert halves["left"]["coeffs"][0] == pytest.approx(1.48, abs=0.02)
+    det = _lane_detection(samples, _plan(DET, CAM), None)
+    assert det.low_confidence_left[:10].all()
+    assert not det.low_confidence_left[10:].any()
+    assert not det.low_confidence_right.any()
+    assert det.left_coeffs[0] == pytest.approx(1.48, abs=0.02)
 
 
 def test_featureless_input_fails_loudly():
     with pytest.raises(DetectionFailedError, match="left"):
-        detect_from_samples(np.full((DET.n_bands, DET.n_lateral), 0.30),
-                            DET, CAM)
-    with pytest.raises(InvalidArgumentError):
-        detect_from_samples(np.zeros((10, 10)), DET, CAM)
+        _lane_detection(np.full((DET.n_bands, DET.n_lateral), 0.30),
+                        _plan(DET, CAM), None)
 
 
 def test_unsourced_crop_pixels_are_rejected(clean_scene):

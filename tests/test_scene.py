@@ -10,14 +10,13 @@ from roadpatch.errors import (
 )
 from roadpatch.scene import (
     PatchPlacement,
-    PatchState,
     RoadSpec,
+    _rect_index_ranges,
     check_placement,
-    composite_adjoint,
+    composite_adjoint_local,
     composite_patch,
     identity_patch,
     lane_line_mask,
-    patch_scene_footprint,
     render_road_bev,
     uniform_patch,
 )
@@ -88,10 +87,6 @@ def test_bad_raster_requests_are_rejected():
         render_road_bev(_road(), EXTENT, 0.0)
     with pytest.raises(InvalidArgumentError):
         render_road_bev(_road(), (0.0, 0.0, -6.0, 6.0), MPP)
-    with pytest.raises(InvalidArgumentError):
-        RoadSpec(lane_line_width=0.0).validate()
-    with pytest.raises(InvalidArgumentError):
-        RoadSpec(asphalt_intensity=0.95).validate()
 
 
 def test_patch_must_clear_the_lane_lines():
@@ -106,10 +101,6 @@ def test_patch_must_clear_the_lane_lines():
 def test_placement_rect_and_validation():
     p = PatchPlacement(5.0, 0.5, 2.0, 10.0)
     assert p.rect == (5.0, 15.0, -0.5, 1.5)
-    with pytest.raises(InvalidArgumentError):
-        PatchPlacement(5.0, 0.0, 0.0, 10.0).validate()
-    with pytest.raises(InvalidArgumentError):
-        PatchPlacement(5.0, 0.0, 2.0, 10.0, margin=-0.1).validate()
 
 
 def test_uniform_patch_builds_the_requested_grid():
@@ -117,7 +108,6 @@ def test_uniform_patch_builds_the_requested_grid():
     assert p.values.shape == (100, 24)
     assert np.all(p.values == 0.45)
     assert p.base_value == 0.45
-    p.validate()
     # grid coarser than the patch collapses to one controllable cell
     single = uniform_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 10.0, 0.3)
     assert single.values.shape == (1, 1)
@@ -128,7 +118,6 @@ def test_identity_patch_is_painted_asphalt():
     p = identity_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, road)
     assert np.all(p.values == road.asphalt_intensity)
     assert p.v_min <= road.asphalt_intensity <= p.v_max
-    p.validate()
 
 
 def test_patch_state_guards():
@@ -137,9 +126,6 @@ def test_patch_state_guards():
     assert not p.with_values(np.full_like(p.values, 0.99)).within_bounds()
     with pytest.raises(InvalidArgumentError):
         p.with_values(np.zeros((3, 3)))
-    with pytest.raises(InvalidArgumentError):
-        PatchState(np.zeros((2, 2)), 0.1, 0.6, 0.5, 0.55,
-                   PatchPlacement(5.0, 0.0, 2.4, 10.0)).validate()
 
 
 def test_composite_replaces_pavement_but_never_lines():
@@ -148,7 +134,9 @@ def test_composite_replaces_pavement_but_never_lines():
     mask = lane_line_mask(road, EXTENT, MPP)
     patch = uniform_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, 0.55)
     out = composite_patch(scene, patch, mask)
-    fp = patch_scene_footprint(scene, patch.placement)
+    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
+    fp = np.zeros(scene.pixels.shape, dtype=bool)
+    fp[i_lo:i_hi + 1, j_lo:j_hi + 1] = True
     np.testing.assert_array_equal(out.pixels[mask], scene.pixels[mask])
     np.testing.assert_allclose(out.pixels[fp], 0.55, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(out.pixels[~fp], scene.pixels[~fp])
@@ -176,8 +164,6 @@ def test_composite_rejects_bad_inputs():
     beyond = uniform_patch(PatchPlacement(35.0, 0.0, 2.4, 10.0), 0.1, 0.55)
     with pytest.raises(OutOfExtentError):
         composite_patch(scene, beyond, mask)
-    with pytest.raises(OutOfExtentError):
-        patch_scene_footprint(scene, beyond.placement)
 
 
 def test_composite_adjoint_matches_the_forward_inner_product():
@@ -192,7 +178,8 @@ def test_composite_adjoint_matches_the_forward_inner_product():
     f1 = composite_patch(scene, patch.with_values(patch.values + dv),
                          mask).pixels
     lhs = float(np.sum(g * (f1 - f0)))
-    rhs = float(np.sum(composite_adjoint(g, scene, patch, mask) * dv))
+    rhs = float(np.sum(composite_adjoint_local(g, 0, 0, scene, patch, mask)
+                       * dv))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
