@@ -41,7 +41,6 @@ from .detector import (
     detector_gradient,
 )
 from .errors import (
-    AdjointMismatchError,
     ConfigError,
     ConstraintViolationError,
     DetectionFailedError,
@@ -67,7 +66,6 @@ from .sim import SimResult, attack_success_time, run_closed_loop
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointMismatchError",
     "AttackConfig",
     "BevImage",
     "CameraConfig",

@@ -22,8 +22,7 @@ import numpy as np
 
 from .camera import (
     CameraConfig,
-    Frame,
-    patch_footprint,
+    patch_footprint,  # unused here; bench/spans.py rebinds it in this module
     patch_pixels,
     splat_camera_to_bev,
     splat_pixels,
@@ -37,7 +36,6 @@ from .detector import (
     LaneDetection,
     desired_path,
     detect_lanes,
-    detect_lanes_on_support,
     detector_gradient,
     support_gradient,
     support_set,
@@ -98,8 +96,7 @@ class PatchProjection:
     rect_count: int                 # of those, pixels inside the model input
     pixel_values: np.ndarray        # frame grays over the footprint
     pose: VehicleState
-    mask: np.ndarray | None = None  # full image mask (kept with the frames)
-    pixels: np.ndarray | None = None  # sorted flat indices of ``mask`` (taped)
+    pixels: np.ndarray | None = None  # sorted flat footprint indices (taped)
 
 
 @dataclass
@@ -111,7 +108,6 @@ class RolloutRecord:
     detections: list[LaneDetection]
     paths: list[DesiredPath]
     projections: list[PatchProjection]
-    frames: list[Frame] | None
     truncated: bool
     horizon: int
 
@@ -156,7 +152,6 @@ class FrameGradient:
 def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
                        patch: PatchState | None, state0: VehicleState,
                        horizon: int, pipe: PipelineConfig, *,
-                       keep_frames: bool = False,
                        frame_sink=None) -> RolloutRecord:
     """Drive the perception/control loop for ``horizon`` frames.
 
@@ -165,62 +160,45 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     record (flagged) rather than raising; geometric failures such as an
     unsourced model input propagate.
 
-    Whole frames are rendered (the dense warp) only when the caller asks
-    for them: ``keep_frames``, or a ``frame_sink``.  Otherwise each frame
-    renders just the detector's pixel support and, with a patch, the patch
-    footprint; states, steers, detections and patch projections are
-    bit-identical either way.  A gradient pass needs no frames: with a
-    patch, such a rollout keeps each frame's detector tape (holding no
-    frame) beside the footprint's pixels and grays.  A dense rollout keeps
-    its tapes only with ``keep_frames``, so a frame sink leaves no frame
-    alive.
+    Each frame renders just the detector's pixel support and, with a
+    patch, the patch footprint.  A whole frame (the dense warp) is
+    rendered only for ``frame_sink``, after its detection succeeded.  A
+    patched rollout without a sink keeps each frame's detector tape beside
+    the footprint's pixels and grays, which is all a gradient pass needs;
+    any other rollout keeps no tape, so a frame sink leaves no frame alive.
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
     bev = scene if patch is None else composite_patch(scene, patch, line_mask)
     cam = pipe.camera
     rect_rs, rect_cs = cam.rect_slices
-    dense = keep_frames or frame_sink is not None
-    support = None if dense else support_set(pipe.detector, cam)
-    taped = keep_frames or (patch is not None and not dense)
+    support = support_set(pipe.detector, cam)
+    taped = patch is not None and frame_sink is None
 
     states = [state0]
     steers: list[float] = []
     detections: list[LaneDetection] = []
     paths: list[DesiredPath] = []
     projections: list[PatchProjection] = []
-    frames: list[Frame] | None = [] if keep_frames else None
     truncated = False
 
     s = state0
     for t in range(1, horizon + 1):
-        if dense:
-            frame = warp_bev_to_camera(bev, cam, s, index=t)
-            if patch is not None:
-                fp = patch_footprint(cam, s, patch)
-                seen = frame.pixels[fp]
-        else:
-            values = warp_bev_to_points(bev, cam, s, support.xf, support.yf,
-                                        support.front)
-            if patch is not None:
-                fp, seen = patch_pixels(bev, cam, s, patch)
+        values = warp_bev_to_points(bev, cam, s, support.xf, support.yf,
+                                    support.front)
         if patch is not None:
+            fp, seen = patch_pixels(bev, cam, s, patch)
             proj = PatchProjection(
                 index=t, count=int(fp.sum()),
                 rect_count=int(fp[rect_rs, rect_cs].sum()),
-                pixel_values=seen, pose=s,
-                mask=fp if keep_frames else None)
+                pixel_values=seen, pose=s)
             if taped:
                 proj.pixels = np.flatnonzero(fp)
         else:
             proj = PatchProjection(index=t, count=0, rect_count=0,
-                                   pixel_values=np.zeros(0), pose=s,
-                                   mask=None)
+                                   pixel_values=np.zeros(0), pose=s)
         try:
-            if dense:
-                det = detect_lanes(frame, pipe.detector, cam)
-            else:
-                det = detect_lanes_on_support(values, pipe.detector, cam)
+            det = detect_lanes(values, pipe.detector, cam)
         except DetectionFailedError:
             truncated = True
             break
@@ -229,9 +207,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
         path = desired_path(det, pipe.detector)
         steer = steer_from_path(path, pipe.controller, pipe.vehicle)
         if frame_sink is not None:
-            frame_sink(frame)
-        if keep_frames:
-            frames.append(frame)
+            frame_sink(warp_bev_to_camera(bev, cam, s, index=t))
         detections.append(det)
         paths.append(path)
         projections.append(proj)
@@ -240,7 +216,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
         states.append(s)
 
     return RolloutRecord(states=states, steers=steers, detections=detections,
-                         paths=paths, projections=projections, frames=frames,
+                         paths=paths, projections=projections,
                          truncated=truncated, horizon=horizon)
 
 
@@ -288,7 +264,7 @@ def _taped_detection(record: RolloutRecord, t: int) -> LaneDetection:
     if detection.tape is None:
         raise InvalidArgumentError(
             "rollout kept no detector tapes: rerun it with a patch and no "
-            "frame sink, or with keep_frames=True")
+            "frame sink")
     return detection
 
 
@@ -307,12 +283,10 @@ def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
     visible patch pixels vary.  The gradient is zero outside the
     detector's pixel support (path term) and the patch footprint (stealth
     term).  It is computed from the detection tape and the footprint grays
-    the rollout recorded, so any record with tapes will do, with or
-    without frames.
+    the rollout recorded.
     """
     detection = _taped_detection(record, t)
-    frame = None if record.frames is None else record.frames[t]
-    img = detector_gradient(frame, detection,
+    img = detector_gradient(detection,
                             _path_upstream(cfg, pipe, decision_points),
                             pipe.detector, pipe.camera)
     proj = record.projections[t]
@@ -398,10 +372,9 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
 
     Each frame's gradient is taken on the sorted union of the detector's
     pixel support and the patch footprint, from the detection tape and the
-    footprint grays the rollout recorded, so no frame is rendered or read
-    and dense and frame-free records take the same path.  Every pixel left
-    out has exactly zero gradient, so the result is bit-identical to
-    splatting the whole images.
+    footprint grays the rollout recorded, so no frame is rendered or read.
+    Every pixel left out has exactly zero gradient, so the result is
+    bit-identical to splatting the whole images.
     """
     upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
     support = support_set(pipe.detector, pipe.camera).pixels

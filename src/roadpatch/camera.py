@@ -28,7 +28,6 @@ import numpy as np
 
 from . import interp
 from .errors import (
-    AdjointMismatchError,
     IncompleteModelInputError,
     InvalidArgumentError,
     NoGroundIntersectionError,
@@ -45,8 +44,8 @@ _DEPTH_EPS = 1e-9
 
 # Warp pose envelope: lateral offset (m) and heading error (rad) the warp
 # accepts before declaring the query outside its supported regime.
-DEFAULT_MAX_LATERAL = 3.0
-DEFAULT_MAX_HEADING = 0.2
+MAX_LATERAL = 3.0
+MAX_HEADING = 0.2
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,6 @@ class Frame:
     valid: np.ndarray    # (H, W) bool, True where sourced from the BEV
     pose: VehicleState
     index: int = 0
-
-
-def _pose_tuple(pose: VehicleState) -> tuple[float, float, float]:
-    return (pose.x, pose.y, pose.heading)
 
 
 def _world_to_vehicle(pose: VehicleState, gx, gy):
@@ -174,13 +169,12 @@ def pixel_ground_points(cfg: CameraConfig, pose: VehicleState):
     return gx, gy, front
 
 
-def check_pose_bounds(pose: VehicleState,
-                      max_lateral: float = DEFAULT_MAX_LATERAL,
-                      max_heading: float = DEFAULT_MAX_HEADING) -> None:
-    if abs(pose.y) > max_lateral or abs(pose.heading) > max_heading:
+def check_pose_bounds(pose: VehicleState) -> None:
+    if abs(pose.y) > MAX_LATERAL or abs(pose.heading) > MAX_HEADING:
         raise InvalidArgumentError(
             f"pose (y={pose.y:.3f} m, heading={pose.heading:.4f} rad) outside "
-            f"the supported envelope (|y|<={max_lateral}, |heading|<={max_heading})")
+            f"the supported envelope (|y|<={MAX_LATERAL}, "
+            f"|heading|<={MAX_HEADING})")
 
 
 def _sample_ground(bev: BevImage, gx, gy, front):
@@ -226,9 +220,7 @@ def _check_model_input(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
 
 
 def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                       *, index: int = 0,
-                       max_lateral: float = DEFAULT_MAX_LATERAL,
-                       max_heading: float = DEFAULT_MAX_HEADING) -> Frame:
+                       *, index: int = 0) -> Frame:
     """Render the camera view of the BEV scene at ``pose``.
 
     Every pixel ray below the horizon is intersected with the ground
@@ -238,7 +230,7 @@ def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     is rejected, because the detector contract requires a fully sourced
     crop.
     """
-    check_pose_bounds(pose, max_lateral, max_heading)
+    check_pose_bounds(pose)
     xf, yf, front = _vehicle_ground_grid(cfg)
     r0 = _first_ground_row(cfg)
     pixels = np.zeros(front.shape)
@@ -250,12 +242,11 @@ def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
 
 
 def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                       xf: np.ndarray, yf: np.ndarray, front: np.ndarray, *,
-                       max_lateral: float = DEFAULT_MAX_LATERAL,
-                       max_heading: float = DEFAULT_MAX_HEADING) -> np.ndarray:
+                       xf: np.ndarray, yf: np.ndarray,
+                       front: np.ndarray) -> np.ndarray:
     """The warp restricted to a pixel set given by its vehicle-frame ground
     points (``_vehicle_ground_grid`` entries); same checks, same values."""
-    check_pose_bounds(pose, max_lateral, max_heading)
+    check_pose_bounds(pose)
     _check_model_input(bev, cfg, pose)
     gx, gy = _vehicle_to_world(pose, xf, yf)
     return _sample_ground(bev, gx, gy, front)[0]
@@ -313,8 +304,7 @@ def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
 
 def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
                         pose: VehicleState, scene: BevImage, patch: PatchState,
-                        line_mask: np.ndarray, *,
-                        frame: Frame | None = None) -> np.ndarray:
+                        line_mask: np.ndarray) -> np.ndarray:
     """Pull an image-space gradient back onto the patch grid.
 
     Exact adjoint of ``warp(composite(patch))`` as a linear map in the
@@ -322,9 +312,6 @@ def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
     """
     if grad_image.shape != tuple(reversed(cfg.image_size)):
         raise InvalidArgumentError("grad_image shape must match the camera image")
-    if frame is not None and _pose_tuple(frame.pose) != _pose_tuple(pose):
-        raise AdjointMismatchError(
-            "gradient image was produced at a different pose than the splat target")
     pixels = np.arange(grad_image.size)
     return splat_pixels([(pose, pixels, grad_image.ravel())], cfg, scene,
                         patch, line_mask)[0]

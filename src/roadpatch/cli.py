@@ -183,7 +183,12 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("patch",
                               f"no patch file at {patch_path}; run optimize "
                               f"first or pass --patch")
-        patch, label = pgmio.load_patch(patch_path), str(patch_path)
+        # A patch under the run directory is named relative to it, so the
+        # report does not depend on where the run directory lives.
+        where, root = patch_path.resolve(), out.resolve()
+        label = str(where.relative_to(root) if where.is_relative_to(root)
+                    else patch_path)
+        patch = pgmio.load_patch(patch_path)
     rep, code = _run_and_report("evaluate", cfg, args, patch, label)
     if rep["success"]:
         print(f"evaluate '{cfg.name}': goal {cfg.goal_m} m reached "

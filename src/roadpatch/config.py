@@ -104,7 +104,6 @@ def defaults() -> dict:
             "decision_points": list(ctl.decision_points),
             "lookahead": ctl.lookahead,
             "steer_gain": ctl.steer_gain,
-            "max_steer": ctl.max_steer,
         },
         "patch": {
             "start_x": 60.0,

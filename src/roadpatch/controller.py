@@ -23,7 +23,6 @@ class ControllerConfig:
     decision_points: tuple[float, ...] = (10.0, 15.0, 20.0, 25.0, 30.0)
     lookahead: float = 15.0
     steer_gain: float = 1.0
-    max_steer: float = 0.45
 
     def __post_init__(self):
         if not self.decision_points:
@@ -35,8 +34,6 @@ class ControllerConfig:
             raise InvalidArgumentError("lookahead must be positive")
         if self.steer_gain <= 0.0:
             raise InvalidArgumentError("steer_gain must be positive")
-        if self.max_steer <= 0.0:
-            raise InvalidArgumentError("max_steer must be positive")
 
 
 def path_derivatives(path: DesiredPath, points) -> np.ndarray:
@@ -60,4 +57,4 @@ def steer_from_path(path: DesiredPath, cfg: ControllerConfig,
     offset = path.value(cfg.lookahead)
     raw = cfg.steer_gain * math.atan(
         2.0 * params.wheelbase * offset / (cfg.lookahead ** 2))
-    return clamp_steer(raw, min(cfg.max_steer, params.max_steer))[0]
+    return clamp_steer(raw, params.max_steer)[0]

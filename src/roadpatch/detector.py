@@ -10,9 +10,10 @@ coefficient-wise mean of the two line fits.
 
 Every stage is an explicit closed form, so the exact pixel gradient of
 any scalar in the fitted coefficients is available analytically; the
-forward pass records a tape that the backward pass consumes.  The
-gradient lives on the detector's pixel support (``support_set``): the
-backward pass needs the tape, never the frame.
+forward pass records a tape that the backward pass consumes.  Both
+passes live on the detector's pixel support (``support_set``): the
+forward pass reads only those pixels' grays, the backward pass only the
+tape.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import interp
-from .camera import CameraConfig, Frame, _vehicle_ground_grid, ground_to_image
+from .camera import CameraConfig, _vehicle_ground_grid, ground_to_image
 from .errors import (
     DetectionFailedError,
     IllConditionedFitError,
-    IncompleteModelInputError,
     InvalidArgumentError,
-    StaleForwardStateError,
 )
 from .motion import VehicleState
 
@@ -94,13 +93,8 @@ class LaneDetection:
 
 @dataclass
 class DetectionTape:
-    """Forward-pass record needed to run the analytic backward pass.
+    """Forward-pass record needed to run the analytic backward pass."""
 
-    ``frame`` is the frame a full-frame detection ran on, or None for a
-    detection run on the support pixels' grays alone.
-    """
-
-    frame: Frame | None
     responses: np.ndarray
     halves: dict
 
@@ -217,40 +211,25 @@ def _detect_core(samples: np.ndarray, plan: _Plan):
     return responses, halves
 
 
-def detect_lanes(frame: Frame, det: DetectorConfig,
+def detect_lanes(values: np.ndarray, det: DetectorConfig,
                  cam: CameraConfig) -> LaneDetection:
-    """Run the surrogate detector on a frame.
+    """Run the surrogate detector on the grays of the ``support_set`` pixels.
 
-    Raises ``IncompleteModelInputError`` if the crop has unsourced pixels,
+    The detector's bilinear samples read no other pixel, so these grays
+    are its whole input; the warp that produced them has already checked
+    that the model-input crop is fully sourced.  Raises
     ``DetectionFailedError`` when more than half the bands of either line
     carry no evidence.
     """
-    plan = _plan(det, cam)
-    rs, cs = cam.rect_slices
-    if not np.all(frame.valid[rs, cs]):
-        raise IncompleteModelInputError("model-input crop contains unsourced pixels")
-    samples = interp.gather(frame.pixels, plan.v, plan.u)
-    return _lane_detection(samples, plan, frame)
-
-
-def detect_lanes_on_support(values: np.ndarray, det: DetectorConfig,
-                            cam: CameraConfig) -> LaneDetection:
-    """:func:`detect_lanes` from the grays of the ``support_set`` pixels alone.
-
-    The samples are the same tap sums over the same pixel values, so the
-    detection is bit-identical to the full-frame one; its tape holds no
-    frame.
-    """
     sup = support_set(det, cam)
     samples = interp.combine(values, sup.taps, sup.weights)
-    return _lane_detection(samples, _plan(det, cam), None)
+    return _lane_detection(samples, _plan(det, cam))
 
 
-def _lane_detection(samples: np.ndarray, plan: _Plan,
-                    frame: Frame | None) -> LaneDetection:
+def _lane_detection(samples: np.ndarray, plan: _Plan) -> LaneDetection:
     """Forward pass from the sample grid, taped for the backward pass."""
     responses, halves = _detect_core(samples, plan)
-    tape = DetectionTape(frame=frame, responses=responses, halves=halves)
+    tape = DetectionTape(responses=responses, halves=halves)
     left, right = halves["left"], halves["right"]
     return LaneDetection(
         left_coeffs=left["coeffs"], right_coeffs=right["coeffs"],
@@ -267,18 +246,9 @@ def desired_path(detection: LaneDetection, det: DetectorConfig) -> DesiredPath:
                        valid_range=(det.band_near, det.band_far))
 
 
-def detector_gradient(frame: Frame | None, detection: LaneDetection,
-                      upstream: np.ndarray, det: DetectorConfig,
-                      cam: CameraConfig) -> np.ndarray:
-    """:func:`support_gradient` placed in an image, zero off the support.
-
-    ``frame`` is the frame the detection ran on (None for a detection run
-    on the support grays); a tape from any other frame is stale.
-    """
-    tape = detection.tape
-    if tape is None or tape.frame is not frame:
-        raise StaleForwardStateError(
-            "detection tape does not belong to this frame")
+def detector_gradient(detection: LaneDetection, upstream: np.ndarray,
+                      det: DetectorConfig, cam: CameraConfig) -> np.ndarray:
+    """:func:`support_gradient` placed in an image, zero off the support."""
     w, h = cam.image_size
     image = np.zeros(h * w)
     image[support_set(det, cam).pixels] = support_gradient(detection, upstream,
@@ -301,7 +271,7 @@ def support_gradient(detection: LaneDetection, upstream: np.ndarray,
     """
     tape = detection.tape
     if tape is None:
-        raise StaleForwardStateError("detection carries no tape")
+        raise InvalidArgumentError("detection carries no tape")
     plan = _plan(det, cam)
     g_line = 0.5 * np.asarray(upstream, dtype=float)  # mean over two lines
     d_resp = np.zeros((plan.det.n_bands, plan.det.n_lateral))

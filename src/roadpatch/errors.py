@@ -31,20 +31,12 @@ class IncompleteModelInputError(RoadPatchError):
     """The model-input crop of a frame contains unsourced pixels."""
 
 
-class AdjointMismatchError(RoadPatchError):
-    """A gradient image and the pose it is splatted at disagree."""
-
-
 class DetectionFailedError(RoadPatchError):
     """Too few confident bands to fit one of the lane lines."""
 
 
 class IllConditionedFitError(RoadPatchError):
     """The weighted least-squares system is numerically unusable."""
-
-
-class StaleForwardStateError(RoadPatchError):
-    """A backward pass was requested against a different forward pass."""
 
 
 class NoVisibilityError(RoadPatchError):

@@ -91,8 +91,7 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
         raise InvalidArgumentError("duration_s must be positive")
     horizon = int(round(duration_s / pipe.vehicle.dt))
     record = rollout_with_patch(scene, line_mask, patch, state0, horizon,
-                                pipe, keep_frames=False,
-                                frame_sink=frame_sink)
+                                pipe, frame_sink=frame_sink)
     lateral = np.array([abs(s.y) for s in record.states])
     entry = patch_entry_frame(record)
     return SimResult(states=record.states, steers=record.steers,

@@ -19,14 +19,14 @@ from roadpatch.attack import (
     rollout_with_patch,
 )
 from roadpatch.camera import (
-    Frame,
     ground_to_image,
     image_to_ground,
+    patch_footprint,
     splat_camera_to_bev,
     warp_bev_to_camera,
 )
 from roadpatch.controller import path_derivatives
-from roadpatch.detector import desired_path, detect_lanes
+from roadpatch.detector import desired_path, detect_lanes, support_set
 from roadpatch.motion import VehicleParams, VehicleState, rollout
 from roadpatch.pgmio import load_patch
 from roadpatch.scene import (
@@ -89,12 +89,16 @@ def test_pixel_gradients_match_finite_differences(record_check, scenario72,
     cfg = scenario72.attack
     patch = scenario72.initial_patch()
     record = rollout_with_patch(scene, mask, patch, scenario72.initial_state(),
-                                1, pipe, keep_frames=True)
+                                1, pipe)
     pts = pipe.controller.decision_points
     g = frame_gradient(record, 0, cfg, pipe, pts, patch.base_value).image
 
-    frame = record.frames[0]
-    fp = record.projections[0].mask
+    frames = []
+    rollout_with_patch(scene, mask, patch, scenario72.initial_state(), 1, pipe,
+                       frame_sink=frames.append)
+    frame, = frames
+    fp = patch_footprint(pipe.camera, frame.pose, patch)
+    support = support_set(pipe.detector, pipe.camera).pixels
     rs, cs = pipe.camera.rect_slices
     in_rect = np.zeros_like(fp)
     in_rect[rs, cs] = True
@@ -104,8 +108,8 @@ def test_pixel_gradients_match_finite_differences(record_check, scenario72,
     probes = rng.choice(cand.size, size=120, replace=False)
 
     def directed(pixels):
-        det = detect_lanes(Frame(pixels=pixels, valid=frame.valid,
-                                 pose=frame.pose), pipe.detector, pipe.camera)
+        det = detect_lanes(pixels.ravel()[support], pipe.detector,
+                           pipe.camera)
         slopes = path_derivatives(desired_path(det, pipe.detector), pts)
         reg = float(np.sum((pixels[fp] - patch.base_value) ** 2))
         return cfg.direction_sign * float(np.sum(slopes)) + cfg.lambda_reg * reg

@@ -22,8 +22,8 @@ from roadpatch.attack import (
     project_patch,
     rollout_with_patch,
 )
-from roadpatch.camera import splat_camera_to_bev, splat_pixels
-from roadpatch.detector import DesiredPath, support_set
+from roadpatch.camera import patch_footprint, splat_camera_to_bev, splat_pixels
+from roadpatch.detector import DesiredPath, detect_lanes, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
 from roadpatch.motion import VehicleState
 from roadpatch.sim import run_closed_loop
@@ -122,7 +122,7 @@ def test_rollout_without_patch(scenario72, scene72):
                                 5, scenario72.pipeline())
     assert len(record.states) == 6
     assert record.frames_evaluated == 5
-    assert record.frames is None and not record.truncated
+    assert not record.truncated
     assert all(p.count == 0 and p.rect_count == 0 for p in record.projections)
     assert all(d.tape is None for d in record.detections)
     assert record.max_lateral_deviation() < 0.01
@@ -136,14 +136,15 @@ def test_rollout_records_frames_and_sinks(scenario72, scene72):
     seen = []
     record = rollout_with_patch(scene, mask, scenario72.initial_patch(),
                                 scenario72.initial_state(), 3,
-                                scenario72.pipeline(), keep_frames=True,
+                                scenario72.pipeline(),
                                 frame_sink=lambda f: seen.append(f.index))
     assert seen == [1, 2, 3]
-    assert len(record.frames) == 3
+    assert record.frames_evaluated == 3
     assert record.projections[0].count > 0
-    assert record.projections[0].mask is not None
     assert record.projections[0].index == 1
-    assert record.detections[0].tape is not None
+    # a sink keeps neither tapes nor footprint indices
+    assert record.projections[0].pixels is None
+    assert record.detections[0].tape is None
 
 
 def test_benign_rollout_barely_bends_the_path(scenario72, scene72):
@@ -162,8 +163,8 @@ def test_frame_gradient_guards(scenario72, scene72):
     scene, mask = scene72
     pipe = scenario72.pipeline()
     cfg = scenario72.attack
-    # A frame sink without keep_frames drops every detector tape, and a
-    # rollout without a patch keeps none either.
+    # A frame sink drops every detector tape, and a rollout without a
+    # patch keeps none either.
     untaped = [rollout_with_patch(scene, mask, patch,
                                   scenario72.initial_state(), 1, pipe,
                                   frame_sink=sink)
@@ -174,8 +175,7 @@ def test_frame_gradient_guards(scenario72, scene72):
             frame_gradient(blind, 0, cfg, pipe,
                            pipe.controller.decision_points, BASE)
     record = rollout_with_patch(scene, mask, scenario72.initial_patch(),
-                                scenario72.initial_state(), 1, pipe,
-                                keep_frames=True)
+                                scenario72.initial_state(), 1, pipe)
     for t in (-1, 1):
         with pytest.raises(InvalidArgumentError):
             frame_gradient(record, t, cfg, pipe,
@@ -186,14 +186,14 @@ def test_frame_gradient_support(scenario72, scene72):
     scene, mask = scene72
     pipe = scenario72.pipeline()
     record = rollout_with_patch(scene, mask, scenario72.initial_patch(),
-                                scenario72.initial_state(), 1, pipe,
-                                keep_frames=True)
+                                scenario72.initial_state(), 1, pipe)
     fg = frame_gradient(record, 0, scenario72.attack, pipe,
                         pipe.controller.decision_points, BASE)
     assert fg.index == 0 and fg.pose == record.states[0]
     nonzero = fg.image != 0.0
     assert nonzero.any()
-    allowed = record.projections[0].mask.copy()
+    allowed = np.zeros(fg.image.shape, dtype=bool)
+    allowed.ravel()[record.projections[0].pixels] = True
     rs, cs = pipe.camera.rect_slices
     allowed[rs, cs] = True
     assert not np.any(nonzero & ~allowed)
@@ -205,8 +205,7 @@ def test_aggregate_is_the_mean_over_frames_that_saw_the_patch(scenario72,
     pipe = scenario72.pipeline()
     patch = scenario72.initial_patch()
     record = rollout_with_patch(scene, mask, patch,
-                                scenario72.initial_state(), 2, pipe,
-                                keep_frames=True)
+                                scenario72.initial_state(), 2, pipe)
     pts = pipe.controller.decision_points
     fg = [frame_gradient(record, t, scenario72.attack, pipe, pts, BASE)
           for t in range(2)]
@@ -245,8 +244,7 @@ def test_patch_gradient_is_the_documented_composition(scenario72, scene72):
     patch = scenario72.initial_patch()
     cfg = scenario72.attack
     record = rollout_with_patch(scene, mask, patch,
-                                scenario72.initial_state(), 2, pipe,
-                                keep_frames=True)
+                                scenario72.initial_state(), 2, pipe)
     pts = pipe.controller.decision_points
     manual = aggregate_gradients_bev(
         [frame_gradient(record, t, cfg, pipe, pts, patch.base_value)
@@ -308,8 +306,8 @@ def test_optimize_is_deterministic(scenario72, scene72):
 
 @pytest.mark.parametrize("name", ["scenario72", "scenario105", "scenario126"])
 def test_support_loop_matches_the_dense_loop(name, request):
-    # Without a frame sink the loop renders only the detector's pixel
-    # support; a sink forces the dense warp.  Both must drive identically.
+    # A frame sink adds the dense warp of every frame it is handed; the
+    # loop must drive exactly as it does without one.
     cfg = request.getfixturevalue(name)
     scene, mask = cfg.build_scene()
     args = (scene, mask, None, cfg.initial_state(), cfg.duration_s,
@@ -321,33 +319,73 @@ def test_support_loop_matches_the_dense_loop(name, request):
     assert support.steers == dense.steers
 
 
+def _patched(cfg, kind, seed=17):
+    patch = cfg.initial_patch()
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        patch = patch.with_values(rng.uniform(patch.v_min, patch.v_max,
+                                              patch.values.shape))
+    return patch
+
+
+def _sunk(cfg, scene, mask, patch, horizon):
+    """A patched rollout whose frames go to a sink, and those frames."""
+    frames = []
+    record = rollout_with_patch(scene, mask, patch, cfg.initial_state(),
+                                horizon, cfg.pipeline(),
+                                frame_sink=frames.append)
+    return record, frames
+
+
+def _taped_from_frames(record, frames, patch, pipe):
+    """``record`` with its tapes and footprints read off its whole frames:
+    each detection rerun on the frame's support grays, each footprint
+    taken from ``patch_footprint``."""
+    support = support_set(pipe.detector, pipe.camera).pixels
+    detections, projections = [], []
+    for frame, proj in zip(frames, record.projections, strict=True):
+        detections.append(detect_lanes(frame.pixels.ravel()[support],
+                                       pipe.detector, pipe.camera))
+        fp = patch_footprint(pipe.camera, frame.pose, patch)
+        projections.append(dataclasses.replace(
+            proj, pixel_values=frame.pixels[fp], pixels=np.flatnonzero(fp)))
+    return dataclasses.replace(record, detections=detections,
+                               projections=projections)
+
+
 @pytest.mark.parametrize("kind", ["initial", "random"])
 def test_support_rollout_sees_the_patch_like_the_dense_one(kind, scenario72,
                                                            scene72):
+    # A frame sink adds the dense warp of every frame and changes nothing
+    # else; each whole frame reproduces what the rollout detected and saw.
     scene, mask = scene72
     pipe = scenario72.pipeline()
     cfg = scenario72.attack
-    patch = scenario72.initial_patch()
-    if kind == "random":
-        rng = np.random.default_rng(5)
-        patch = patch.with_values(rng.uniform(patch.v_min, patch.v_max,
-                                              patch.values.shape))
-    records = [rollout_with_patch(scene, mask, patch,
-                                  scenario72.initial_state(),
-                                  cfg.horizon_frames, pipe, keep_frames=keep)
-               for keep in (False, True)]
-    support, dense = records
-    assert support.frames is None and dense.frames is not None
+    patch = _patched(scenario72, kind, seed=5)
+    support = rollout_with_patch(scene, mask, patch,
+                                 scenario72.initial_state(),
+                                 cfg.horizon_frames, pipe)
+    dense, frames = _sunk(scenario72, scene, mask, patch, cfg.horizon_frames)
+    assert [f.index for f in frames] == [p.index for p in dense.projections]
     assert support.states == dense.states and support.steers == dense.steers
     assert any(p.rect_count for p in dense.projections)
-    for a, b in zip(support.projections, dense.projections, strict=True):
+    pixels = support_set(pipe.detector, pipe.camera).pixels
+    for a, b, det, frame in zip(support.projections, dense.projections,
+                                support.detections, frames, strict=True):
         assert (a.index, a.count, a.rect_count) == (b.index, b.count,
                                                     b.rect_count)
         np.testing.assert_array_equal(a.pixel_values, b.pixel_values)
+        again = detect_lanes(frame.pixels.ravel()[pixels], pipe.detector,
+                             pipe.camera)
+        np.testing.assert_array_equal(again.left_coeffs, det.left_coeffs)
+        np.testing.assert_array_equal(again.right_coeffs, det.right_coeffs)
+        np.testing.assert_array_equal(
+            frame.pixels[patch_footprint(pipe.camera, frame.pose, patch)],
+            a.pixel_values)
     scores = [rollout_objective(r.paths, r.projections, cfg.lambda_reg,
                                 pipe.controller.decision_points,
                                 cfg.direction, patch.base_value)
-              for r in records]
+              for r in (support, dense)]
     assert scores[0].path_term == scores[1].path_term
     assert scores[0].reg_term == scores[1].reg_term
     np.testing.assert_array_equal(scores[0].per_frame_path,
@@ -356,29 +394,20 @@ def test_support_rollout_sees_the_patch_like_the_dense_one(kind, scenario72,
                                   scores[1].per_frame_reg)
 
 
-def _patched(cfg, kind):
-    patch = cfg.initial_patch()
-    if kind == "random":
-        rng = np.random.default_rng(17)
-        patch = patch.with_values(rng.uniform(patch.v_min, patch.v_max,
-                                              patch.values.shape))
-    return patch
-
-
 @pytest.mark.parametrize("kind", ["initial", "random"])
 @pytest.mark.parametrize("name", ["scenario72", "scenario126"])
 def test_patch_gradient_is_the_same_with_and_without_frames(name, kind,
                                                             request):
+    # The gradient pass from the rollout's own tapes and footprints equals
+    # the one from tapes and footprints read off the sunk whole frames.
     cfg = request.getfixturevalue(name)
     scene, mask = cfg.build_scene()
     pipe = cfg.pipeline()
     patch = _patched(cfg, kind)
-    support, dense = (rollout_with_patch(scene, mask, patch,
-                                         cfg.initial_state(),
-                                         cfg.attack.horizon_frames, pipe,
-                                         keep_frames=keep)
-                      for keep in (False, True))
-    assert support.frames is None and dense.frames is not None
+    support = rollout_with_patch(scene, mask, patch, cfg.initial_state(),
+                                 cfg.attack.horizon_frames, pipe)
+    dense = _taped_from_frames(*_sunk(cfg, scene, mask, patch,
+                                      cfg.attack.horizon_frames), patch, pipe)
     got = patch_gradient(support, cfg.attack, pipe, scene, patch, mask)
     want = patch_gradient(dense, cfg.attack, pipe, scene, patch, mask)
     assert np.any(got != 0.0)
@@ -412,8 +441,9 @@ def test_frame_gradient_of_a_frameless_record(scenario72, scene72):
     pipe = scenario72.pipeline()
     patch = scenario72.initial_patch()
     records = [rollout_with_patch(scene, mask, patch,
-                                  scenario72.initial_state(), 2, pipe,
-                                  keep_frames=keep) for keep in (False, True)]
+                                  scenario72.initial_state(), 2, pipe),
+               _taped_from_frames(*_sunk(scenario72, scene, mask, patch, 2),
+                                  patch, pipe)]
     support = support_set(pipe.detector, pipe.camera).pixels
     pts = pipe.controller.decision_points
     for t in range(2):
@@ -434,9 +464,7 @@ def test_optimizer_never_renders_a_frame(scenario72, scene72, monkeypatch):
     patch = scenario72.initial_patch()
     record = rollout_with_patch(scene, mask, patch,
                                 scenario72.initial_state(), 2, pipe)
-    assert record.frames is None
-    assert all(d.tape is not None and d.tape.frame is None
-               for d in record.detections)
+    assert all(d.tape is not None for d in record.detections)
 
     def no_dense_warp(*args, **kwargs):
         raise AssertionError("the optimizer rendered a whole frame")

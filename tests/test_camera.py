@@ -7,10 +7,9 @@ import pytest
 
 from roadpatch import interp
 from roadpatch.camera import (
-    DEFAULT_MAX_HEADING,
-    DEFAULT_MAX_LATERAL,
+    MAX_HEADING,
+    MAX_LATERAL,
     CameraConfig,
-    Frame,
     check_pose_bounds,
     ground_to_image,
     image_to_ground,
@@ -23,7 +22,6 @@ from roadpatch.camera import (
 )
 from roadpatch.detector import DetectorConfig, support_set
 from roadpatch.errors import (
-    AdjointMismatchError,
     IncompleteModelInputError,
     InvalidArgumentError,
     NoGroundIntersectionError,
@@ -152,11 +150,6 @@ def test_splat_input_checks():
     with pytest.raises(InvalidArgumentError):
         splat_camera_to_bev(np.zeros((10, 10)), CAM, ORIGIN, scene, patch,
                             mask)
-    stale = Frame(pixels=np.zeros((480, 640)), valid=np.ones((480, 640), bool),
-                  pose=VehicleState(1.0, 0.0, 0.0, 10.0), index=1)
-    with pytest.raises(AdjointMismatchError):
-        splat_camera_to_bev(np.zeros((480, 640)), CAM, ORIGIN, scene, patch,
-                            mask, frame=stale)
 
 
 def test_camera_config_is_immutable():
@@ -242,10 +235,8 @@ def test_crop_check_matches_the_per_pixel_rule(extent, x_range):
     verdicts = []
     for _ in range(150):
         pose = VehicleState(rng.uniform(*x_range),
-                            rng.uniform(-DEFAULT_MAX_LATERAL,
-                                        DEFAULT_MAX_LATERAL),
-                            rng.uniform(-DEFAULT_MAX_HEADING,
-                                        DEFAULT_MAX_HEADING), 20.0)
+                            rng.uniform(-MAX_LATERAL, MAX_LATERAL),
+                            rng.uniform(-MAX_HEADING, MAX_HEADING), 20.0)
         want = _crop_unsourced(scene, pose)
         assert _support_raises(scene, pose) is want, pose
         verdicts.append(want)

@@ -83,6 +83,19 @@ def test_optimize_then_evaluate(tiny, tmp_path):
     assert summary["optimize"]["directed"] == rep["directed"]
 
 
+def test_evaluate_report_does_not_depend_on_the_run_directory(tiny,
+                                                              tmp_path):
+    reports = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert run_cli("optimize", tiny, "--out", out, "--deterministic",
+                       "--iterations", 1) == 0
+        assert run_cli("evaluate", tiny, "--out", out, "--deterministic") == 0
+        reports.append((out / "evaluate_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["patch"] == "patch.pgm"
+
+
 def test_identity_patch_evaluation(tiny, tmp_path):
     assert run_cli("evaluate", tiny, "--out", tmp_path, "--deterministic",
                    "--identity-patch") == 0

@@ -79,6 +79,7 @@ def test_unknown_fields_are_named():
     assert _err({"detector": {"bogus": 1}}) == "detector.bogus"
     assert _err({"extra_top": 1}) == "extra_top"
     assert _err({"attack": {"weight_mode": "uniform"}}) == "attack.weight_mode"
+    assert _err({"controller": {"max_steer": 0.45}}) == "controller.max_steer"
 
 
 _PLACEMENT = dict(start_x=5.0, center_y=0.0, width=2.0, length=10.0)
@@ -90,7 +91,7 @@ _PATCH = dict(values=np.full((2, 2), 0.3), grid_mpp=0.1, v_min=0.05,
 _INVALID = [
     (CameraConfig, {}, dict(pitch=-0.1)),
     (DetectorConfig, {}, dict(tau=0.0)),
-    (ControllerConfig, {}, dict(max_steer=0.0)),
+    (ControllerConfig, {}, dict(lookahead=0.0)),
     (VehicleParams, {}, dict(dt=0.0)),
     (VehicleParams, {}, dict(max_steer=2.0)),
     (VehicleParams, {}, dict(wheelbase=-2.7)),

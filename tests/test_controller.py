@@ -64,11 +64,9 @@ def test_gain_scales_the_raw_command():
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
-def test_steer_clamps_to_the_tighter_limit():
+def test_steer_clamps_to_the_vehicle_limit():
     path = DesiredPath((30.0,), RANGE)  # absurd offset saturates atan
-    assert steer_from_path(path, ControllerConfig(max_steer=0.2),
-                           VehicleParams(max_steer=0.45)) == 0.2
-    assert steer_from_path(path, ControllerConfig(max_steer=0.45),
+    assert steer_from_path(path, ControllerConfig(),
                            VehicleParams(max_steer=0.1)) == 0.1
 
 

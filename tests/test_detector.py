@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from roadpatch.camera import CameraConfig, Frame, warp_bev_to_camera
+from roadpatch.camera import (
+    CameraConfig,
+    warp_bev_to_camera,
+    warp_bev_to_points,
+)
 from roadpatch.detector import (
     DetectorConfig,
     _fit_half,
@@ -14,12 +18,12 @@ from roadpatch.detector import (
     detect_lanes,
     detector_gradient,
     sampling_positions,
+    support_set,
 )
 from roadpatch.errors import (
     DetectionFailedError,
     IncompleteModelInputError,
     InvalidArgumentError,
-    StaleForwardStateError,
 )
 from roadpatch.motion import VehicleState
 from roadpatch.scene import RoadSpec, render_road_bev
@@ -34,10 +38,14 @@ def clean_scene():
                            (0.0, 200.0, -48.0, 48.0), 0.05)
 
 
+def _support_grays(pixels):
+    return pixels.ravel()[support_set(DET, CAM).pixels]
+
+
 def _detect_at(scene, y=0.0):
     pose = VehicleState(0.0, y, 0.0, 20.0)
     frame = warp_bev_to_camera(scene, CAM, pose)
-    return frame, detect_lanes(frame, DET, CAM)
+    return frame, detect_lanes(_support_grays(frame.pixels), DET, CAM)
 
 
 @pytest.mark.parametrize("bad", [
@@ -154,7 +162,7 @@ def test_synthetic_ridge_is_localized():
     col_r = int(np.argmin(np.abs(ys + 1.5)))
     samples = np.full((DET.n_bands, DET.n_lateral), 0.30)
     samples[:, [col_l, col_r]] = 0.9
-    det = _lane_detection(samples, _plan(DET, CAM), None)
+    det = _lane_detection(samples, _plan(DET, CAM))
     assert det.left_coeffs[0] == pytest.approx(ys[col_l], abs=0.01)
     assert det.right_coeffs[0] == pytest.approx(ys[col_r], abs=0.01)
     assert np.max(np.abs(det.left_coeffs[1:])) < 1e-8
@@ -166,7 +174,7 @@ def test_dead_bands_are_flagged_but_tolerated():
     samples[:, [int(np.argmin(np.abs(ys - 1.5))),
                 int(np.argmin(np.abs(ys + 1.5)))]] = 0.9
     samples[:10, ys > 0.0] = 0.0
-    det = _lane_detection(samples, _plan(DET, CAM), None)
+    det = _lane_detection(samples, _plan(DET, CAM))
     assert det.low_confidence_left[:10].all()
     assert not det.low_confidence_left[10:].any()
     assert not det.low_confidence_right.any()
@@ -176,35 +184,33 @@ def test_dead_bands_are_flagged_but_tolerated():
 def test_featureless_input_fails_loudly():
     with pytest.raises(DetectionFailedError, match="left"):
         _lane_detection(np.full((DET.n_bands, DET.n_lateral), 0.30),
-                        _plan(DET, CAM), None)
+                        _plan(DET, CAM))
 
 
 def test_unsourced_crop_pixels_are_rejected(clean_scene):
-    frame, _ = _detect_at(clean_scene)
-    frame.valid[300, 300] = False
+    # The detector's grays come from the support warp, which refuses a
+    # pose whose model-input crop runs off the end of the road.
+    sup = support_set(DET, CAM)
+    pose = VehicleState(180.0, 0.0, 0.0, 20.0)
     with pytest.raises(IncompleteModelInputError):
-        detect_lanes(frame, DET, CAM)
+        warp_bev_to_points(clean_scene, CAM, pose, sup.xf, sup.yf, sup.front)
 
 
 def test_gradient_demands_the_matching_forward_pass(clean_scene):
-    frame, det = _detect_at(clean_scene)
+    _, det = _detect_at(clean_scene)
     upstream = np.array([1.0, 0.0, 0.0, 0.0])
     det.tape = None
-    with pytest.raises(StaleForwardStateError):
-        detector_gradient(frame, det, upstream, DET, CAM)
-    frame2, det2 = _detect_at(clean_scene)
-    with pytest.raises(StaleForwardStateError):
-        detector_gradient(frame, det2, upstream, DET, CAM)
+    with pytest.raises(InvalidArgumentError):
+        detector_gradient(det, upstream, DET, CAM)
 
 
 def test_pixel_gradient_matches_finite_differences(clean_scene):
     frame, det = _detect_at(clean_scene)
     upstream = np.array([0.0, 1.0, 0.0, 0.0])
-    g = detector_gradient(frame, det, upstream, DET, CAM)
+    g = detector_gradient(det, upstream, DET, CAM)
 
     def scalar(pixels):
-        probe = Frame(pixels=pixels, valid=frame.valid, pose=frame.pose)
-        d = detect_lanes(probe, DET, CAM)
+        d = detect_lanes(_support_grays(pixels), DET, CAM)
         return float(0.5 * (d.left_coeffs[1] + d.right_coeffs[1]))
 
     flat = np.argsort(np.abs(g).ravel())[::-1][:8]

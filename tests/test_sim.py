@@ -15,7 +15,7 @@ def _record(rect_counts):
                              pose=VehicleState(0.0, 0.0, 0.0, 10.0))
              for i, rc in enumerate(rect_counts)]
     return RolloutRecord(states=[], steers=[], detections=[], paths=[],
-                         projections=projs, frames=None, truncated=False,
+                         projections=projs, truncated=False,
                          horizon=len(rect_counts))
 
 
