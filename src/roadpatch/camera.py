@@ -82,8 +82,7 @@ class CameraConfig:
 class Frame:
     """Camera image warped from the BEV scene at a given pose."""
 
-    pixels: np.ndarray   # (H, W) gray
-    valid: np.ndarray    # (H, W) bool, True where sourced from the BEV
+    pixels: np.ndarray   # (H, W) gray, zero where not sourced from the BEV
     pose: VehicleState
     index: int = 0
 
@@ -180,8 +179,8 @@ def check_pose_bounds(pose: VehicleState) -> None:
 def _sample_ground(bev: BevImage, gx, gy, front):
     """Bilinear scene values at ground points, zero where unsourced.
 
-    Returns ``(values, valid)``.  Every step is elementwise, so any subset
-    of pixels gets exactly the values the full-image warp gives them.
+    Every step is elementwise, so any subset of pixels gets exactly the
+    values the full-image warp gives them.
     """
     fi, fj = bev.fractional_index(gx, gy)
     valid = front & interp.inside(fi, fj, bev.pixels.shape)
@@ -189,11 +188,11 @@ def _sample_ground(bev: BevImage, gx, gy, front):
                            np.clip(fi, 0.0, bev.pixels.shape[0] - 1),
                            np.clip(fj, 0.0, bev.pixels.shape[1] - 1))
     values[~valid] = 0.0
-    return values, valid
+    return values
 
 
-def _check_model_input(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                       valid: np.ndarray | None = None) -> None:
+def _check_model_input(bev: BevImage, cfg: CameraConfig,
+                       pose: VehicleState) -> None:
     """Raise ``IncompleteModelInputError`` iff a model-input pixel is unsourced.
 
     Decided from the rect's four corner pixels.  ``front`` is a per-row
@@ -201,8 +200,6 @@ def _check_model_input(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     There the pixel-to-ground map is projective: it takes the rect onto
     the convex quadrilateral spanned by the corners' ground points, and
     the sourced part of the ground (the raster's interior) is convex too.
-    ``valid``, a full-image mask, is read only to count the bad pixels
-    for the error message.
     """
     rx, ry, rw, rh = cfg.model_input_rect
     rows = [ry, ry, ry + rh - 1, ry + rh - 1]
@@ -212,10 +209,8 @@ def _check_model_input(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     fi, fj = bev.fractional_index(gx, gy)
     if np.all(front[rows, cols] & interp.inside(fi, fj, bev.pixels.shape)):
         return
-    rs, cs = cfg.rect_slices
-    bad = "some" if valid is None else int(np.count_nonzero(~valid[rs, cs]))
     raise IncompleteModelInputError(
-        f"{bad} model-input pixels have no BEV source at pose "
+        "some model-input pixels have no BEV source at pose "
         f"(x={pose.x:.1f}, y={pose.y:.2f}, heading={pose.heading:.3f})")
 
 
@@ -225,20 +220,18 @@ def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
 
     Every pixel ray below the horizon is intersected with the ground
     plane and the scene is sampled bilinearly there.  Pixels above the
-    horizon or looking outside the scene extent are zeroed with ``valid``
-    False; if any such pixel lies inside the model-input rect the frame
-    is rejected, because the detector contract requires a fully sourced
-    crop.
+    horizon or looking outside the scene extent are zeroed; if any such
+    pixel lies inside the model-input rect the frame is rejected, because
+    the detector contract requires a fully sourced crop.
     """
     check_pose_bounds(pose)
     xf, yf, front = _vehicle_ground_grid(cfg)
     r0 = _first_ground_row(cfg)
     pixels = np.zeros(front.shape)
-    valid = np.zeros(front.shape, dtype=bool)
     gx, gy = _vehicle_to_world(pose, xf[r0:], yf[r0:])
-    pixels[r0:], valid[r0:] = _sample_ground(bev, gx, gy, front[r0:])
-    _check_model_input(bev, cfg, pose, valid)
-    return Frame(pixels=pixels, valid=valid, pose=pose, index=index)
+    pixels[r0:] = _sample_ground(bev, gx, gy, front[r0:])
+    _check_model_input(bev, cfg, pose)
+    return Frame(pixels=pixels, pose=pose, index=index)
 
 
 def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
@@ -249,7 +242,7 @@ def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     check_pose_bounds(pose)
     _check_model_input(bev, cfg, pose)
     gx, gy = _vehicle_to_world(pose, xf, yf)
-    return _sample_ground(bev, gx, gy, front)[0]
+    return _sample_ground(bev, gx, gy, front)
 
 
 def _rows_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
@@ -299,7 +292,7 @@ def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     but samples only the footprint pixels.
     """
     mask, gx, gy, hit = _footprint_band(cfg, pose, patch.placement.rect)
-    return mask, _sample_ground(bev, gx[hit], gy[hit], True)[0]
+    return mask, _sample_ground(bev, gx[hit], gy[hit], True)
 
 
 def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,

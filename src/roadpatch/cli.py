@@ -31,7 +31,6 @@ from .attack import optimize_patch
 from .config import (
     ScenarioConfig,
     builtin_scenarios,
-    config_hash,
     load_config,
     resolve_scenario,
 )
@@ -137,7 +136,6 @@ def cmd_optimize(args) -> int:
             raise ConfigError("attack.iterations", "must be >= 0")
         cfg.merged["attack"]["iterations"] = args.iterations
         cfg.attack = type(cfg.attack)(**cfg.merged["attack"])
-        cfg.hash = config_hash(cfg.merged)
     out = _out_dir(args, cfg)
     scene, mask = cfg.build_scene()
     t0 = time.perf_counter()

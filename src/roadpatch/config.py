@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -45,85 +45,49 @@ _FIXED_LEN = {"camera.principal_point": 2, "camera.image_size": 2,
 _INT_LISTS = {"camera.image_size", "camera.model_input_rect"}
 
 
+def _section(obj) -> dict:
+    """A config object's fields as a scenario section, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(obj).items()}
+
+
 def defaults() -> dict:
-    """The complete scenario document every file is merged onto."""
-    road = RoadSpec()
-    cam = CameraConfig()
-    det = DetectorConfig()
-    ctl = ControllerConfig()
-    veh = VehicleParams()
-    atk = AttackConfig()
+    """The complete scenario document every file is merged onto.
+
+    Class-backed sections take their fields and defaults from the config
+    classes themselves; only the values no class holds are written here.
+    """
     return {
         "name": "scenario",
         "seed": 0,
         "speed_kmh": 72.0,
         "duration_s": 10.0,
         "goal_m": 0.745,
-        "road": {
-            "lane_width": road.lane_width,
-            "lane_line_width": road.lane_line_width,
-            "line_intensity": road.line_intensity,
-            "asphalt_intensity": road.asphalt_intensity,
-            "texture_noise_amp": road.texture_noise_amp,
-            "texture_seed": None,       # null: reuse the scenario seed
-            "road_length": road.road_length,
-        },
+        "road": {**_section(RoadSpec()),
+                 "texture_seed": None},     # null: reuse the scenario seed
         "scene": {
             "meters_per_pixel": 0.05,
             "x_min": 0.0,
             "y_half_extent": 48.0,
         },
-        "camera": {
-            "focal": cam.focal,
-            "principal_point": list(cam.principal_point),
-            "height": cam.height,
-            "pitch": cam.pitch,
-            "image_size": list(cam.image_size),
-            "model_input_rect": list(cam.model_input_rect),
-        },
+        "camera": _section(CameraConfig()),
         "vehicle": {
-            "wheelbase": veh.wheelbase,
-            "dt": veh.dt,
-            "max_steer": veh.max_steer,
+            **_section(VehicleParams()),
             "start_x": 0.0,
             "start_y": 0.0,
             "start_heading": 0.0,
         },
-        "detector": {
-            "n_bands": det.n_bands,
-            "band_near": det.band_near,
-            "band_far": det.band_far,
-            "lateral_span": det.lateral_span,
-            "n_lateral": det.n_lateral,
-            "tau": det.tau,
-            "poly_degree": det.poly_degree,
-            "response_bias": det.response_bias,
-            "split": det.split,
-        },
-        "controller": {
-            "decision_points": list(ctl.decision_points),
-            "lookahead": ctl.lookahead,
-            "steer_gain": ctl.steer_gain,
-        },
+        "detector": _section(DetectorConfig()),
+        "controller": _section(ControllerConfig()),
         "patch": {
-            "start_x": 60.0,
-            "center_y": 0.0,
-            "width": 2.4,
-            "length": 36.0,
-            "margin": 0.15,
+            **_section(PatchPlacement(start_x=60.0, center_y=0.0, width=2.4,
+                                      length=36.0)),
             "grid_mpp": 0.10,
             "v_min": 0.05,
             "v_max": 0.60,
             "init_value": 0.45,
         },
-        "attack": {
-            "horizon_frames": atk.horizon_frames,
-            "lambda_reg": atk.lambda_reg,
-            "direction": atk.direction,
-            "step_size": atk.step_size,
-            "iterations": atk.iterations,
-            "max_halvings": atk.max_halvings,
-        },
+        "attack": _section(AttackConfig()),
     }
 
 
@@ -239,7 +203,11 @@ class ScenarioConfig:
     patch_v_max: float
     patch_init_value: float
     merged: dict = field(repr=False)
-    hash: str = ""
+
+    @property
+    def hash(self) -> str:
+        """Digest of ``merged``, so it follows any later edit of the document."""
+        return config_hash(self.merged)
 
     @property
     def extent(self) -> tuple[float, float, float, float]:
@@ -273,9 +241,13 @@ class ScenarioConfig:
                               v_min=self.patch_v_min, v_max=self.patch_v_max)
 
 
-def _build(section: str, ctor, kwargs):
+def _build(section: str, cls, doc: dict, **given):
+    """``cls`` from its fields in the merged ``doc`` (lists as tuples) and
+    ``given``; a refusal is reported against ``section``."""
+    values = {**{f.name: doc[f.name] for f in fields(cls)}, **given}
     try:
-        return ctor(**kwargs)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in values.items()})
     except InvalidArgumentError as exc:
         raise ConfigError(section, str(exc)) from exc
 
@@ -300,18 +272,15 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
                 raise ConfigError("seed",
                                   f"{SEED_ENV_VAR} must be an integer, got "
                                   f"{env_seed!r}") from None
-    digest = config_hash(merged)
-
     for fname, positive in (("speed_kmh", True), ("duration_s", True),
                             ("goal_m", False)):
         if merged[fname] < 0.0 or (positive and merged[fname] == 0.0):
             kind = "positive" if positive else ">= 0"
             raise ConfigError(fname, f"must be {kind}")
 
-    road_kwargs = dict(merged["road"])
-    if road_kwargs["texture_seed"] is None:
-        road_kwargs["texture_seed"] = merged["seed"]
-    road = _build("road", RoadSpec, road_kwargs)
+    seed = merged["road"]["texture_seed"]
+    road = _build("road", RoadSpec, merged["road"],
+                  texture_seed=merged["seed"] if seed is None else seed)
 
     sc = merged["scene"]
     if sc["meters_per_pixel"] <= 0.0:
@@ -320,25 +289,15 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
         raise ConfigError("scene.y_half_extent",
                           "scene must be wide enough to contain both lane lines")
 
-    cam_kwargs = dict(merged["camera"])
-    for key in ("principal_point", "image_size", "model_input_rect"):
-        cam_kwargs[key] = tuple(cam_kwargs[key])
-    camera = _build("camera", CameraConfig, cam_kwargs)
-
+    camera = _build("camera", CameraConfig, merged["camera"])
     veh = merged["vehicle"]
-    vehicle = _build("vehicle", VehicleParams,
-                     {k: veh[k] for k in ("wheelbase", "dt", "max_steer")})
-
+    vehicle = _build("vehicle", VehicleParams, veh)
     detector = _build("detector", DetectorConfig, merged["detector"])
-    ctl_kwargs = dict(merged["controller"])
-    ctl_kwargs["decision_points"] = tuple(ctl_kwargs["decision_points"])
-    controller = _build("controller", ControllerConfig, ctl_kwargs)
+    controller = _build("controller", ControllerConfig, merged["controller"])
     attack = _build("attack", AttackConfig, merged["attack"])
 
     pk = merged["patch"]
-    placement = _build("patch", PatchPlacement,
-                       {k: pk[k] for k in ("start_x", "center_y", "width",
-                                           "length", "margin")})
+    placement = _build("patch", PatchPlacement, pk)
     if not 0.0 <= pk["v_min"] < pk["v_max"] <= 1.0:
         raise ConfigError("patch.v_min", "need 0 <= v_min < v_max <= 1")
     if not pk["v_min"] <= pk["init_value"] <= pk["v_max"]:
@@ -360,13 +319,17 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
         controller=controller, attack=attack, placement=placement,
         patch_grid_mpp=pk["grid_mpp"], patch_v_min=pk["v_min"],
         patch_v_max=pk["v_max"], patch_init_value=pk["init_value"],
-        merged=merged, hash=digest)
+        merged=merged)
 
     _cross_validate(cfg)
     return cfg
 
 
 def _cross_validate(cfg: ScenarioConfig) -> None:
+    if cfg.n_frames < 1:
+        raise ConfigError("duration_s",
+                          "rounds to zero control steps "
+                          f"of vehicle.dt = {cfg.vehicle.dt} s")
     det = cfg.detector
     for d in cfg.controller.decision_points:
         if not det.band_near <= d <= det.band_far:

@@ -189,8 +189,24 @@ def _fit_half(plan: _Plan, y_est: np.ndarray, w: np.ndarray):
     return plan.M @ ct, A, ct
 
 
-def _detect_core(samples: np.ndarray, plan: _Plan):
-    """Shared forward pass from a (bands, columns) sample grid."""
+def detect_lanes(values: np.ndarray, det: DetectorConfig,
+                 cam: CameraConfig) -> LaneDetection:
+    """Run the surrogate detector on the grays of the ``support_set`` pixels.
+
+    The detector's bilinear samples read no other pixel, so these grays
+    are its whole input; the warp that produced them has already checked
+    that the model-input crop is fully sourced.  Raises
+    ``DetectionFailedError`` when more than half the bands of either line
+    carry no evidence.
+    """
+    sup = support_set(det, cam)
+    samples = interp.combine(values, sup.taps, sup.weights)
+    return _lane_detection(samples, _plan(det, cam))
+
+
+def _lane_detection(samples: np.ndarray, plan: _Plan) -> LaneDetection:
+    """Forward pass from the (bands, columns) sample grid, taped for the
+    backward pass."""
     det = plan.det
     responses = np.maximum(samples - det.response_bias, 0.0)
     halves = {}
@@ -208,27 +224,6 @@ def _detect_core(samples: np.ndarray, plan: _Plan):
         halves[name] = dict(cols=cols, mass=mass, low=low, idx=idx,
                             w_soft=w_soft, y_est=y_est, coeffs=coeffs,
                             A=A, ct=ct)
-    return responses, halves
-
-
-def detect_lanes(values: np.ndarray, det: DetectorConfig,
-                 cam: CameraConfig) -> LaneDetection:
-    """Run the surrogate detector on the grays of the ``support_set`` pixels.
-
-    The detector's bilinear samples read no other pixel, so these grays
-    are its whole input; the warp that produced them has already checked
-    that the model-input crop is fully sourced.  Raises
-    ``DetectionFailedError`` when more than half the bands of either line
-    carry no evidence.
-    """
-    sup = support_set(det, cam)
-    samples = interp.combine(values, sup.taps, sup.weights)
-    return _lane_detection(samples, _plan(det, cam))
-
-
-def _lane_detection(samples: np.ndarray, plan: _Plan) -> LaneDetection:
-    """Forward pass from the sample grid, taped for the backward pass."""
-    responses, halves = _detect_core(samples, plan)
     tape = DetectionTape(responses=responses, halves=halves)
     left, right = halves["left"], halves["right"]
     return LaneDetection(

@@ -131,6 +131,12 @@ def test_error_exit_codes(tiny, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and err["field"] == "duration_s"
 
+    blink = tmp_path / "blink.json"
+    blink.write_text('{"duration_s": 0.02}')       # shorter than one frame
+    assert run_cli("benign", blink, "--out", tmp_path) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["field"] == "duration_s"
+
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_cli("evaluate", tiny, "--out", empty) == 2

@@ -57,6 +57,28 @@ def test_empty_document_is_a_full_scenario():
     cfg.pipeline()
 
 
+_PINNED_HASHES = {"highway-72": "8d15c2b76772", "highway-105": "4d47cea6aef8",
+                  "highway-126": "87f54284895f"}
+
+
+def test_bundled_config_hashes_are_pinned(monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    for name, digest in _PINNED_HASHES.items():
+        assert load_config(resolve_scenario(name)).hash == digest
+    assert config_from_dict({}).hash == "ea11a2dda658"
+
+
+@pytest.mark.parametrize("section, cls", [
+    ("road", RoadSpec), ("camera", CameraConfig), ("vehicle", VehicleParams),
+    ("detector", DetectorConfig), ("controller", ControllerConfig),
+    ("attack", AttackConfig), ("patch", PatchPlacement)])
+def test_class_backed_sections_hold_the_class_fields(section, cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    extra = {"vehicle": ["start_x", "start_y", "start_heading"],
+             "patch": ["grid_mpp", "v_min", "v_max", "init_value"]}
+    assert list(defaults()[section]) == names + extra.get(section, [])
+
+
 def test_defaults_are_isolated():
     d1 = defaults()
     d1["road"]["lane_width"] = 99.0
@@ -170,6 +192,7 @@ def test_non_finite_numbers_are_refused(field, value):
 def test_scalar_range_checks():
     assert _err({"speed_kmh": 0}) == "speed_kmh"
     assert _err({"duration_s": 0}) == "duration_s"
+    assert _err({"duration_s": 0.02}) == "duration_s"     # under one frame
     assert _err({"goal_m": -1}) == "goal_m"
     assert _err({"scene": {"meters_per_pixel": 0}}) == "scene.meters_per_pixel"
     assert _err({"patch": {"grid_mpp": 0}}) == "patch.grid_mpp"
