@@ -18,7 +18,6 @@ from .attack import (
     frame_gradient,
     rollout_objective,
     optimize_patch,
-    project_patch,
     rollout_with_patch,
 )
 from .camera import (
@@ -108,7 +107,6 @@ __all__ = [
     "rollout_objective",
     "optimize_patch",
     "patch_footprint",
-    "project_patch",
     "render_road_bev",
     "rollout",
     "rollout_with_patch",

@@ -16,7 +16,7 @@ dependence back in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class RolloutRecord:
     paths: list[DesiredPath]
     projections: list[PatchProjection]
     truncated: bool
-    horizon: int
 
     @property
     def frames_evaluated(self) -> int:
@@ -217,7 +216,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
 
     return RolloutRecord(states=states, steers=steers, detections=detections,
                          paths=paths, projections=projections,
-                         truncated=truncated, horizon=horizon)
+                         truncated=truncated)
 
 
 def rollout_objective(paths, projections, lambda_reg: float, decision_points,
@@ -342,27 +341,6 @@ def _union_values(a: np.ndarray, va: np.ndarray, b: np.ndarray,
     return pixels[keep], values[keep]
 
 
-def project_patch(values: np.ndarray, gradient: np.ndarray, step_size: float,
-                  bounds: tuple[float, float]):
-    """One max-norm-scaled descent step clamped to the gray bounds.
-
-    Returns ``(new_values, moved)``; a zero gradient is reported as a
-    no-op rather than an error.
-    """
-    if step_size <= 0.0:
-        raise InvalidArgumentError("step_size must be positive")
-    lo, hi = bounds
-    if not lo < hi:
-        raise InvalidArgumentError("bounds must satisfy lo < hi")
-    if gradient.shape != values.shape:
-        raise InvalidArgumentError("gradient shape must match patch values")
-    gmax = float(np.max(np.abs(gradient)))
-    if gmax == 0.0:
-        return values.copy(), False
-    new = np.clip(values - step_size * gradient / gmax, lo, hi)
-    return new, True
-
-
 def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                    pipe: PipelineConfig, scene: BevImage, patch: PatchState,
                    line_mask: np.ndarray) -> np.ndarray:
@@ -402,10 +380,17 @@ class HistoryEntry:
 @dataclass
 class OptimizeResult:
     patch: PatchState
-    history: list[HistoryEntry] = field(default_factory=list)
-    best_iteration: int = 0
-    iterations_run: int = 0
-    converged: bool = False
+    history: list[HistoryEntry]
+    converged: bool
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.history) - 1
+
+    @property
+    def best_iteration(self) -> int:
+        """The last accepted iteration; the start patch counts as accepted."""
+        return max(h.iteration for h in self.history if h.accepted)
 
     @property
     def best_breakdown(self) -> ObjectiveBreakdown:
@@ -428,28 +413,27 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
 
     Each iteration takes one gradient pass at the current iterate, then
     tries a step, halving it up to ``max_halvings`` times until the
-    directed objective improves.  At every trial size the sign of the
-    gradient is tried first (full-cell moves develop large-scale patch
-    structure quickly) and the max-normalized raw gradient second — the
-    fallback rescues iterates where the all-cells sign move overshoots
-    in every direction at once.  On success the step is regrown (never
-    past its initial value); the best iterate seen is what's returned.
-    The history gains one entry per iteration plus one for the initial
-    patch, so ``iterations=0`` still yields a single scored entry.
+    directed objective strictly decreases.  At every trial size the sign
+    of the gradient is tried first (full-cell moves develop large-scale
+    patch structure quickly) and the max-normalized raw gradient second —
+    the fallback rescues iterates where the all-cells sign move overshoots
+    in every direction at once.  Both directions have max-abs 1, so a step
+    moves no cell further than its size; the result is clamped to the
+    gray bounds.  On success the step is regrown (never past its initial
+    value).  Since acceptance needs a strict decrease, the returned patch,
+    the last accepted iterate, is the best one scored.  An all-zero
+    gradient gives no direction: the step halves through every trial size
+    and the run stops converged.  The history gains one entry per
+    iteration plus one for the initial patch, so ``iterations=0`` still
+    yields a single scored entry.
     """
-    bounds = (patch0.v_min, patch0.v_max)
-
     current = patch0
     record, bd = _evaluate(scene, line_mask, current, state0, pipe, cfg)
     step_size = cfg.step_size
     history = [HistoryEntry(0, bd, step_size, record.max_lateral_deviation(),
                             True)]
-    best_vals = current.values.copy()
-    best_directed = bd.directed
-    best_iteration = 0
     converged = False
 
-    iterations_run = 0
     for it in range(1, cfg.iterations + 1):
         grad = patch_gradient(record, cfg, pipe, scene, current, line_mask)
         # Steepest descent in the max-norm geometry: raw gradients put
@@ -457,19 +441,13 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
         # search long before the patch develops large-scale structure,
         # so the sign direction leads and the scaled gradient backs it up.
         gmax = float(np.abs(grad).max())
-        directions = [np.sign(grad)]
-        if gmax > 0.0:
-            directions.append(grad / gmax)
+        directions = [np.sign(grad), grad / gmax] if gmax != 0.0 else []
         accepted = False
-        any_moved = False
         for _ in range(cfg.max_halvings + 1):
             for direction in directions:
-                cand_vals, moved = project_patch(current.values, direction,
-                                                 step_size, bounds)
-                if not moved:
-                    continue
-                any_moved = True
-                cand = current.with_values(cand_vals)
+                cand = current.with_values(np.clip(
+                    current.values - step_size * direction,
+                    current.v_min, current.v_max))
                 cand_record, cand_bd = _evaluate(scene, line_mask, cand,
                                                  state0, pipe, cfg)
                 if cand_bd.directed < bd.directed:
@@ -480,23 +458,14 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
             if accepted:
                 break
             step_size *= 0.5
-        if not any_moved:
-            converged = True
-        iterations_run = it
         history.append(HistoryEntry(it, bd, step_size,
                                     record.max_lateral_deviation(), accepted))
-        if bd.directed < best_directed:
-            best_directed = bd.directed
-            best_vals = current.values.copy()
-            best_iteration = it
         if logger is not None:
             logger.info("iter %d directed=%.6f path=%.6f reg=%.4f step=%.2e%s",
                         it, bd.directed, bd.path_term, bd.reg_term, step_size,
                         "" if accepted else " (stalled)")
-        if converged or step_size < cfg.step_size * 1e-6:
+        if not directions or step_size < cfg.step_size * 1e-6:
             converged = True
             break
 
-    return OptimizeResult(patch=patch0.with_values(best_vals), history=history,
-                          best_iteration=best_iteration,
-                          iterations_run=iterations_run, converged=converged)
+    return OptimizeResult(patch=current, history=history, converged=converged)

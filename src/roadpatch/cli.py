@@ -186,7 +186,12 @@ def cmd_evaluate(args) -> int:
         where, root = patch_path.resolve(), out.resolve()
         label = str(where.relative_to(root) if where.is_relative_to(root)
                     else patch_path)
-        patch = pgmio.load_patch(patch_path)
+        try:
+            patch = pgmio.load_patch(patch_path)
+        except (OSError, ArithmeticError, LookupError, TypeError, ValueError,
+                RoadPatchError) as exc:
+            raise ConfigError("patch", f"cannot load the patch at "
+                                       f"{patch_path}: {exc}") from exc
     rep, code = _run_and_report("evaluate", cfg, args, patch, label)
     if rep["success"]:
         print(f"evaluate '{cfg.name}': goal {cfg.goal_m} m reached "

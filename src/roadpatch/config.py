@@ -272,6 +272,8 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
                 raise ConfigError("seed",
                                   f"{SEED_ENV_VAR} must be an integer, got "
                                   f"{env_seed!r}") from None
+    if merged["seed"] < 0:
+        raise ConfigError("seed", "must be >= 0")
     for fname, positive in (("speed_kmh", True), ("duration_s", True),
                             ("goal_m", False)):
         if merged[fname] < 0.0 or (positive and merged[fname] == 0.0):

@@ -102,7 +102,7 @@ def save_patch(path, patch: PatchState, extra: dict | None = None) -> None:
 
 def load_patch(path) -> PatchState:
     meta = json.loads(_sidecar_path(path).read_text())
-    if meta.get("kind") != "patch":
+    if not isinstance(meta, dict) or meta.get("kind") != "patch":
         raise InvalidArgumentError(f"{path} sidecar does not describe a patch")
     pm = meta["placement"]
     values = read_pgm(path)

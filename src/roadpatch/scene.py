@@ -51,6 +51,8 @@ class RoadSpec:
                 "asphalt_intensity must be darker than line_intensity")
         if self.texture_noise_amp < 0.0:
             raise InvalidArgumentError("texture_noise_amp must be >= 0")
+        if self.texture_seed < 0:
+            raise InvalidArgumentError("texture_seed must be >= 0")
         if self.road_length <= 0.0:
             raise InvalidArgumentError("road_length must be positive")
 

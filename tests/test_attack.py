@@ -19,7 +19,6 @@ from roadpatch.attack import (
     rollout_objective,
     optimize_patch,
     patch_gradient,
-    project_patch,
     rollout_with_patch,
 )
 from roadpatch.camera import patch_footprint, splat_camera_to_bev, splat_pixels
@@ -64,37 +63,6 @@ def test_objective_sums_over_frames_and_points():
     assert bd.per_frame_reg[1] == 0.0
     with pytest.raises(InvalidArgumentError):
         rollout_objective([_quad_path()], [], 0.0, (10.0,), "right", BASE)
-
-
-def test_project_patch_moves_clamp_and_scale():
-    new, moved = project_patch(np.array([[0.9]]), np.array([[-1.0]]),
-                               0.05, (0.05, 0.60))
-    assert moved and new[0, 0] == 0.60
-    new, _ = project_patch(np.array([[0.06]]), np.array([[1.0]]),
-                           0.05, (0.05, 0.60))
-    assert new[0, 0] == 0.05
-    vals = np.array([[0.3, 0.3, 0.3]])
-    new, moved = project_patch(vals, np.array([[4.0, -2.0, 0.0]]),
-                               0.05, (0.05, 0.60))
-    np.testing.assert_allclose(new - vals, [[-0.05, 0.025, 0.0]], atol=1e-15)
-    assert np.max(np.abs(new - vals)) <= 0.05 + 1e-15
-
-
-def test_project_patch_zero_gradient_is_a_noop():
-    vals = np.full((2, 2), 0.3)
-    new, moved = project_patch(vals, np.zeros((2, 2)), 0.05, (0.05, 0.60))
-    assert not moved
-    assert new is not vals and np.array_equal(new, vals)
-
-
-def test_project_patch_validation():
-    vals = np.zeros((2, 2)) + 0.3
-    with pytest.raises(InvalidArgumentError):
-        project_patch(vals, np.zeros((2, 2)), 0.0, (0.05, 0.60))
-    with pytest.raises(InvalidArgumentError):
-        project_patch(vals, np.zeros((2, 2)), 0.05, (0.60, 0.60))
-    with pytest.raises(InvalidArgumentError):
-        project_patch(vals, np.zeros((3, 2)), 0.05, (0.05, 0.60))
 
 
 @pytest.mark.parametrize("bad", [
@@ -286,6 +254,64 @@ def test_optimize_bookkeeping_matches_a_rescore(scenario72, scene72):
                              pipe.controller.decision_points, cfg.direction,
                              result.patch.base_value)
     assert rescored.directed == pytest.approx(min(directeds), abs=1e-12)
+
+
+def _count_rollouts(monkeypatch):
+    """Rebind the optimizer's rollout to log the patch values it scores."""
+    tried = []
+
+    def counted(scene, mask, patch, *args, **kwargs):
+        tried.append(patch.values.copy())
+        return rollout(scene, mask, patch, *args, **kwargs)
+
+    rollout = attack.rollout_with_patch
+    monkeypatch.setattr(attack, "rollout_with_patch", counted)
+    return tried
+
+
+def test_optimize_stops_on_a_zero_gradient(scenario72, scene72, monkeypatch):
+    scene, mask = scene72
+    cfg = dataclasses.replace(scenario72.attack, iterations=3,
+                              horizon_frames=3)
+    monkeypatch.setattr(attack, "patch_gradient",
+                        lambda record, cfg, pipe, scene, patch, mask:
+                        np.zeros_like(patch.values))
+    tried = _count_rollouts(monkeypatch)
+    patch0 = scenario72.initial_patch()
+    result = optimize_patch(scene, mask, patch0, scenario72.initial_state(),
+                            scenario72.pipeline(), cfg)
+    assert result.converged and result.iterations_run == 1
+    assert len(tried) == 1
+    np.testing.assert_array_equal(result.patch.values, patch0.values)
+    row = result.history[1]
+    assert (row.iteration, row.step_size, row.accepted) == (
+        1, cfg.step_size / 2 ** (cfg.max_halvings + 1), False)
+    assert result.best_iteration == 0
+
+
+def test_optimize_steps_stay_clamped(scenario72, scene72, monkeypatch):
+    scene, mask = scene72
+    cfg = dataclasses.replace(scenario72.attack, iterations=2,
+                              horizon_frames=3)
+    start = scenario72.initial_patch()
+    patch0 = start.with_values(np.full_like(start.values, start.v_max))
+    tried = _count_rollouts(monkeypatch)
+    iterates = []
+
+    def gradient_at(record, cfg, pipe, scene, patch, mask):
+        iterates.append(patch.values)
+        return patch_gradient(record, cfg, pipe, scene, patch, mask)
+
+    monkeypatch.setattr(attack, "patch_gradient", gradient_at)
+    result = optimize_patch(scene, mask, patch0, scenario72.initial_state(),
+                            scenario72.pipeline(), cfg)
+    assert len(tried) > 1
+    for values in tried + [result.patch.values]:
+        assert values.min() >= patch0.v_min and values.max() <= patch0.v_max
+    assert max(values.max() for values in tried[1:]) == patch0.v_max
+    iterates.append(result.patch.values)
+    for before, after in zip(iterates, iterates[1:]):
+        assert np.max(np.abs(after - before)) <= cfg.step_size + 1e-12
 
 
 def test_optimize_is_deterministic(scenario72, scene72):

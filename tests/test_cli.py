@@ -7,7 +7,7 @@ import pytest
 from conftest import run_cli
 from roadpatch.artifacts import read_report, read_trajectory_csv
 from roadpatch.config import config_hash, load_config
-from roadpatch.pgmio import load_patch, read_pgm
+from roadpatch.pgmio import load_patch, read_pgm, save_patch
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,7 @@ def test_dump_frames(tiny, tmp_path):
     assert read_pgm(files[0]).shape == (480, 640)
 
 
-def test_error_exit_codes(tiny, tmp_path, capsys):
+def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
     assert run_cli("benign", "no-such-scenario", "--out", tmp_path) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and err["field"] == "config"
@@ -142,6 +142,43 @@ def test_error_exit_codes(tiny, tmp_path, capsys):
     assert run_cli("evaluate", tiny, "--out", empty) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["field"] == "patch"
+
+    # a patch that does not load is a configuration problem too
+    patch = tmp_path / "p.pgm"
+    sidecar = patch.with_suffix(".json")
+    save_patch(patch, load_config(tiny).initial_patch())
+    meta, raster = json.loads(sidecar.read_text()), patch.read_bytes()
+    unplaced = {k: v for k, v in meta.items() if k != "placement"}
+    for text, pgm in [(None, raster),                          # no sidecar
+                      ("{not json", raster),
+                      (json.dumps(unplaced), raster),
+                      (json.dumps({**meta, "kind": "bev"}), raster),
+                      (json.dumps({**meta, "v_min": 0.7}), raster),
+                      (json.dumps(meta), b"P2\n1 1\n255\n0\n")]:
+        patch.write_bytes(pgm)
+        sidecar.unlink(missing_ok=True)
+        if text is not None:
+            sidecar.write_text(text)
+        assert run_cli("evaluate", tiny, "--out", tmp_path,
+                       "--patch", patch) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and err["field"] == "patch"
+
+    negative = tmp_path / "negative.json"
+    for flags, doc, env, field in [
+            (["--seed", -1], {}, None, "seed"),
+            ([], {"seed": -1}, None, "seed"),
+            ([], {}, "-2", "seed"),
+            ([], {"road": {"texture_seed": -3}}, None, "road")]:
+        negative.write_text(json.dumps(doc))
+        if env is None:
+            monkeypatch.delenv("DRP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DRP_SEED", env)
+        assert run_cli("benign", negative, "--out", tmp_path, *flags) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and err["field"] == field
+    monkeypatch.delenv("DRP_SEED", raising=False)
 
     assert run_cli("report", "--out", empty) == 3
     err = json.loads(capsys.readouterr().err)

@@ -120,6 +120,7 @@ _INVALID = [
     (AttackConfig, {}, dict(step_size=0.0)),
     (RoadSpec, {}, dict(lane_line_width=0.0)),
     (RoadSpec, {}, dict(asphalt_intensity=0.95)),
+    (RoadSpec, {}, dict(texture_seed=-1)),
     (PatchPlacement, _PLACEMENT, dict(width=0.0)),
     (PatchPlacement, _PLACEMENT, dict(margin=-0.1)),
     (PatchState, _PATCH, dict(v_min=0.6, v_max=0.5, base_value=0.55)),
@@ -159,6 +160,9 @@ def test_seed_precedence(monkeypatch):
     assert config_from_dict({"seed": 3}, seed_override=25).seed == 25
     monkeypatch.setenv(SEED_ENV_VAR, "abc")
     assert _err({"seed": 3}) == "seed"
+    monkeypatch.setenv(SEED_ENV_VAR, "-2")
+    assert _err({"seed": 3}) == "seed"
+    assert _err({"seed": 3}, seed_override=-1) == "seed"
 
 
 def test_hash_tracks_the_effective_document(monkeypatch):
@@ -194,6 +198,7 @@ def test_scalar_range_checks():
     assert _err({"duration_s": 0}) == "duration_s"
     assert _err({"duration_s": 0.02}) == "duration_s"     # under one frame
     assert _err({"goal_m": -1}) == "goal_m"
+    assert _err({"seed": -1}) == "seed"
     assert _err({"scene": {"meters_per_pixel": 0}}) == "scene.meters_per_pixel"
     assert _err({"patch": {"grid_mpp": 0}}) == "patch.grid_mpp"
 
@@ -202,6 +207,7 @@ def test_section_validation_is_attributed():
     assert _err({"camera": {"focal": 0}}) == "camera"
     assert _err({"vehicle": {"dt": 0}}) == "vehicle"
     assert _err({"road": {"road_length": 0}}) == "road"
+    assert _err({"road": {"texture_seed": -3}}) == "road"
 
 
 def test_cross_checks():

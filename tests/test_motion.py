@@ -94,7 +94,7 @@ def test_trajectory_array_layout():
 def test_state_helpers():
     record = RolloutRecord(states=[VehicleState(3.0, -0.4, 0.0, 1.0)],
                            steers=[], detections=[], paths=[], projections=[],
-                           truncated=False, horizon=0)
+                           truncated=False)
     assert record.max_lateral_deviation() == 0.4
     faster = dataclasses.replace(VehicleState(1.0, 2.0, 0.1, 5.0), speed=9.0)
     assert faster.speed == 9.0
