@@ -14,21 +14,11 @@ from .attack import (
     OptimizeResult,
     PipelineConfig,
     RolloutRecord,
-    aggregate_gradients_bev,
-    frame_gradient,
     rollout_objective,
     optimize_patch,
     rollout_with_patch,
 )
-from .camera import (
-    CameraConfig,
-    Frame,
-    ground_to_image,
-    image_to_ground,
-    patch_footprint,
-    splat_camera_to_bev,
-    warp_bev_to_camera,
-)
+from .camera import CameraConfig, Frame, ground_to_image, warp_bev_to_camera
 from .config import ScenarioConfig, config_from_dict, load_config
 from .controller import ControllerConfig, steer_from_path
 from .detector import (
@@ -37,7 +27,6 @@ from .detector import (
     LaneDetection,
     desired_path,
     detect_lanes,
-    detector_gradient,
 )
 from .errors import (
     ConfigError,
@@ -48,7 +37,7 @@ from .errors import (
     NoVisibilityError,
     RoadPatchError,
 )
-from .motion import VehicleParams, VehicleState, rollout, step
+from .motion import VehicleParams, VehicleState, step
 from .scene import (
     BevImage,
     PatchPlacement,
@@ -91,27 +80,20 @@ __all__ = [
     "SimResult",
     "VehicleParams",
     "VehicleState",
-    "aggregate_gradients_bev",
     "attack_success_time",
     "composite_patch",
     "config_from_dict",
     "desired_path",
     "detect_lanes",
-    "detector_gradient",
-    "frame_gradient",
     "ground_to_image",
     "identity_patch",
-    "image_to_ground",
     "lane_line_mask",
     "load_config",
     "rollout_objective",
     "optimize_patch",
-    "patch_footprint",
     "render_road_bev",
-    "rollout",
     "rollout_with_patch",
     "run_closed_loop",
-    "splat_camera_to_bev",
     "step",
     "steer_from_path",
     "uniform_patch",

@@ -35,15 +35,6 @@ def write_trajectory_csv(path, states: list[VehicleState], dt: float,
                           _fmt(abs(s.y))])
 
 
-def read_trajectory_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        for key in TRAJECTORY_FIELDS:
-            row[key] = float(row[key]) if row[key] != "" else None
-    return rows
-
-
 HISTORY_FIELDS = ("iteration", "total", "path_term", "reg_term", "directed",
                   "step_size", "max_deviation", "accepted")
 

@@ -89,13 +89,11 @@ class AttackConfig:
 
 @dataclass
 class PatchProjection:
-    """Where the patch landed in one frame and what it looked like."""
+    """Where the patch landed in one frame and what it looked like; frame
+    ``t`` (0-based) of a record was seen from ``record.states[t]``."""
 
-    index: int
-    count: int                      # pixels whose ground point hits the patch
-    rect_count: int                 # of those, pixels inside the model input
+    rect_count: int                 # footprint pixels in the model input
     pixel_values: np.ndarray        # frame grays over the footprint
-    pose: VehicleState
     pixels: np.ndarray | None = None  # sorted flat footprint indices (taped)
 
 
@@ -160,17 +158,17 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     unsourced model input propagate.
 
     Each frame renders just the detector's pixel support and, with a
-    patch, the patch footprint.  A whole frame (the dense warp) is
+    patch, the footprint's grays, found from its sorted flat pixel indices
+    without an image-sized mask.  A whole frame (the dense warp) is
     rendered only for ``frame_sink``, after its detection succeeded.  A
     patched rollout without a sink keeps each frame's detector tape beside
-    the footprint's pixels and grays, which is all a gradient pass needs;
-    any other rollout keeps no tape, so a frame sink leaves no frame alive.
+    the footprint's indices and grays, which is all a gradient pass needs;
+    any other rollout keeps neither, so a frame sink leaves no frame alive.
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
     bev = scene if patch is None else composite_patch(scene, patch, line_mask)
     cam = pipe.camera
-    rect_rs, rect_cs = cam.rect_slices
     support = support_set(pipe.detector, cam)
     taped = patch is not None and frame_sink is None
 
@@ -186,16 +184,11 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
         values = warp_bev_to_points(bev, cam, s, support.xf, support.yf,
                                     support.front)
         if patch is not None:
-            fp, seen = patch_pixels(bev, cam, s, patch)
-            proj = PatchProjection(
-                index=t, count=int(fp.sum()),
-                rect_count=int(fp[rect_rs, rect_cs].sum()),
-                pixel_values=seen, pose=s)
-            if taped:
-                proj.pixels = np.flatnonzero(fp)
+            pixels, seen, rect_count = patch_pixels(bev, cam, s, patch)
+            proj = PatchProjection(rect_count=rect_count, pixel_values=seen,
+                                   pixels=pixels if taped else None)
         else:
-            proj = PatchProjection(index=t, count=0, rect_count=0,
-                                   pixel_values=np.zeros(0), pose=s)
+            proj = PatchProjection(rect_count=0, pixel_values=np.zeros(0))
         try:
             det = detect_lanes(values, pipe.detector, cam)
         except DetectionFailedError:
@@ -289,10 +282,10 @@ def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
                             _path_upstream(cfg, pipe, decision_points),
                             pipe.detector, pipe.camera)
     proj = record.projections[t]
-    if proj.count:
+    if proj.pixel_values.size:
         img.ravel()[proj.pixels] += _stealth_gradient(proj, cfg.lambda_reg,
                                                       base_value)
-    return FrameGradient(image=img, pose=proj.pose, index=t)
+    return FrameGradient(image=img, pose=record.states[t], index=t)
 
 
 def aggregate_gradients_bev(grads, counts, camera: CameraConfig,
@@ -302,7 +295,7 @@ def aggregate_gradients_bev(grads, counts, camera: CameraConfig,
 
     Each image gradient is splatted through the exact warp/composite
     adjoint at its own pose; every frame that saw the patch (nonzero
-    footprint count) weighs 1.  Frames that never saw the patch
+    footprint size) weighs 1.  Frames that never saw the patch
     contribute nothing; if no frame saw it, there is nothing to optimize.
     """
     if len(grads) != len(counts):
@@ -358,12 +351,12 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
     support = support_set(pipe.detector, pipe.camera).pixels
     grads = []
     for t, proj in enumerate(record.projections):
-        if not proj.count:
+        if not proj.pixel_values.size:
             continue
         path = support_gradient(_taped_detection(record, t), upstream,
                                 pipe.detector, pipe.camera)
         stealth = _stealth_gradient(proj, cfg.lambda_reg, patch.base_value)
-        grads.append((proj.pose,
+        grads.append((record.states[t],
                       *_union_values(support, path, proj.pixels, stealth)))
     return _mean(splat_pixels(grads, pipe.camera, scene, patch, line_mask))
 

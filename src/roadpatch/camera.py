@@ -115,23 +115,6 @@ def ground_to_image(cfg: CameraConfig, pose: VehicleState, points):
     return u, v
 
 
-def image_to_ground(cfg: CameraConfig, pose: VehicleState, pixels):
-    """Intersect pixel rays (..., 2) of (u, v) with the ground plane."""
-    px = np.asarray(pixels, dtype=float)
-    x_dir = (px[..., 0] - cfg.principal_point[0]) / cfg.focal
-    y_dir = (px[..., 1] - cfg.principal_point[1]) / cfg.focal
-    ct, st = math.cos(cfg.pitch), math.sin(cfg.pitch)
-    denom = ct * y_dir + st
-    if np.any(denom <= _DEPTH_EPS):
-        raise NoGroundIntersectionError(
-            "pixel ray does not reach the ground ahead of the camera")
-    t = cfg.height / denom
-    xf = t * (ct - st * y_dir)
-    yf = t * (-x_dir)
-    gx, gy = _vehicle_to_world(pose, xf, yf)
-    return np.stack([gx, gy], axis=-1)
-
-
 @lru_cache(maxsize=8)
 def _vehicle_ground_grid(cfg: CameraConfig):
     """Per-pixel ground hits in the vehicle frame (pose-independent).
@@ -191,6 +174,16 @@ def _sample_ground(bev: BevImage, gx, gy, front):
     return values
 
 
+def _rect_corners(cfg: CameraConfig):
+    """Vehicle-frame ground hits ``(xf, yf, front)`` of the model-input
+    rect's four corner pixels."""
+    rx, ry, rw, rh = cfg.model_input_rect
+    rows = [ry, ry, ry + rh - 1, ry + rh - 1]
+    cols = [rx, rx + rw - 1, rx, rx + rw - 1]
+    xf, yf, front = _vehicle_ground_grid(cfg)
+    return xf[rows, cols], yf[rows, cols], front[rows, cols]
+
+
 def _check_model_input(bev: BevImage, cfg: CameraConfig,
                        pose: VehicleState) -> None:
     """Raise ``IncompleteModelInputError`` iff a model-input pixel is unsourced.
@@ -201,17 +194,24 @@ def _check_model_input(bev: BevImage, cfg: CameraConfig,
     the convex quadrilateral spanned by the corners' ground points, and
     the sourced part of the ground (the raster's interior) is convex too.
     """
-    rx, ry, rw, rh = cfg.model_input_rect
-    rows = [ry, ry, ry + rh - 1, ry + rh - 1]
-    cols = [rx, rx + rw - 1, rx, rx + rw - 1]
-    xf, yf, front = _vehicle_ground_grid(cfg)
-    gx, gy = _vehicle_to_world(pose, xf[rows, cols], yf[rows, cols])
+    xf, yf, front = _rect_corners(cfg)
+    gx, gy = _vehicle_to_world(pose, xf, yf)
     fi, fj = bev.fractional_index(gx, gy)
-    if np.all(front[rows, cols] & interp.inside(fi, fj, bev.pixels.shape)):
+    if np.all(front & interp.inside(fi, fj, bev.pixels.shape)):
         return
     raise IncompleteModelInputError(
         "some model-input pixels have no BEV source at pose "
         f"(x={pose.x:.1f}, y={pose.y:.2f}, heading={pose.heading:.3f})")
+
+
+def model_input_reach(cfg: CameraConfig) -> float:
+    """How far down the road the model input sees at the worst heading the
+    warp accepts (inf above the horizon).  Its farthest ground point is a
+    corner ``r (cos a, sin a)``, which lies ``r cos(a + heading)`` ahead."""
+    xf, yf, front = _rect_corners(cfg)
+    turn = np.maximum(np.abs(np.arctan2(yf, xf)) - MAX_HEADING, 0.0)
+    far = np.hypot(xf, yf) * np.cos(turn)
+    return float(np.max(np.where(front, far, np.inf)))
 
 
 def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
@@ -264,35 +264,41 @@ def _rows_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
 
 
 def _footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
-    """Image mask of the pixels whose ground point lies inside ``rect``,
-    computed on the rows that can see it; also returns those rows' ground
-    points and rect hits as ``(mask, gx, gy, hit)``."""
+    """Sorted flat indices of the pixels whose ground point lies inside
+    ``rect``, found on the rows that can see it; also returns their ground
+    points and how many of them lie in the model input."""
     rows = _rows_seeing(cfg, pose, rect)
     xf, yf, front = _vehicle_ground_grid(cfg)
     gx, gy = _vehicle_to_world(pose, xf[rows], yf[rows])
     x_lo, x_hi, y_lo, y_hi = rect
     hit = (front[rows] & (gx >= x_lo) & (gx <= x_hi)
            & (gy >= y_lo) & (gy <= y_hi))
-    mask = np.zeros(front.shape, dtype=bool)
-    mask[rows] = hit
-    return mask, gx, gy, hit
+    rx, ry, rw, rh = cfg.model_input_rect
+    in_rect = hit[max(ry - rows.start, 0):max(ry + rh - rows.start, 0),
+                  rx:rx + rw]
+    pixels = np.flatnonzero(hit) + rows.start * cfg.image_size[0]
+    return pixels, gx[hit], gy[hit], int(np.count_nonzero(in_rect))
 
 
 def patch_footprint(cfg: CameraConfig, pose: VehicleState,
                     patch: PatchState) -> np.ndarray:
     """Image mask of pixels whose ground point lies inside the patch rect."""
-    return _footprint_band(cfg, pose, patch.placement.rect)[0]
+    mask = np.zeros(cfg.image_size[::-1], dtype=bool)
+    mask.ravel()[_footprint_band(cfg, pose, patch.placement.rect)[0]] = True
+    return mask
 
 
 def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                 patch: PatchState) -> tuple[np.ndarray, np.ndarray]:
-    """The patch footprint and the warped grays over it, in row-major order.
+                 patch: PatchState) -> tuple[np.ndarray, np.ndarray, int]:
+    """The patch footprint as sorted flat image indices, the warped grays
+    there, and how many of those pixels lie in the model input.
 
-    Equals ``(patch_footprint(...), warp_bev_to_camera(...).pixels[mask])``
-    but samples only the footprint pixels.
+    Equals ``np.flatnonzero(patch_footprint(...))`` and the dense warp's
+    grays there, but builds no image-sized array.
     """
-    mask, gx, gy, hit = _footprint_band(cfg, pose, patch.placement.rect)
-    return mask, _sample_ground(bev, gx[hit], gy[hit], True)
+    pixels, gx, gy, rect_count = _footprint_band(cfg, pose,
+                                                 patch.placement.rect)
+    return pixels, _sample_ground(bev, gx, gy, True), rect_count
 
 
 def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .attack import AttackConfig, PipelineConfig
-from .camera import CameraConfig
+from .camera import CameraConfig, model_input_reach
 from .controller import ControllerConfig
 from .detector import DetectorConfig, sampling_positions
 from .errors import ConfigError, ConstraintViolationError, InvalidArgumentError
@@ -240,6 +240,19 @@ class ScenarioConfig:
         return identity_patch(self.placement, self.patch_grid_mpp, self.road,
                               v_min=self.patch_v_min, v_max=self.patch_v_max)
 
+    def check_placement(self, placement: PatchPlacement) -> None:
+        """Raise ``ConfigError`` unless ``placement`` (plus its margin) stays
+        off both lane lines and inside the rendered scene extent."""
+        try:
+            check_placement(placement, self.road)
+        except ConstraintViolationError as exc:
+            raise ConfigError("patch.placement", str(exc)) from exc
+        x_lo, x_hi, y_lo, y_hi = placement.rect
+        ex_lo, ex_hi, ey_lo, ey_hi = self.extent
+        if x_lo < ex_lo or x_hi > ex_hi or y_lo < ey_lo or y_hi > ey_hi:
+            raise ConfigError("patch.start_x",
+                              "patch placement leaves the rendered scene extent")
+
 
 def _build(section: str, cls, doc: dict, **given):
     """``cls`` from its fields in the merged ``doc`` (lists as tuples) and
@@ -343,21 +356,20 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("controller.lookahead",
                           "must lie within the detector band range")
 
-    try:
-        check_placement(cfg.placement, cfg.road)
-    except ConstraintViolationError as exc:
-        raise ConfigError("patch.placement", str(exc)) from exc
-
-    x_lo, x_hi, y_lo, y_hi = cfg.placement.rect
-    ex_lo, ex_hi, ey_lo, ey_hi = cfg.extent
-    if x_lo < ex_lo or x_hi > ex_hi or y_lo < ey_lo or y_hi > ey_hi:
-        raise ConfigError("patch.start_x",
-                          "patch placement leaves the rendered scene extent")
+    cfg.check_placement(cfg.placement)
 
     try:
         sampling_positions(cfg.detector, cfg.camera)
     except InvalidArgumentError as exc:
         raise ConfigError("detector", str(exc)) from exc
+
+    # Every model input needs ground; no pose passes speed * duration.
+    reach = model_input_reach(cfg.camera)
+    need = cfg.start_x + cfg.speed_kmh / 3.6 * cfg.duration_s + reach
+    if cfg.extent[1] < need:
+        raise ConfigError("road.road_length", f"the road ends at x = "
+                          f"{cfg.extent[1]:.2f} m but the drive sees up to "
+                          f"{need:.2f} m ({reach:.2f} m past its last pose)")
 
 
 def load_config(path, seed_override: int | None = None) -> ScenarioConfig:

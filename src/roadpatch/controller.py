@@ -57,4 +57,4 @@ def steer_from_path(path: DesiredPath, cfg: ControllerConfig,
     offset = path.value(cfg.lookahead)
     raw = cfg.steer_gain * math.atan(
         2.0 * params.wheelbase * offset / (cfg.lookahead ** 2))
-    return clamp_steer(raw, params.max_steer)[0]
+    return clamp_steer(raw, params.max_steer)

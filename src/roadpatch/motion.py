@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidArgumentError
 
 
@@ -52,13 +50,9 @@ class VehicleParams:
             raise InvalidArgumentError("max_steer must be in (0, pi/2)")
 
 
-def clamp_steer(steer: float, limit: float) -> tuple[float, bool]:
-    """Clamp a steering command to ``[-limit, limit]``; flag if it clipped."""
-    if steer > limit:
-        return limit, True
-    if steer < -limit:
-        return -limit, True
-    return steer, False
+def clamp_steer(steer: float, limit: float) -> float:
+    """Clamp a steering command to ``[-limit, limit]``."""
+    return min(max(steer, -limit), limit)
 
 
 def step(state: VehicleState, steer: float, params: VehicleParams) -> VehicleState:
@@ -66,12 +60,12 @@ def step(state: VehicleState, steer: float, params: VehicleParams) -> VehicleSta
 
     x' = x + v cos(h) dt,  y' = y + v sin(h) dt,
     h' = h + (v / wheelbase) tan(steer) dt.
-    Steering beyond the limit is clamped (see :func:`clamp_steer` to
-    observe the flag).
+    Steering beyond ``params.max_steer`` is clamped to it
+    (:func:`clamp_steer`).
     """
     if not math.isfinite(steer):
         raise InvalidArgumentError("steer must be finite")
-    delta, _ = clamp_steer(steer, params.max_steer)
+    delta = clamp_steer(steer, params.max_steer)
     v, h, dt = state.speed, state.heading, params.dt
     return VehicleState(
         x=state.x + v * math.cos(h) * dt,
@@ -79,24 +73,3 @@ def step(state: VehicleState, steer: float, params: VehicleParams) -> VehicleSta
         heading=h + (v / params.wheelbase) * math.tan(delta) * dt,
         speed=v,
     )
-
-
-def rollout(state0: VehicleState, steers, params: VehicleParams):
-    """Integrate a steering sequence; returns T+1 states and clamp flags."""
-    states = [state0]
-    clamped = []
-    s = state0
-    for d in steers:
-        _, flag = clamp_steer(float(d), params.max_steer)
-        clamped.append(flag)
-        s = step(s, float(d), params)
-        states.append(s)
-    return states, clamped
-
-
-def trajectory_array(states, dt: float) -> np.ndarray:
-    """Stack states into an (N, 5) array of [t, x, y, heading, speed]."""
-    out = np.empty((len(states), 5))
-    for k, s in enumerate(states):
-        out[k] = (k * dt, s.x, s.y, s.heading, s.speed)
-    return out

@@ -75,15 +75,6 @@ def save_bev(path, bev: BevImage, extra: dict | None = None) -> None:
                                    + "\n")
 
 
-def load_bev(path) -> BevImage:
-    meta = json.loads(_sidecar_path(path).read_text())
-    if meta.get("kind") != "bev":
-        raise InvalidArgumentError(f"{path} sidecar does not describe a scene")
-    return BevImage(pixels=read_pgm(path),
-                    meters_per_pixel=float(meta["meters_per_pixel"]),
-                    origin=(float(meta["origin"][0]), float(meta["origin"][1])))
-
-
 def save_patch(path, patch: PatchState, extra: dict | None = None) -> None:
     write_pgm(path, patch.values)
     p = patch.placement

@@ -36,7 +36,7 @@ class RoadSpec:
     asphalt_intensity: float = 0.30
     texture_noise_amp: float = 0.02
     texture_seed: int = 0
-    road_length: float = 200.0
+    road_length: float = 270.0
 
     def __post_init__(self):
         if not 0.0 < self.lane_line_width < self.lane_width:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .attack import PipelineConfig, RolloutRecord, rollout_with_patch
 from .errors import InvalidArgumentError
-from .motion import VehicleState, trajectory_array
+from .motion import VehicleState
 from .scene import BevImage, PatchState
 
 
@@ -35,16 +35,12 @@ class SimResult:
     def succeeded(self) -> bool:
         return self.attack_time is not None
 
-    def trajectory(self) -> np.ndarray:
-        """Rows ``t, x, y, heading, speed`` for each state, t in seconds."""
-        return trajectory_array(self.states, self.dt)
-
 
 def patch_entry_frame(record: RolloutRecord) -> int | None:
     """First frame whose model input contains any patch pixel (1-based)."""
-    for proj in record.projections:
+    for t, proj in enumerate(record.projections, start=1):
         if proj.rect_count > 0:
-            return proj.index
+            return t
     return None
 
 

@@ -20,14 +20,13 @@ from roadpatch.attack import (
 )
 from roadpatch.camera import (
     ground_to_image,
-    image_to_ground,
     patch_footprint,
     splat_camera_to_bev,
     warp_bev_to_camera,
 )
 from roadpatch.controller import path_derivatives
 from roadpatch.detector import desired_path, detect_lanes, support_set
-from roadpatch.motion import VehicleParams, VehicleState, rollout
+from roadpatch.motion import VehicleParams, VehicleState
 from roadpatch.pgmio import load_patch
 from roadpatch.scene import (
     composite_patch,
@@ -38,6 +37,7 @@ from roadpatch.scene import (
 from roadpatch.sim import run_closed_loop
 
 from conftest import run_cli
+from reference import image_to_ground, rollout
 
 
 def test_benign_closed_loop_stays_centered(record_check, scenario72,
@@ -219,7 +219,7 @@ def test_optimized_patch_respects_stealth_constraints(record_check,
                            pipe, scenario72.goal_m)
     ghost = run_closed_loop(scene, mask, scenario72.identity_patch(), state0,
                             scenario72.duration_s, pipe, scenario72.goal_m)
-    identity_exact = (np.array_equal(ghost.trajectory(), bare.trajectory())
+    identity_exact = (ghost.states == bare.states
                       and ghost.steers == bare.steers)
 
     ok = frac == 1.0 and lines_untouched and identity_exact

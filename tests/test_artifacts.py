@@ -8,13 +8,14 @@ from roadpatch.artifacts import (
     HISTORY_FIELDS,
     TRAJECTORY_FIELDS,
     read_report,
-    read_trajectory_csv,
     write_history_csv,
     write_report,
     write_trajectory_csv,
 )
 from roadpatch.attack import HistoryEntry, ObjectiveBreakdown
 from roadpatch.motion import VehicleState
+
+from reference import read_trajectory_csv
 
 
 def test_trajectory_round_trip(tmp_path):

@@ -24,16 +24,14 @@ from roadpatch.attack import (
 from roadpatch.camera import patch_footprint, splat_camera_to_bev, splat_pixels
 from roadpatch.detector import DesiredPath, detect_lanes, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
-from roadpatch.motion import VehicleState
 from roadpatch.sim import run_closed_loop
 
 BASE = 0.45
 
 
-def _proj(n_pixels, value, index=1):
-    return PatchProjection(index=index, count=n_pixels, rect_count=n_pixels,
-                           pixel_values=np.full(n_pixels, float(value)),
-                           pose=VehicleState(0.0, 0.0, 0.0, 20.0))
+def _proj(n_pixels, value):
+    return PatchProjection(rect_count=n_pixels,
+                           pixel_values=np.full(n_pixels, float(value)))
 
 
 def _quad_path():
@@ -91,7 +89,8 @@ def test_rollout_without_patch(scenario72, scene72):
     assert len(record.states) == 6
     assert record.frames_evaluated == 5
     assert not record.truncated
-    assert all(p.count == 0 and p.rect_count == 0 for p in record.projections)
+    assert all(p.pixel_values.size == 0 and p.rect_count == 0
+               for p in record.projections)
     assert all(d.tape is None for d in record.detections)
     assert record.max_lateral_deviation() < 0.01
     with pytest.raises(InvalidArgumentError):
@@ -108,8 +107,7 @@ def test_rollout_records_frames_and_sinks(scenario72, scene72):
                                 frame_sink=lambda f: seen.append(f.index))
     assert seen == [1, 2, 3]
     assert record.frames_evaluated == 3
-    assert record.projections[0].count > 0
-    assert record.projections[0].index == 1
+    assert record.projections[0].pixel_values.size > 0
     # a sink keeps neither tapes nor footprint indices
     assert record.projections[0].pixels is None
     assert record.detections[0].tape is None
@@ -177,7 +175,7 @@ def test_aggregate_is_the_mean_over_frames_that_saw_the_patch(scenario72,
     pts = pipe.controller.decision_points
     fg = [frame_gradient(record, t, scenario72.attack, pipe, pts, BASE)
           for t in range(2)]
-    counts = [p.count for p in record.projections]
+    counts = [p.pixel_values.size for p in record.projections]
     assert counts[0] > 0 and counts[1] > 0
     splats = [splat_camera_to_bev(g.image, pipe.camera, g.pose, scene,
                                   patch, mask) for g in fg]
@@ -217,8 +215,8 @@ def test_patch_gradient_is_the_documented_composition(scenario72, scene72):
     manual = aggregate_gradients_bev(
         [frame_gradient(record, t, cfg, pipe, pts, patch.base_value)
          for t in range(2)],
-        [p.count for p in record.projections], pipe.camera, scene, patch,
-        mask)
+        [p.pixel_values.size for p in record.projections], pipe.camera,
+        scene, patch, mask)
     auto = patch_gradient(record, cfg, pipe, scene, patch, mask)
     np.testing.assert_array_equal(auto, manual)
 
@@ -392,14 +390,13 @@ def test_support_rollout_sees_the_patch_like_the_dense_one(kind, scenario72,
                                  scenario72.initial_state(),
                                  cfg.horizon_frames, pipe)
     dense, frames = _sunk(scenario72, scene, mask, patch, cfg.horizon_frames)
-    assert [f.index for f in frames] == [p.index for p in dense.projections]
+    assert [f.index for f in frames] == list(range(1, len(dense.steers) + 1))
     assert support.states == dense.states and support.steers == dense.steers
     assert any(p.rect_count for p in dense.projections)
     pixels = support_set(pipe.detector, pipe.camera).pixels
     for a, b, det, frame in zip(support.projections, dense.projections,
                                 support.detections, frames, strict=True):
-        assert (a.index, a.count, a.rect_count) == (b.index, b.count,
-                                                    b.rect_count)
+        assert a.rect_count == b.rect_count
         np.testing.assert_array_equal(a.pixel_values, b.pixel_values)
         again = detect_lanes(frame.pixels.ravel()[pixels], pipe.detector,
                              pipe.camera)
@@ -447,18 +444,18 @@ def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
     record = rollout_with_patch(scene, mask, patch,
                                 scenario72.initial_state(), 3, pipe)
     rng = np.random.default_rng(8)
-    for proj in record.projections:
-        assert proj.count
+    for proj, pose in zip(record.projections, record.states):
+        assert proj.pixel_values.size
         pixels = np.union1d(support_set(pipe.detector, pipe.camera).pixels,
                             proj.pixels)
         values = rng.standard_normal(pixels.size)
         image = np.zeros(pipe.camera.image_size[::-1])
         image.ravel()[pixels] = values
-        sparse = splat_pixels([(proj.pose, pixels, values)], pipe.camera,
+        sparse = splat_pixels([(pose, pixels, values)], pipe.camera,
                               scene, patch, mask)
         assert sparse.shape == (1,) + patch.values.shape
         np.testing.assert_array_equal(
-            sparse[0], splat_camera_to_bev(image, pipe.camera, proj.pose,
+            sparse[0], splat_camera_to_bev(image, pipe.camera, pose,
                                            scene, patch, mask))
 
 
@@ -507,13 +504,11 @@ _REG_TERM = """
 import numpy as np
 from roadpatch.attack import PatchProjection, rollout_objective
 from roadpatch.detector import DesiredPath
-from roadpatch.motion import VehicleState
 rng = np.random.default_rng(3)
 path = DesiredPath(coeffs=(0.0, 0.01, 0.001, 0.0), valid_range=(6.0, 50.0))
-projs = [PatchProjection(index=k, count=38000, rect_count=38000,
-                         pixel_values=rng.uniform(0.05, 0.88, 38000),
-                         pose=VehicleState(0.0, 0.0, 0.0, 20.0))
-         for k in range(4)]
+projs = [PatchProjection(rect_count=38000,
+                         pixel_values=rng.uniform(0.05, 0.88, 38000))
+         for _ in range(4)]
 bd = rollout_objective([path] * 4, projs, 2e-5, (9.0, 13.0), "right", 0.45)
 print(repr(bd.reg_term))
 """

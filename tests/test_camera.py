@@ -12,7 +12,7 @@ from roadpatch.camera import (
     CameraConfig,
     check_pose_bounds,
     ground_to_image,
-    image_to_ground,
+    model_input_reach,
     patch_footprint,
     patch_pixels,
     pixel_ground_points,
@@ -37,6 +37,8 @@ from roadpatch.scene import (
     render_road_bev,
     uniform_patch,
 )
+
+from reference import image_to_ground
 
 CAM = CameraConfig()
 ORIGIN = VehicleState(0.0, 0.0, 0.0, 10.0)
@@ -203,10 +205,12 @@ def _dense_raises(scene, pose):
     return False
 
 
-@pytest.mark.parametrize("y, heading", [(0.0, 0.0), (1.0, 0.1)])
+@pytest.mark.parametrize("y, heading", [(0.0, 0.0), (1.0, 0.1),
+                                       (-2.0, -MAX_HEADING)])
 def test_crop_check_at_the_road_end_transition(y, heading, scene72):
     # Bisect the last sourced x to one ulp with the per-pixel rule; the
-    # corner rule must flip between the same two poses.
+    # corner rule must flip between the same two poses, and the loader's
+    # reach must cover it: tightly at the worst heading, -MAX_HEADING.
     scene = scene72[0]
     lo, hi = 150.0, 270.0
     assert not _crop_unsourced(scene, VehicleState(lo, y, heading, 20.0))
@@ -223,6 +227,9 @@ def test_crop_check_at_the_road_end_transition(y, heading, scene72):
         pose = VehicleState(x, y, heading, 20.0)
         assert _support_raises(scene, pose) is bad
         assert _dense_raises(scene, pose) is bad
+    end = scene.extent[1] - 0.5 * scene.meters_per_pixel   # last pixel center
+    gap = lo + model_input_reach(CAM) - end
+    assert gap >= -1e-9 and (heading != -MAX_HEADING or gap <= 1e-9)
 
 
 @pytest.mark.parametrize("extent, x_range", [
@@ -244,20 +251,31 @@ def test_crop_check_matches_the_per_pixel_rule(extent, x_range):
     assert any(verdicts) and not all(verdicts)
 
 
+_BEHIND = VehicleState(40.0, 0.0, 0.0, 10.0)
+# the patch lies 58-68 m ahead: across the model input's top row
+_RECT_TOP = VehicleState(-33.0, 0.5, 0.05, 10.0)
+
+
 @pytest.mark.parametrize("pose", [ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),
-                                  VehicleState(30.0, -2.5, -0.15, 10.0)])
+                                  VehicleState(30.0, -2.5, -0.15, 10.0),
+                                  _BEHIND, _RECT_TOP],
+                         ids=["pose0", "pose1", "pose2", "behind", "rect-top"])
 def test_patch_footprint_matches_a_per_pixel_reference(pose):
     scene, mask = _scene()
     patch = uniform_patch(PatchPlacement(25.0, 0.3, 2.4, 10.0), 0.1, 0.45)
     gx, gy, front = pixel_ground_points(CAM, pose)
     x_lo, x_hi, y_lo, y_hi = patch.placement.rect
     want = front & (gx >= x_lo) & (gx <= x_hi) & (gy >= y_lo) & (gy <= y_hi)
-    assert want.any()
+    rows = np.flatnonzero(want.any(axis=1))
+    assert (rows.size == 0) == (pose == _BEHIND)
+    if pose == _RECT_TOP:
+        assert rows[0] < CAM.model_input_rect[1] <= rows[-1]
     np.testing.assert_array_equal(patch_footprint(CAM, pose, patch), want)
     bev = composite_patch(scene, patch, mask)
-    got_mask, got_values = patch_pixels(bev, CAM, pose, patch)
-    np.testing.assert_array_equal(got_mask, want)
-    np.testing.assert_array_equal(got_values, _per_pixel_warp(bev, pose)[0][want])
+    pixels, values, rect_count = patch_pixels(bev, CAM, pose, patch)
+    np.testing.assert_array_equal(pixels, np.flatnonzero(want))
+    np.testing.assert_array_equal(values, _per_pixel_warp(bev, pose)[0][want])
+    assert rect_count == np.count_nonzero(want[CAM.rect_slices])
 
 
 @pytest.mark.parametrize("pose", [ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from conftest import run_cli
-from roadpatch.artifacts import read_report, read_trajectory_csv
-from roadpatch.config import config_hash, load_config
+from reference import read_trajectory_csv
+from roadpatch.artifacts import read_report
+from roadpatch.config import config_hash, load_config, resolve_scenario
 from roadpatch.pgmio import load_patch, read_pgm, save_patch
 
 
@@ -48,6 +49,14 @@ def test_benign_run(tiny, tmp_path):
     rows = read_trajectory_csv(tmp_path / "benign_trajectory.csv")
     assert len(rows) == 21
     assert rows[0]["t"] == 0.0 and rows[-1]["steer"] is None
+
+    # the all-defaults scenario drives its whole 10 s
+    defaults = tmp_path / "defaults.json"
+    defaults.write_text("{}")
+    assert run_cli("benign", defaults, "--out", tmp_path,
+                   "--deterministic") == 0
+    rep = read_report(tmp_path / "benign_report.json")
+    assert rep["frames_evaluated"] == 200 and not rep["truncated"]
 
 
 def test_optimize_then_evaluate(tiny, tmp_path):
@@ -143,18 +152,27 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["field"] == "patch"
 
-    # a patch that does not load is a configuration problem too
+    # a patch that does not load, or does not fit the scenario the way
+    # the scenario's own patch must, is a configuration problem too
     patch = tmp_path / "p.pgm"
     sidecar = patch.with_suffix(".json")
     save_patch(patch, load_config(tiny).initial_patch())
     meta, raster = json.loads(sidecar.read_text()), patch.read_bytes()
     unplaced = {k: v for k, v in meta.items() if k != "placement"}
+
+    def placed(**kw):
+        return json.dumps({**meta, "placement": {**meta["placement"], **kw}})
+
     for text, pgm in [(None, raster),                          # no sidecar
                       ("{not json", raster),
                       (json.dumps(unplaced), raster),
                       (json.dumps({**meta, "kind": "bev"}), raster),
                       (json.dumps({**meta, "v_min": 0.7}), raster),
-                      (json.dumps(meta), b"P2\n1 1\n255\n0\n")]:
+                      (json.dumps(meta), b"P2\n1 1\n255\n0\n"),
+                      (placed(width=6.0), raster),             # over the lines
+                      (placed(start_x=500.0), raster),         # off the scene
+                      (json.dumps({**meta, "v_min": 0.40, "v_max": 0.44,
+                                   "base_value": 0.42}), raster)]:
         patch.write_bytes(pgm)
         sidecar.unlink(missing_ok=True)
         if text is not None:
@@ -163,19 +181,23 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
                        "--patch", patch) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and err["field"] == "patch"
+        assert not (tmp_path / "evaluate_report.json").exists()
 
-    negative = tmp_path / "negative.json"
+    refused = tmp_path / "refused.json"
+    highway72 = json.loads(resolve_scenario("highway-72").read_text())
     for flags, doc, env, field in [
             (["--seed", -1], {}, None, "seed"),
             ([], {"seed": -1}, None, "seed"),
             ([], {}, "-2", "seed"),
-            ([], {"road": {"texture_seed": -3}}, None, "road")]:
-        negative.write_text(json.dumps(doc))
+            ([], {"road": {"texture_seed": -3}}, None, "road"),
+            # 10 s at 81 km/h outruns highway-72's 270 m road
+            ([], {**highway72, "speed_kmh": 81.0}, None, "road.road_length")]:
+        refused.write_text(json.dumps(doc))
         if env is None:
             monkeypatch.delenv("DRP_SEED", raising=False)
         else:
             monkeypatch.setenv("DRP_SEED", env)
-        assert run_cli("benign", negative, "--out", tmp_path, *flags) == 2
+        assert run_cli("benign", refused, "--out", tmp_path, *flags) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and err["field"] == field
     monkeypatch.delenv("DRP_SEED", raising=False)

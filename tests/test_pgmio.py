@@ -5,7 +5,6 @@ import pytest
 
 from roadpatch.errors import InvalidArgumentError
 from roadpatch.pgmio import (
-    load_bev,
     load_patch,
     read_pgm,
     save_bev,
@@ -13,6 +12,8 @@ from roadpatch.pgmio import (
     write_pgm,
 )
 from roadpatch.scene import BevImage, PatchPlacement, uniform_patch
+
+from reference import load_bev
 
 HALF_Q = 0.5 / 65535
 

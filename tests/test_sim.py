@@ -5,15 +5,12 @@ import pytest
 
 from roadpatch.attack import PatchProjection, RolloutRecord
 from roadpatch.errors import InvalidArgumentError
-from roadpatch.motion import VehicleState
 from roadpatch.sim import attack_success_time, patch_entry_frame, run_closed_loop
 
 
 def _record(rect_counts):
-    projs = [PatchProjection(index=i + 1, count=rc, rect_count=rc,
-                             pixel_values=np.zeros(0),
-                             pose=VehicleState(0.0, 0.0, 0.0, 10.0))
-             for i, rc in enumerate(rect_counts)]
+    projs = [PatchProjection(rect_count=rc, pixel_values=np.zeros(rc))
+             for rc in rect_counts]
     return RolloutRecord(states=[], steers=[], detections=[], paths=[],
                          projections=projs, truncated=False)
 
@@ -58,7 +55,7 @@ def test_benign_half_second_run(scenario72, scene72):
                              0.5, scenario72.pipeline(), scenario72.goal_m)
     assert result.frames_evaluated == 10
     assert len(result.steers) == 10 and not result.truncated
-    assert result.trajectory().shape == (11, 5)
+    assert len(result.states) == 11
     assert result.patch_entry_frame is None
     assert result.attack_time is None and not result.succeeded
     assert result.max_lateral_deviation < 0.01
@@ -82,5 +79,5 @@ def test_identity_patch_run_matches_the_bare_road(scenario72, scene72):
     # the patch is seen (it enters the crop) but must change nothing
     assert ghost.patch_entry_frame is not None
     assert ghost.attack_time is None
-    np.testing.assert_array_equal(ghost.trajectory(), bare.trajectory())
+    assert ghost.states == bare.states
     assert ghost.steers == bare.steers
