@@ -161,9 +161,10 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     patch, the footprint's grays, found from its sorted flat pixel indices
     without an image-sized mask.  A whole frame (the dense warp) is
     rendered only for ``frame_sink``, after its detection succeeded.  A
-    patched rollout without a sink keeps each frame's detector tape beside
-    the footprint's indices and grays, which is all a gradient pass needs;
-    any other rollout keeps neither, so a frame sink leaves no frame alive.
+    patched rollout without a sink keeps each frame's rectified detector
+    responses beside the footprint's indices and grays, which is all a
+    gradient pass needs; any other rollout keeps neither, so a frame sink
+    leaves no frame alive.
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
@@ -195,7 +196,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
             truncated = True
             break
         if not taped:
-            det.tape = None
+            det.responses = None
         path = desired_path(det, pipe.detector)
         steer = steer_from_path(path, pipe.controller, pipe.vehicle)
         if frame_sink is not None:
@@ -253,10 +254,10 @@ def _taped_detection(record: RolloutRecord, t: int) -> LaneDetection:
     if not 0 <= t < record.frames_evaluated:
         raise InvalidArgumentError(f"frame index {t} outside the record")
     detection = record.detections[t]
-    if detection.tape is None:
+    if detection.responses is None:
         raise InvalidArgumentError(
-            "rollout kept no detector tapes: rerun it with a patch and no "
-            "frame sink")
+            "rollout kept no detector responses: rerun it with a patch and "
+            "no frame sink")
     return detection
 
 
@@ -274,8 +275,8 @@ def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
     States are taken as recorded: only this frame's detection and its
     visible patch pixels vary.  The gradient is zero outside the
     detector's pixel support (path term) and the patch footprint (stealth
-    term).  It is computed from the detection tape and the footprint grays
-    the rollout recorded.
+    term).  It is computed from the detector responses and the footprint
+    grays the rollout recorded.
     """
     detection = _taped_detection(record, t)
     img = detector_gradient(detection,
@@ -342,8 +343,9 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
     :func:`aggregate_gradients_bev`.
 
     Each frame's gradient is taken on the sorted union of the detector's
-    pixel support and the patch footprint, from the detection tape and the
-    footprint grays the rollout recorded, so no frame is rendered or read.
+    pixel support and the patch footprint, from the detector responses and
+    the footprint grays the rollout recorded, so no frame is rendered or
+    read.
     Every pixel left out has exactly zero gradient, so the result is
     bit-identical to splatting the whole images.
     """

@@ -46,9 +46,9 @@ EXIT_GOAL_NOT_MET = 4
 
 
 def _out_dir(args, cfg: ScenarioConfig) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / cfg.name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The run directory; a command makes it just before its first
+    artifact, so a refused run leaves none."""
+    return Path(args.out) if args.out else Path("runs") / cfg.name
 
 
 def _base_report(kind: str, cfg: ScenarioConfig, args) -> dict:
@@ -77,6 +77,7 @@ def cmd_render(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args, cfg)
     scene, mask = cfg.build_scene()
+    out.mkdir(parents=True, exist_ok=True)
     pgmio.save_bev(out / "scene.pgm", scene, extra={"scenario": cfg.name,
                                                     "config_hash": cfg.hash})
     pgmio.write_pgm(out / "line_mask.pgm", mask.astype(float))
@@ -92,7 +93,7 @@ def cmd_render(args) -> int:
 
 
 def _run_and_report(kind: str, cfg: ScenarioConfig, args, patch,
-                    patch_label: str) -> tuple[dict, int]:
+                    patch_label: str) -> dict:
     scene, mask = cfg.build_scene()
     sink = _frame_sink(Path(args.dump_frames)) if getattr(
         args, "dump_frames", None) else None
@@ -100,6 +101,7 @@ def _run_and_report(kind: str, cfg: ScenarioConfig, args, patch,
                              cfg.duration_s, cfg.pipeline(), cfg.goal_m,
                              frame_sink=sink)
     out = _out_dir(args, cfg)
+    out.mkdir(parents=True, exist_ok=True)
     traj_name = f"{kind}_trajectory.csv"
     artifacts.write_trajectory_csv(out / traj_name, result.states,
                                    result.dt, result.steers)
@@ -117,16 +119,16 @@ def _run_and_report(kind: str, cfg: ScenarioConfig, args, patch,
         "trajectory_file": traj_name,
     })
     artifacts.write_report(out / f"{kind}_report.json", rep)
-    return rep, EXIT_OK
+    return rep
 
 
 def cmd_benign(args) -> int:
     cfg = _load_scenario(args)
-    rep, code = _run_and_report("benign", cfg, args, None, "none")
+    rep = _run_and_report("benign", cfg, args, None, "none")
     print(f"benign run '{cfg.name}': max |y| = "
           f"{rep['max_lateral_deviation']:.4f} m over "
           f"{rep['frames_evaluated']} frames")
-    return code
+    return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
@@ -143,6 +145,7 @@ def cmd_optimize(args) -> int:
                             cfg.initial_state(), cfg.pipeline(), cfg.attack,
                             logger=log if args.verbose else None)
     elapsed = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
     pgmio.save_patch(out / "patch.pgm", result.patch,
                      extra={"scenario": cfg.name, "config_hash": cfg.hash})
     artifacts.write_history_csv(out / "history.csv", result.history)
@@ -196,7 +199,7 @@ def cmd_evaluate(args) -> int:
         if not patch.within_bounds():
             raise ConfigError("patch", f"the grays of {patch_path} stray "
                                        f"outside [v_min, v_max]")
-    rep, code = _run_and_report("evaluate", cfg, args, patch, label)
+    rep = _run_and_report("evaluate", cfg, args, patch, label)
     if rep["success"]:
         print(f"evaluate '{cfg.name}': goal {cfg.goal_m} m reached "
               f"{rep['attack_time_s']:.3f} s after patch entry "
@@ -206,7 +209,7 @@ def cmd_evaluate(args) -> int:
               f"(max |y| = {rep['max_lateral_deviation']:.3f} m)")
         if args.require_success:
             return EXIT_GOAL_NOT_MET
-    return code
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -255,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_scenario:
             p.add_argument("scenario",
                            help="scenario JSON path or bundled name "
-                                f"({', '.join(builtin_scenarios())})"
-                           if _have_builtins() else
-                           "scenario JSON path or bundled name")
+                                f"({', '.join(builtin_scenarios())})")
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
         p.add_argument("--out", default=None,
@@ -298,13 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     return parser
-
-
-def _have_builtins() -> bool:
-    try:
-        return bool(builtin_scenarios())
-    except Exception:
-        return False
 
 
 def main(argv=None) -> int:

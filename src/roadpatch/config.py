@@ -363,13 +363,17 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
     except InvalidArgumentError as exc:
         raise ConfigError("detector", str(exc)) from exc
 
-    # Every model input needs ground; no pose passes speed * duration.
+    # Every model input needs ground; no pose passes speed * duration.  The
+    # raster is sourced up to its last pixel centre, half a pixel short of
+    # the extent.
     reach = model_input_reach(cfg.camera)
     need = cfg.start_x + cfg.speed_kmh / 3.6 * cfg.duration_s + reach
-    if cfg.extent[1] < need:
-        raise ConfigError("road.road_length", f"the road ends at x = "
-                          f"{cfg.extent[1]:.2f} m but the drive sees up to "
-                          f"{need:.2f} m ({reach:.2f} m past its last pose)")
+    mpp = cfg.meters_per_pixel
+    last = cfg.x_min + (round(cfg.road.road_length / mpp) - 0.5) * mpp
+    if last < need:
+        raise ConfigError("road.road_length", f"the road is sourced up to "
+                          f"x = {last:.3f} m but the drive sees up to "
+                          f"{need:.3f} m ({reach:.2f} m past its last pose)")
 
 
 def load_config(path, seed_override: int | None = None) -> ScenarioConfig:

@@ -9,17 +9,20 @@ line by weighted least squares.  The desired driving path is the
 coefficient-wise mean of the two line fits.
 
 Every stage is an explicit closed form, so the exact pixel gradient of
-any scalar in the fitted coefficients is available analytically; the
-forward pass records a tape that the backward pass consumes.  Both
+any scalar in the fitted coefficients is available analytically.  The
+forward pass keeps one array for the backward pass, the rectified
+responses; every other forward quantity is a deterministic function of
+them, which the backward pass recomputes (rematerialization).  Both
 passes live on the detector's pixel support (``support_set``): the
 forward pass reads only those pixels' grays, the backward pass only the
-tape.
+responses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -78,33 +81,30 @@ class DesiredPath:
 
 @dataclass
 class LaneDetection:
-    """Per-line fits plus the band evidence they were built from."""
+    """Per-line fits plus the rectified responses they were built from.
+
+    ``responses`` (bands x columns) is the whole tape of the backward
+    pass; a rollout that takes no gradient drops it (``None``).
+    """
 
     left_coeffs: np.ndarray
     right_coeffs: np.ndarray
-    positions_left: np.ndarray    # per-band lateral estimate of the left line
-    positions_right: np.ndarray
-    weights_left: np.ndarray      # per-band confidence (rectified mass)
-    weights_right: np.ndarray
-    low_confidence_left: np.ndarray
-    low_confidence_right: np.ndarray
-    tape: "DetectionTape | None" = None
-
-
-@dataclass
-class DetectionTape:
-    """Forward-pass record needed to run the analytic backward pass."""
-
-    responses: np.ndarray
-    halves: dict
+    responses: np.ndarray | None
 
 
 class _Plan:
-    """Everything about a (detector, camera) pair that frames share."""
+    """Everything about a (detector, camera) pair that frames share.
+
+    ``dists``/``ys`` span the ground grid, ``T``/``M`` are the scaled fit
+    basis and its change back to powers of distance.  ``pixels`` holds
+    the sorted flat image indices the grid's bilinear samples read and
+    ``xf``/``yf``/``front`` their pose-independent ground points in the
+    vehicle frame; ``taps``/``weights`` are the four bilinear taps of
+    every sample at ``(v, u)``, remapped to positions in ``pixels``.
+    """
 
     def __init__(self, det: DetectorConfig, cam: CameraConfig):
         self.det = det
-        self.cam = cam
         self.dists = np.linspace(det.band_near, det.band_far, det.n_bands)
         self.ys = np.linspace(-det.lateral_span, det.lateral_span, det.n_lateral)
         self.dy = self.ys[1] - self.ys[0]
@@ -123,11 +123,17 @@ class _Plan:
         if self.cols_left.size < 2 or self.cols_right.size < 2:
             raise InvalidArgumentError("each search half needs >= 2 columns")
         # Scaled fit basis keeps the normal equations well conditioned.
-        self.mid = 0.5 * (det.band_near + det.band_far)
-        self.half_range = 0.5 * (det.band_far - det.band_near)
-        t = (self.dists - self.mid) / self.half_range
+        mid = 0.5 * (det.band_near + det.band_far)
+        half_range = 0.5 * (det.band_far - det.band_near)
+        t = (self.dists - mid) / half_range
         self.T = np.vander(t, det.poly_degree + 1, increasing=True)
-        self.M = _basis_change(self.mid, self.half_range, det.poly_degree)
+        self.M = _basis_change(mid, half_range, det.poly_degree)
+        w, h = cam.image_size
+        idx, self.weights = interp.taps(self.v, self.u, (h, w))
+        self.pixels = np.unique(np.concatenate([k.ravel() for k in idx]))
+        self.taps = tuple(np.searchsorted(self.pixels, k) for k in idx)
+        self.xf, self.yf, self.front = (
+            a.ravel()[self.pixels] for a in _vehicle_ground_grid(cam))
 
 
 def _basis_change(mid: float, half_range: float, degree: int) -> np.ndarray:
@@ -141,32 +147,10 @@ def _basis_change(mid: float, half_range: float, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _plan(det: DetectorConfig, cam: CameraConfig) -> _Plan:
+def support_set(det: DetectorConfig, cam: CameraConfig) -> _Plan:
+    """The grid, fit basis and pixel support of a (detector, camera) pair,
+    computed once."""
     return _Plan(det, cam)
-
-
-class Support:
-    """The image pixels the detector's bilinear samples read.
-
-    ``pixels`` holds their sorted flat image indices and ``xf``/``yf``/
-    ``front`` their pose-independent ground points in the vehicle frame;
-    ``taps``/``weights`` are the four bilinear taps of every sample at
-    ``(_Plan.v, _Plan.u)``, remapped to positions in ``pixels``.
-    """
-
-    def __init__(self, plan: _Plan):
-        w, h = plan.cam.image_size
-        idx, self.weights = interp.taps(plan.v, plan.u, (h, w))
-        self.pixels = np.unique(np.concatenate([k.ravel() for k in idx]))
-        self.taps = tuple(np.searchsorted(self.pixels, k) for k in idx)
-        self.xf, self.yf, self.front = (
-            a.ravel()[self.pixels] for a in _vehicle_ground_grid(plan.cam))
-
-
-@lru_cache(maxsize=16)
-def support_set(det: DetectorConfig, cam: CameraConfig) -> Support:
-    """The pixel support of a (detector, camera) pair, computed once."""
-    return Support(_plan(det, cam))
 
 
 def _soft_argmax_rows(resp: np.ndarray, tau: float):
@@ -189,6 +173,42 @@ def _fit_half(plan: _Plan, y_est: np.ndarray, w: np.ndarray):
     return plan.M @ ct, A, ct
 
 
+class _Line(NamedTuple):
+    """One line's forward pass, as :func:`_fit_lines` computes it."""
+
+    cols: np.ndarray      # grid columns of this search half
+    mass: np.ndarray      # per-band rectified mass, the fit's weights
+    idx: np.ndarray       # per-band soft-argmax column, local to the half
+    w_soft: np.ndarray    # soft-argmax weights
+    y_est: np.ndarray     # per-band lateral estimate
+    coeffs: np.ndarray    # fit in powers of distance
+    A: np.ndarray         # weighted normal equations
+    ct: np.ndarray        # fit in the scaled basis
+
+
+def _fit_lines(responses: np.ndarray, plan: _Plan) -> tuple[_Line, _Line]:
+    """The left and right line fits from the rectified responses.
+
+    Raises ``DetectionFailedError`` when more than half the bands of a
+    line carry no response above the bias.
+    """
+    det = plan.det
+    lines = []
+    for name, cols in (("left", plan.cols_left), ("right", plan.cols_right)):
+        resp = responses[:, cols]
+        mass = resp.sum(axis=1)
+        low = np.count_nonzero(mass == 0.0)
+        if low > det.n_bands // 2:
+            raise DetectionFailedError(
+                f"{name} line: {low} of {det.n_bands} bands have no "
+                f"response above the bias")
+        idx, w_soft = _soft_argmax_rows(resp, det.tau)
+        y_est = plan.ys[cols[0]] + idx * plan.dy
+        lines.append(_Line(cols, mass, idx, w_soft, y_est,
+                           *_fit_half(plan, y_est, mass)))
+    return tuple(lines)
+
+
 def detect_lanes(values: np.ndarray, det: DetectorConfig,
                  cam: CameraConfig) -> LaneDetection:
     """Run the surrogate detector on the grays of the ``support_set`` pixels.
@@ -199,39 +219,16 @@ def detect_lanes(values: np.ndarray, det: DetectorConfig,
     ``DetectionFailedError`` when more than half the bands of either line
     carry no evidence.
     """
-    sup = support_set(det, cam)
-    samples = interp.combine(values, sup.taps, sup.weights)
-    return _lane_detection(samples, _plan(det, cam))
+    plan = support_set(det, cam)
+    return _lane_detection(interp.combine(values, plan.taps, plan.weights),
+                           plan)
 
 
 def _lane_detection(samples: np.ndarray, plan: _Plan) -> LaneDetection:
-    """Forward pass from the (bands, columns) sample grid, taped for the
-    backward pass."""
-    det = plan.det
-    responses = np.maximum(samples - det.response_bias, 0.0)
-    halves = {}
-    for name, cols in (("left", plan.cols_left), ("right", plan.cols_right)):
-        resp = responses[:, cols]
-        mass = resp.sum(axis=1)
-        low = mass == 0.0
-        if np.count_nonzero(low) > det.n_bands // 2:
-            raise DetectionFailedError(
-                f"{name} line: {int(low.sum())} of {det.n_bands} bands have no "
-                f"response above the bias")
-        idx, w_soft = _soft_argmax_rows(resp, det.tau)
-        y_est = plan.ys[cols[0]] + idx * plan.dy
-        coeffs, A, ct = _fit_half(plan, y_est, mass)
-        halves[name] = dict(cols=cols, mass=mass, low=low, idx=idx,
-                            w_soft=w_soft, y_est=y_est, coeffs=coeffs,
-                            A=A, ct=ct)
-    tape = DetectionTape(responses=responses, halves=halves)
-    left, right = halves["left"], halves["right"]
-    return LaneDetection(
-        left_coeffs=left["coeffs"], right_coeffs=right["coeffs"],
-        positions_left=left["y_est"], positions_right=right["y_est"],
-        weights_left=left["mass"], weights_right=right["mass"],
-        low_confidence_left=left["low"], low_confidence_right=right["low"],
-        tape=tape)
+    """Forward pass from the (bands, columns) sample grid."""
+    responses = np.maximum(samples - plan.det.response_bias, 0.0)
+    left, right = _fit_lines(responses, plan)
+    return LaneDetection(left.coeffs, right.coeffs, responses)
 
 
 def desired_path(detection: LaneDetection, det: DetectorConfig) -> DesiredPath:
@@ -259,38 +256,40 @@ def support_gradient(detection: LaneDetection, upstream: np.ndarray,
     the desired-path coefficients.  The result holds one value per pixel
     of ``support_set(det, cam).pixels``; every other pixel's gradient is
     zero.  All stages of the forward pass (soft argmax, confidence
-    weights, weighted fit) are differentiated.  The sample gradients are
-    scattered through the support's taps with the same sums as a
-    full-image :func:`interp.scatter`, so the values are bit-identical to
-    that image's values on the support.
+    weights, weighted fit) are differentiated; they are recomputed from
+    ``detection.responses`` by the same :func:`_fit_lines` the forward
+    pass ran, so they are bit-identical to its values.  The sample
+    gradients are scattered through the support's taps with the same sums
+    as a full-image :func:`interp.scatter`, so the values are
+    bit-identical to that image's values on the support.
     """
-    tape = detection.tape
-    if tape is None:
-        raise InvalidArgumentError("detection carries no tape")
-    plan = _plan(det, cam)
-    g_line = 0.5 * np.asarray(upstream, dtype=float)  # mean over two lines
-    d_resp = np.zeros((plan.det.n_bands, plan.det.n_lateral))
-    for name in ("left", "right"):
-        h = tape.halves[name]
-        g_t = plan.M.T @ g_line
-        sA = np.linalg.solve(h["A"], g_t)
+    if detection.responses is None:
+        raise InvalidArgumentError("detection carries no responses")
+    plan = support_set(det, cam)
+    g_t = plan.M.T @ (0.5 * np.asarray(upstream, dtype=float))  # line mean
+    d_resp = np.zeros((det.n_bands, det.n_lateral))
+    for line in _fit_lines(detection.responses, plan):
+        sA = np.linalg.solve(line.A, g_t)
         r_proj = plan.T @ sA                      # dL/d(weighted residual row)
-        d_y = h["mass"] * r_proj                  # dL/d(y_est)
-        resid = h["y_est"] - plan.T @ h["ct"]
+        d_y = line.mass * r_proj                  # dL/d(y_est)
+        resid = line.y_est - plan.T @ line.ct
         d_mass = r_proj * resid                   # dL/d(band weight)
         d_idx = d_y * plan.dy
-        cols_local = np.arange(h["cols"].size, dtype=float)
-        block = h["w_soft"] * (cols_local[None, :] - h["idx"][:, None])
-        block *= (d_idx / plan.det.tau)[:, None]
+        cols_local = np.arange(line.cols.size, dtype=float)
+        block = line.w_soft * (cols_local[None, :] - line.idx[:, None])
+        block *= (d_idx / det.tau)[:, None]
         block += d_mass[:, None]
-        d_resp[:, h["cols"]] += block
-    d_samples = d_resp * (tape.responses > 0.0)
-    sup = support_set(det, cam)
-    return interp.accumulate(sup.pixels.size, sup.taps, sup.weights,
+        d_resp[:, line.cols] += block
+    d_samples = d_resp * (detection.responses > 0.0)
+    return interp.accumulate(plan.pixels.size, plan.taps, plan.weights,
                              d_samples)
 
 
 def sampling_positions(det: DetectorConfig, cam: CameraConfig):
-    """(u, v) image positions of every detector grid point (for tests)."""
-    plan = _plan(det, cam)
+    """(u, v) image positions of every detector grid point.
+
+    Raises ``InvalidArgumentError`` when the grid leaves the model-input
+    rect; the scenario loader checks a configuration with it.
+    """
+    plan = support_set(det, cam)
     return plan.u.copy(), plan.v.copy()

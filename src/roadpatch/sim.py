@@ -24,7 +24,6 @@ class SimResult:
     states: list[VehicleState]
     steers: list[float]
     dt: float
-    goal: float
     max_lateral_deviation: float
     patch_entry_frame: int | None   # 1-based frame index, as rolled out
     attack_time: float | None       # seconds from patch entry to goal crossing
@@ -91,7 +90,7 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
     lateral = np.array([abs(s.y) for s in record.states])
     entry = patch_entry_frame(record)
     return SimResult(states=record.states, steers=record.steers,
-                     dt=pipe.vehicle.dt, goal=goal,
+                     dt=pipe.vehicle.dt,
                      max_lateral_deviation=float(lateral.max()),
                      patch_entry_frame=entry,
                      attack_time=attack_success_time(lateral, pipe.vehicle.dt,

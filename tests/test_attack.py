@@ -91,7 +91,7 @@ def test_rollout_without_patch(scenario72, scene72):
     assert not record.truncated
     assert all(p.pixel_values.size == 0 and p.rect_count == 0
                for p in record.projections)
-    assert all(d.tape is None for d in record.detections)
+    assert all(d.responses is None for d in record.detections)
     assert record.max_lateral_deviation() < 0.01
     with pytest.raises(InvalidArgumentError):
         rollout_with_patch(scene, mask, None, scenario72.initial_state(),
@@ -108,9 +108,9 @@ def test_rollout_records_frames_and_sinks(scenario72, scene72):
     assert seen == [1, 2, 3]
     assert record.frames_evaluated == 3
     assert record.projections[0].pixel_values.size > 0
-    # a sink keeps neither tapes nor footprint indices
+    # a sink keeps neither detector responses nor footprint indices
     assert record.projections[0].pixels is None
-    assert record.detections[0].tape is None
+    assert record.detections[0].responses is None
 
 
 def test_benign_rollout_barely_bends_the_path(scenario72, scene72):
@@ -129,8 +129,8 @@ def test_frame_gradient_guards(scenario72, scene72):
     scene, mask = scene72
     pipe = scenario72.pipeline()
     cfg = scenario72.attack
-    # A frame sink drops every detector tape, and a rollout without a
-    # patch keeps none either.
+    # A frame sink drops every frame's detector responses, and a rollout
+    # without a patch keeps none either.
     untaped = [rollout_with_patch(scene, mask, patch,
                                   scenario72.initial_state(), 1, pipe,
                                   frame_sink=sink)
@@ -487,7 +487,7 @@ def test_optimizer_never_renders_a_frame(scenario72, scene72, monkeypatch):
     patch = scenario72.initial_patch()
     record = rollout_with_patch(scene, mask, patch,
                                 scenario72.initial_state(), 2, pipe)
-    assert all(d.tape is not None for d in record.detections)
+    assert all(d.responses is not None for d in record.detections)
 
     def no_dense_warp(*args, **kwargs):
         raise AssertionError("the optimizer rendered a whole frame")

@@ -7,21 +7,21 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from roadpatch import attack, camera
+from roadpatch import attack, camera, cli, sim
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 _SPANS = _BENCH / "spans.py"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", _SPANS)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_is_bound(scenario72):
-    spans = _load_spans()
+    spans = _load("bench_spans", _SPANS)
     before = attack.rollout_with_patch, camera.splat_camera_to_bev
     tracer = spans.Tracer()
     try:
@@ -58,3 +58,22 @@ def test_every_benchmark_import_resolves():
                     missing.append(f"{path.name}: from {node.module} "
                                    f"import {alias.name}")
     assert checked and not missing, missing
+
+
+def test_every_workload_rebinding_resolves(tmp_path, monkeypatch):
+    # ``LoopTimer`` rebinds ``step`` and ``rollout_with_patch`` where
+    # ``attack`` and ``sim`` look them up; ``DumpFrames`` rebinds
+    # ``cli.run_closed_loop`` until it is closed.
+    rebound = [(attack, "step"), (attack, "rollout_with_patch"),
+               (sim, "rollout_with_patch"), (cli, "run_closed_loop")]
+    before = [getattr(mod, name) for mod, name in rebound]
+    for (mod, name), value in zip(rebound, before):
+        monkeypatch.setattr(mod, name, value)   # restored after the test
+    monkeypatch.syspath_prepend(str(_BENCH))    # workloads imports checks
+    workloads = _load("bench_workloads", _BENCH / "workloads.py")
+    workloads.LoopTimer()
+    dump = workloads.DumpFrames(0, tmp_path / "dump")
+    assert all(getattr(mod, name) is not value
+               for (mod, name), value in zip(rebound, before))
+    dump.close()
+    assert cli.run_closed_loop is before[-1]

@@ -7,6 +7,7 @@ import pytest
 from conftest import run_cli
 from reference import read_trajectory_csv
 from roadpatch.artifacts import read_report
+from roadpatch.camera import CameraConfig, model_input_reach
 from roadpatch.config import config_hash, load_config, resolve_scenario
 from roadpatch.pgmio import load_patch, read_pgm, save_patch
 
@@ -163,7 +164,7 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
     def placed(**kw):
         return json.dumps({**meta, "placement": {**meta["placement"], **kw}})
 
-    for text, pgm in [(None, raster),                          # no sidecar
+    for k, (text, pgm) in enumerate([(None, raster),          # no sidecar
                       ("{not json", raster),
                       (json.dumps(unplaced), raster),
                       (json.dumps({**meta, "kind": "bev"}), raster),
@@ -172,16 +173,16 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
                       (placed(width=6.0), raster),             # over the lines
                       (placed(start_x=500.0), raster),         # off the scene
                       (json.dumps({**meta, "v_min": 0.40, "v_max": 0.44,
-                                   "base_value": 0.42}), raster)]:
+                                   "base_value": 0.42}), raster)]):
         patch.write_bytes(pgm)
         sidecar.unlink(missing_ok=True)
         if text is not None:
             sidecar.write_text(text)
-        assert run_cli("evaluate", tiny, "--out", tmp_path,
-                       "--patch", patch) == 2
+        out = tmp_path / f"refused-{k}"
+        assert run_cli("evaluate", tiny, "--out", out, "--patch", patch) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and err["field"] == "patch"
-        assert not (tmp_path / "evaluate_report.json").exists()
+        assert not out.exists()        # a refused run leaves no directory
 
     refused = tmp_path / "refused.json"
     highway72 = json.loads(resolve_scenario("highway-72").read_text())
@@ -210,6 +211,32 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
 
     with pytest.raises(SystemExit):
         run_cli()
+
+
+@pytest.mark.parametrize("slack, code", [(0.0, 2), (0.01, 2), (0.02, 0),
+                                         (0.03, 0)])
+def test_road_length_rule_at_the_last_pixel_centre(slack, code, tmp_path,
+                                                   capsys):
+    # A near-standstill drive at the worst envelope heading sees exactly
+    # model_input_reach past its start.  The 0.05 m raster is sourced up to
+    # its last pixel centre, so a road that ends less than half a pixel
+    # past that point is refused at load instead of failing mid-run.
+    need = 0.01 / 3.6 + model_input_reach(CameraConfig())
+    doc = {"speed_kmh": 0.01, "duration_s": 1.0,
+           "vehicle": {"start_heading": -0.2},
+           "controller": {"steer_gain": 1e-9},
+           "patch": {"start_x": 2.0, "length": 5.0, "width": 2.0},
+           "road": {"road_length": need + slack}}
+    path = tmp_path / "crawl.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("benign", path, "--out", tmp_path / "out",
+                   "--deterministic") == code
+    if code:
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == "road.road_length"
+        assert not (tmp_path / "out").exists()
+    else:
+        assert (tmp_path / "out" / "benign_report.json").exists()
 
 
 def test_seed_override_chain(tiny, tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from roadpatch.detector import (
     DetectorConfig,
     _fit_half,
     _lane_detection,
-    _plan,
     _soft_argmax_rows,
     desired_path,
     detect_lanes,
@@ -40,6 +39,13 @@ def clean_scene():
 
 def _support_grays(pixels):
     return pixels.ravel()[support_set(DET, CAM).pixels]
+
+
+def _dead_bands(det):
+    """Per-band flags of the left and right lines: no rectified response."""
+    plan = support_set(DET, CAM)
+    return tuple(det.responses[:, cols].sum(axis=1) == 0.0
+                 for cols in (plan.cols_left, plan.cols_right))
 
 
 def _detect_at(scene, y=0.0):
@@ -78,7 +84,7 @@ def test_soft_argmax_basics():
     # The detector never runs it on a half of fewer than 2 columns (nor at
     # tau <= 0: see test_config_validation).
     with pytest.raises(InvalidArgumentError):
-        _plan(DetectorConfig(split=2.95), CAM)
+        support_set(DetectorConfig(split=2.95), CAM)
 
 
 def test_soft_argmax_gradient_matches_finite_differences():
@@ -100,7 +106,7 @@ def test_soft_argmax_gradient_matches_finite_differences():
 
 def _wls_plan(degree):
     """A detector plan whose fit basis spans 12 bands over 6-50 m."""
-    return _plan(DetectorConfig(n_bands=12, band_near=6.0, band_far=50.0,
+    return support_set(DetectorConfig(n_bands=12, band_near=6.0, band_far=50.0,
                                 poly_degree=degree), CAM)
 
 
@@ -142,8 +148,7 @@ def test_clean_road_lines_are_found_where_painted(clean_scene):
     right = np.polynomial.polynomial.polyval(d, det.right_coeffs)
     assert np.max(np.abs(left - 1.8)) < 0.05
     assert np.max(np.abs(right + 1.8)) < 0.05
-    assert not det.low_confidence_left.any()
-    assert not det.low_confidence_right.any()
+    assert not any(dead.any() for dead in _dead_bands(det))
     path = desired_path(det, DET)
     assert path.valid_range == (6.0, 50.0)
     assert max(abs(path.value(x)) for x in d) < 0.05
@@ -162,7 +167,7 @@ def test_synthetic_ridge_is_localized():
     col_r = int(np.argmin(np.abs(ys + 1.5)))
     samples = np.full((DET.n_bands, DET.n_lateral), 0.30)
     samples[:, [col_l, col_r]] = 0.9
-    det = _lane_detection(samples, _plan(DET, CAM))
+    det = _lane_detection(samples, support_set(DET, CAM))
     assert det.left_coeffs[0] == pytest.approx(ys[col_l], abs=0.01)
     assert det.right_coeffs[0] == pytest.approx(ys[col_r], abs=0.01)
     assert np.max(np.abs(det.left_coeffs[1:])) < 1e-8
@@ -174,17 +179,18 @@ def test_dead_bands_are_flagged_but_tolerated():
     samples[:, [int(np.argmin(np.abs(ys - 1.5))),
                 int(np.argmin(np.abs(ys + 1.5)))]] = 0.9
     samples[:10, ys > 0.0] = 0.0
-    det = _lane_detection(samples, _plan(DET, CAM))
-    assert det.low_confidence_left[:10].all()
-    assert not det.low_confidence_left[10:].any()
-    assert not det.low_confidence_right.any()
+    det = _lane_detection(samples, support_set(DET, CAM))
+    left, right = _dead_bands(det)
+    assert left[:10].all()
+    assert not left[10:].any()
+    assert not right.any()
     assert det.left_coeffs[0] == pytest.approx(1.48, abs=0.02)
 
 
 def test_featureless_input_fails_loudly():
     with pytest.raises(DetectionFailedError, match="left"):
         _lane_detection(np.full((DET.n_bands, DET.n_lateral), 0.30),
-                        _plan(DET, CAM))
+                        support_set(DET, CAM))
 
 
 def test_unsourced_crop_pixels_are_rejected(clean_scene):
@@ -199,7 +205,7 @@ def test_unsourced_crop_pixels_are_rejected(clean_scene):
 def test_gradient_demands_the_matching_forward_pass(clean_scene):
     _, det = _detect_at(clean_scene)
     upstream = np.array([1.0, 0.0, 0.0, 0.0])
-    det.tape = None
+    det.responses = None
     with pytest.raises(InvalidArgumentError):
         detector_gradient(det, upstream, DET, CAM)
 
