@@ -24,7 +24,7 @@ from .camera import (
     CameraConfig,
     patch_footprint,  # unused here; bench/spans.py rebinds it in this module
     patch_pixels,
-    splat_camera_to_bev,
+    splat_camera_to_bev,  # unused here; bench/spans.py rebinds it in this module
     splat_pixels,
     warp_bev_to_camera,
     warp_bev_to_points,
@@ -36,7 +36,7 @@ from .detector import (
     LaneDetection,
     desired_path,
     detect_lanes,
-    detector_gradient,
+    detector_gradient,  # unused here; bench/spans.py rebinds it in this module
     support_gradient,
     support_set,
 )
@@ -90,11 +90,11 @@ class AttackConfig:
 @dataclass
 class PatchProjection:
     """Where the patch landed in one frame and what it looked like; frame
-    ``t`` (0-based) of a record was seen from ``record.states[t]``."""
+    ``t`` (0-based) of a record was seen from ``record.states[t]``.  Both
+    arrays are empty in a rollout without a patch."""
 
-    rect_count: int                 # footprint pixels in the model input
     pixel_values: np.ndarray        # frame grays over the footprint
-    pixels: np.ndarray | None = None  # sorted flat footprint indices (taped)
+    pixels: np.ndarray              # sorted flat footprint indices
 
 
 @dataclass
@@ -137,15 +137,6 @@ class ObjectiveBreakdown:
         return sign * self.path_term + self.lambda_reg * self.reg_term
 
 
-@dataclass
-class FrameGradient:
-    """Image-space gradient of the directed objective for one frame."""
-
-    image: np.ndarray
-    pose: VehicleState
-    index: int
-
-
 def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
                        patch: PatchState | None, state0: VehicleState,
                        horizon: int, pipe: PipelineConfig, *,
@@ -157,21 +148,20 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     record (flagged) rather than raising; geometric failures such as an
     unsourced model input propagate.
 
-    Each frame renders just the detector's pixel support and, with a
-    patch, the footprint's grays, found from its sorted flat pixel indices
-    without an image-sized mask.  A whole frame (the dense warp) is
-    rendered only for ``frame_sink``, after its detection succeeded.  A
-    patched rollout without a sink keeps each frame's rectified detector
-    responses beside the footprint's indices and grays, which is all a
-    gradient pass needs; any other rollout keeps neither, so a frame sink
-    leaves no frame alive.
+    Each frame renders just the detector's pixel support.  A whole frame
+    (the dense warp) is rendered only for ``frame_sink``, after its
+    detection succeeded, and is not kept.  A patch is composited into
+    ``scene`` here and makes the record a gradient pass's tape: each
+    frame keeps its rectified detector responses and the footprint's
+    sorted flat pixel indices and grays, found without an image-sized
+    mask.  Only the optimizer passes a patch; a rollout without one
+    (the closed loop composites its own patch) keeps neither.
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
     bev = scene if patch is None else composite_patch(scene, patch, line_mask)
     cam = pipe.camera
     support = support_set(pipe.detector, cam)
-    taped = patch is not None and frame_sink is None
 
     states = [state0]
     steers: list[float] = []
@@ -185,17 +175,17 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
         values = warp_bev_to_points(bev, cam, s, support.xf, support.yf,
                                     support.front)
         if patch is not None:
-            pixels, seen, rect_count = patch_pixels(bev, cam, s, patch)
-            proj = PatchProjection(rect_count=rect_count, pixel_values=seen,
-                                   pixels=pixels if taped else None)
+            pixels, seen = patch_pixels(bev, cam, s, patch)
+            proj = PatchProjection(pixel_values=seen, pixels=pixels)
         else:
-            proj = PatchProjection(rect_count=0, pixel_values=np.zeros(0))
+            proj = PatchProjection(pixel_values=np.zeros(0),
+                                   pixels=np.zeros(0, dtype=np.intp))
         try:
             det = detect_lanes(values, pipe.detector, cam)
         except DetectionFailedError:
             truncated = True
             break
-        if not taped:
+        if patch is None:
             det.responses = None
         path = desired_path(det, pipe.detector)
         steer = steer_from_path(path, pipe.controller, pipe.vehicle)
@@ -250,60 +240,10 @@ def _path_upstream(cfg: AttackConfig, pipe: PipelineConfig,
     return upstream
 
 
-def _taped_detection(record: RolloutRecord, t: int) -> LaneDetection:
-    if not 0 <= t < record.frames_evaluated:
-        raise InvalidArgumentError(f"frame index {t} outside the record")
-    detection = record.detections[t]
-    if detection.responses is None:
-        raise InvalidArgumentError(
-            "rollout kept no detector responses: rerun it with a patch and "
-            "no frame sink")
-    return detection
-
-
 def _stealth_gradient(proj: PatchProjection, lambda_reg: float,
                       base_value: float) -> np.ndarray:
     """Gradient of the stealth term on the footprint pixels."""
     return 2.0 * lambda_reg * (proj.pixel_values - base_value)
-
-
-def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
-                   pipe: PipelineConfig, decision_points,
-                   base_value: float) -> FrameGradient:
-    """Pixel gradient of the directed objective for frame index ``t`` (0-based).
-
-    States are taken as recorded: only this frame's detection and its
-    visible patch pixels vary.  The gradient is zero outside the
-    detector's pixel support (path term) and the patch footprint (stealth
-    term).  It is computed from the detector responses and the footprint
-    grays the rollout recorded.
-    """
-    detection = _taped_detection(record, t)
-    img = detector_gradient(detection,
-                            _path_upstream(cfg, pipe, decision_points),
-                            pipe.detector, pipe.camera)
-    proj = record.projections[t]
-    if proj.pixel_values.size:
-        img.ravel()[proj.pixels] += _stealth_gradient(proj, cfg.lambda_reg,
-                                                      base_value)
-    return FrameGradient(image=img, pose=record.states[t], index=t)
-
-
-def aggregate_gradients_bev(grads, counts, camera: CameraConfig,
-                            scene: BevImage, patch: PatchState,
-                            line_mask: np.ndarray) -> np.ndarray:
-    """Average per-frame gradients on the patch grid.
-
-    Each image gradient is splatted through the exact warp/composite
-    adjoint at its own pose; every frame that saw the patch (nonzero
-    footprint size) weighs 1.  Frames that never saw the patch
-    contribute nothing; if no frame saw it, there is nothing to optimize.
-    """
-    if len(grads) != len(counts):
-        raise InvalidArgumentError("grads and counts must align")
-    return _mean([splat_camera_to_bev(g.image, camera, g.pose, scene, patch,
-                                      line_mask)
-                  for g, c in zip(grads, counts) if c])
 
 
 def _mean(splats) -> np.ndarray:
@@ -338,16 +278,18 @@ def _union_values(a: np.ndarray, va: np.ndarray, b: np.ndarray,
 def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                    pipe: PipelineConfig, scene: BevImage, patch: PatchState,
                    line_mask: np.ndarray) -> np.ndarray:
-    """Full gradient pass: :func:`frame_gradient` of every frame that saw
-    the patch, splatted and averaged with equal weights as in
-    :func:`aggregate_gradients_bev`.
+    """Full gradient pass: the patch-grid gradient of the directed
+    objective, the mean over the frames that saw the patch.
 
-    Each frame's gradient is taken on the sorted union of the detector's
-    pixel support and the patch footprint, from the detector responses and
-    the footprint grays the rollout recorded, so no frame is rendered or
-    read.
-    Every pixel left out has exactly zero gradient, so the result is
-    bit-identical to splatting the whole images.
+    States are taken as recorded: in each frame only its detection and
+    its visible patch pixels vary.  A frame's pixel gradient is the
+    detector's gradient of the path term on its pixel support plus the
+    stealth term's on the patch footprint, taken on the sorted union of
+    the two from the detector responses and the footprint grays the
+    rollout recorded, so no frame is rendered or read.  Every pixel left
+    out has exactly zero gradient, so splatting the union through the
+    warp/composite adjoint is bit-identical to splatting the whole image.
+    Every frame that saw the patch weighs 1.
     """
     upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
     support = support_set(pipe.detector, pipe.camera).pixels
@@ -355,7 +297,7 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
     for t, proj in enumerate(record.projections):
         if not proj.pixel_values.size:
             continue
-        path = support_gradient(_taped_detection(record, t), upstream,
+        path = support_gradient(record.detections[t], upstream,
                                 pipe.detector, pipe.camera)
         stealth = _stealth_gradient(proj, cfg.lambda_reg, patch.base_value)
         grads.append((record.states[t],

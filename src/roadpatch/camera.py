@@ -72,11 +72,6 @@ class CameraConfig:
             raise InvalidArgumentError(
                 "model_input_rect must fit inside the image")
 
-    @property
-    def rect_slices(self) -> tuple[slice, slice]:
-        rx, ry, rw, rh = self.model_input_rect
-        return slice(ry, ry + rh), slice(rx, rx + rw)
-
 
 @dataclass
 class Frame:
@@ -263,21 +258,35 @@ def _rows_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
     return slice(r0 + max(a - 1, 0), r0 + min(b + 1, back.size))
 
 
+def _ground_hits(cfg: CameraConfig, pose: VehicleState, rect, rows,
+                 cols=slice(None)):
+    """Which pixels of the block ``rows`` x ``cols`` have their ground point
+    inside ``rect``, and the block's ground points."""
+    xf, yf, front = _vehicle_ground_grid(cfg)
+    gx, gy = _vehicle_to_world(pose, xf[rows, cols], yf[rows, cols])
+    x_lo, x_hi, y_lo, y_hi = rect
+    hit = (front[rows, cols] & (gx >= x_lo) & (gx <= x_hi)
+           & (gy >= y_lo) & (gy <= y_hi))
+    return hit, gx, gy
+
+
 def _footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
     """Sorted flat indices of the pixels whose ground point lies inside
-    ``rect``, found on the rows that can see it; also returns their ground
-    points and how many of them lie in the model input."""
+    ``rect``, found on the rows that can see it, and their ground points."""
     rows = _rows_seeing(cfg, pose, rect)
-    xf, yf, front = _vehicle_ground_grid(cfg)
-    gx, gy = _vehicle_to_world(pose, xf[rows], yf[rows])
-    x_lo, x_hi, y_lo, y_hi = rect
-    hit = (front[rows] & (gx >= x_lo) & (gx <= x_hi)
-           & (gy >= y_lo) & (gy <= y_hi))
-    rx, ry, rw, rh = cfg.model_input_rect
-    in_rect = hit[max(ry - rows.start, 0):max(ry + rh - rows.start, 0),
-                  rx:rx + rw]
+    hit, gx, gy = _ground_hits(cfg, pose, rect, rows)
     pixels = np.flatnonzero(hit) + rows.start * cfg.image_size[0]
-    return pixels, gx[hit], gy[hit], int(np.count_nonzero(in_rect))
+    return pixels, gx[hit], gy[hit]
+
+
+def model_input_sees(cfg: CameraConfig, pose: VehicleState, rect) -> bool:
+    """Whether any model-input pixel has its ground point inside ``rect``;
+    only the model-input block of the rows that can see it is tested."""
+    rows = _rows_seeing(cfg, pose, rect)
+    rx, ry, rw, rh = cfg.model_input_rect
+    block = slice(max(rows.start, ry), min(rows.stop, ry + rh))
+    return bool(_ground_hits(cfg, pose, rect, block,
+                             slice(rx, rx + rw))[0].any())
 
 
 def patch_footprint(cfg: CameraConfig, pose: VehicleState,
@@ -289,16 +298,15 @@ def patch_footprint(cfg: CameraConfig, pose: VehicleState,
 
 
 def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                 patch: PatchState) -> tuple[np.ndarray, np.ndarray, int]:
-    """The patch footprint as sorted flat image indices, the warped grays
-    there, and how many of those pixels lie in the model input.
+                 patch: PatchState) -> tuple[np.ndarray, np.ndarray]:
+    """The patch footprint as sorted flat image indices, and the warped
+    grays there.
 
     Equals ``np.flatnonzero(patch_footprint(...))`` and the dense warp's
     grays there, but builds no image-sized array.
     """
-    pixels, gx, gy, rect_count = _footprint_band(cfg, pose,
-                                                 patch.placement.rect)
-    return pixels, _sample_ground(bev, gx, gy, True), rect_count
+    pixels, gx, gy = _footprint_band(cfg, pose, patch.placement.rect)
+    return pixels, _sample_ground(bev, gx, gy, True)
 
 
 def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,

@@ -363,11 +363,12 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
     except InvalidArgumentError as exc:
         raise ConfigError("detector", str(exc)) from exc
 
-    # Every model input needs ground; no pose passes speed * duration.  The
-    # raster is sourced up to its last pixel centre, half a pixel short of
-    # the extent.
+    # Every model input needs ground; no pose passes speed times the longer
+    # of the run and the attack horizon.  The raster is sourced up to its
+    # last pixel centre, half a pixel short of the extent.
     reach = model_input_reach(cfg.camera)
-    need = cfg.start_x + cfg.speed_kmh / 3.6 * cfg.duration_s + reach
+    drive_s = max(cfg.duration_s, cfg.attack.horizon_frames * cfg.vehicle.dt)
+    need = cfg.start_x + cfg.speed_kmh / 3.6 * drive_s + reach
     mpp = cfg.meters_per_pixel
     last = cfg.x_min + (round(cfg.road.road_length / mpp) - 0.5) * mpp
     if last < need:

@@ -127,17 +127,18 @@ class PatchState:
             raise InvalidArgumentError("need 0 <= v_min < v_max <= 1")
         if not self.v_min <= self.base_value <= self.v_max:
             raise InvalidArgumentError("base_value must lie within gray bounds")
-        if self.values.ndim != 2:
-            raise InvalidArgumentError("patch values must be a 2-D raster")
+        shape = _patch_shape(self.placement, self.grid_mpp)
+        if self.values.shape != shape:
+            raise InvalidArgumentError(
+                f"patch raster has shape {self.values.shape}, but its "
+                f"placement in {self.grid_mpp} m cells needs {shape}")
 
     def within_bounds(self) -> bool:
         return bool(np.all(self.values >= self.v_min)
                     and np.all(self.values <= self.v_max))
 
     def with_values(self, values: np.ndarray) -> "PatchState":
-        """Same patch, new grays (shape must match)."""
-        if values.shape != self.values.shape:
-            raise InvalidArgumentError("replacement values must keep the shape")
+        """Same patch, new grays (of the shape its placement needs)."""
         return replace(self, values=np.asarray(values, dtype=float))
 
 
@@ -151,13 +152,19 @@ def check_placement(placement: PatchPlacement, road: RoadSpec) -> None:
             f"interior extends only {half_interior:.3f} m")
 
 
+def _patch_shape(placement: PatchPlacement, grid_mpp: float) -> tuple[int, int]:
+    """Cells of a patch raster along x and across, at ``grid_mpp`` meters
+    each: the placement's length and width rounded to whole cells."""
+    return (max(int(round(placement.length / grid_mpp)), 1),
+            max(int(round(placement.width / grid_mpp)), 1))
+
+
 def uniform_patch(placement: PatchPlacement, grid_mpp: float, value: float,
                   v_min: float = 0.05, v_max: float = 0.60,
                   base_value: float | None = None) -> PatchState:
     """Patch filled with a single gray value (the optimization start state)."""
-    n_len = max(int(round(placement.length / grid_mpp)), 1)
-    n_wid = max(int(round(placement.width / grid_mpp)), 1)
-    return PatchState(values=np.full((n_len, n_wid), float(value)),
+    return PatchState(values=np.full(_patch_shape(placement, grid_mpp),
+                                     float(value)),
                       grid_mpp=grid_mpp, v_min=v_min, v_max=v_max,
                       base_value=value if base_value is None else base_value,
                       placement=placement)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import PipelineConfig, RolloutRecord, rollout_with_patch
+from .attack import PipelineConfig, rollout_with_patch
+from .camera import CameraConfig, model_input_sees
 from .errors import InvalidArgumentError
 from .motion import VehicleState
-from .scene import BevImage, PatchState
+from .scene import BevImage, PatchState, composite_patch
 
 
 @dataclass
@@ -35,10 +36,13 @@ class SimResult:
         return self.attack_time is not None
 
 
-def patch_entry_frame(record: RolloutRecord) -> int | None:
-    """First frame whose model input contains any patch pixel (1-based)."""
-    for t, proj in enumerate(record.projections, start=1):
-        if proj.rect_count > 0:
+def patch_entry_frame(camera: CameraConfig, states: list[VehicleState],
+                      rect) -> int | None:
+    """First frame (1-based) whose model input sees a ground point inside
+    ``rect``.  Frame t was seen from ``states[t - 1]``; the last state of
+    a rollout was never seen."""
+    for t, pose in enumerate(states[:-1], start=1):
+        if model_input_sees(camera, pose, rect):
             return t
     return None
 
@@ -78,17 +82,23 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
                     frame_sink=None) -> SimResult:
     """Drive for ``duration_s`` seconds and score the excursion.
 
-    A detection failure mid-run truncates the rollout; everything driven
+    The patch is composited into the scene once, here, and the rollout
+    runs on that scene without one, so it keeps no gradient tape.  The
+    patch's entry frame is found afterwards from the recorded poses.  A
+    detection failure mid-run truncates the rollout; everything driven
     up to that point is still scored (a runaway that blinds the detector
     has usually already crossed the goal).
     """
     if duration_s <= 0.0:
         raise InvalidArgumentError("duration_s must be positive")
     horizon = int(round(duration_s / pipe.vehicle.dt))
-    record = rollout_with_patch(scene, line_mask, patch, state0, horizon,
-                                pipe, frame_sink=frame_sink)
+    bev = scene if patch is None else composite_patch(scene, patch, line_mask)
+    record = rollout_with_patch(bev, line_mask, None, state0, horizon, pipe,
+                                frame_sink=frame_sink)
     lateral = np.array([abs(s.y) for s in record.states])
-    entry = patch_entry_frame(record)
+    entry = (None if patch is None else
+             patch_entry_frame(pipe.camera, record.states,
+                               patch.placement.rect))
     return SimResult(states=record.states, steers=record.steers,
                      dt=pipe.vehicle.dt,
                      max_lateral_deviation=float(lateral.max()),

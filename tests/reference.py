@@ -2,7 +2,8 @@
 
 Each is written from the package's own pieces, so a check built on one
 still exercises production code: the plant's ``step``, the camera model's
-constants, the PGM reader, and the trajectory CSV's field list.
+constants, the detector's and the splat's gradients, the PGM reader, and
+the trajectory CSV's field list.
 """
 
 from __future__ import annotations
@@ -10,15 +11,94 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from roadpatch.artifacts import TRAJECTORY_FIELDS
-from roadpatch.camera import _DEPTH_EPS, CameraConfig, _vehicle_to_world
+from roadpatch.attack import (
+    AttackConfig,
+    PipelineConfig,
+    RolloutRecord,
+    _mean,
+    _path_upstream,
+    _stealth_gradient,
+)
+from roadpatch.camera import (
+    _DEPTH_EPS,
+    CameraConfig,
+    _vehicle_to_world,
+    splat_camera_to_bev,
+)
+from roadpatch.detector import LaneDetection, detector_gradient
 from roadpatch.errors import InvalidArgumentError, NoGroundIntersectionError
 from roadpatch.motion import VehicleParams, VehicleState, clamp_steer, step
 from roadpatch.pgmio import _sidecar_path, read_pgm
-from roadpatch.scene import BevImage
+from roadpatch.scene import BevImage, PatchState
+
+
+def rect_slices(cfg: CameraConfig) -> tuple[slice, slice]:
+    """The model-input rect as (row, column) slices of the image."""
+    rx, ry, rw, rh = cfg.model_input_rect
+    return slice(ry, ry + rh), slice(rx, rx + rw)
+
+
+@dataclass
+class FrameGradient:
+    """Image-space gradient of the directed objective for one frame."""
+
+    image: np.ndarray
+    pose: VehicleState
+    index: int
+
+
+def _taped_detection(record: RolloutRecord, t: int) -> LaneDetection:
+    if not 0 <= t < record.frames_evaluated:
+        raise InvalidArgumentError(f"frame index {t} outside the record")
+    detection = record.detections[t]
+    if detection.responses is None:
+        raise InvalidArgumentError(
+            "rollout kept no detector responses: rerun it with a patch")
+    return detection
+
+
+def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
+                   pipe: PipelineConfig, decision_points,
+                   base_value: float) -> FrameGradient:
+    """Pixel gradient of the directed objective for frame index ``t`` (0-based).
+
+    States are taken as recorded: only this frame's detection and its
+    visible patch pixels vary.  The gradient is zero outside the
+    detector's pixel support (path term) and the patch footprint (stealth
+    term).  It is computed from the detector responses and the footprint
+    grays the rollout recorded.
+    """
+    detection = _taped_detection(record, t)
+    img = detector_gradient(detection,
+                            _path_upstream(cfg, pipe, decision_points),
+                            pipe.detector, pipe.camera)
+    proj = record.projections[t]
+    if proj.pixel_values.size:
+        img.ravel()[proj.pixels] += _stealth_gradient(proj, cfg.lambda_reg,
+                                                      base_value)
+    return FrameGradient(image=img, pose=record.states[t], index=t)
+
+
+def aggregate_gradients_bev(grads, counts, camera: CameraConfig,
+                            scene: BevImage, patch: PatchState,
+                            line_mask: np.ndarray) -> np.ndarray:
+    """Average per-frame gradients on the patch grid.
+
+    Each image gradient is splatted through the exact warp/composite
+    adjoint at its own pose; every frame that saw the patch (nonzero
+    footprint size) weighs 1.  Frames that never saw the patch
+    contribute nothing; if no frame saw it, there is nothing to optimize.
+    """
+    if len(grads) != len(counts):
+        raise InvalidArgumentError("grads and counts must align")
+    return _mean([splat_camera_to_bev(g.image, camera, g.pose, scene, patch,
+                                      line_mask)
+                  for g, c in zip(grads, counts) if c])
 
 
 def rollout(state0: VehicleState, steers, params: VehicleParams):

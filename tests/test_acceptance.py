@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from roadpatch.attack import (
-    frame_gradient,
     rollout_objective,
     optimize_patch,
     rollout_with_patch,
@@ -37,7 +36,7 @@ from roadpatch.scene import (
 from roadpatch.sim import run_closed_loop
 
 from conftest import run_cli
-from reference import image_to_ground, rollout
+from reference import frame_gradient, image_to_ground, rect_slices, rollout
 
 
 def test_benign_closed_loop_stays_centered(record_check, scenario72,
@@ -99,9 +98,8 @@ def test_pixel_gradients_match_finite_differences(record_check, scenario72,
     frame, = frames
     fp = patch_footprint(pipe.camera, frame.pose, patch)
     support = support_set(pipe.detector, pipe.camera).pixels
-    rs, cs = pipe.camera.rect_slices
     in_rect = np.zeros_like(fp)
-    in_rect[rs, cs] = True
+    in_rect[rect_slices(pipe.camera)] = True
     cand = np.flatnonzero(fp & in_rect)
     assert cand.size >= 100
     rng = np.random.default_rng(1234)

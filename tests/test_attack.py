@@ -11,11 +11,8 @@ import pytest
 from roadpatch import attack
 from roadpatch.attack import (
     AttackConfig,
-    FrameGradient,
     PatchProjection,
     PipelineConfig,
-    aggregate_gradients_bev,
-    frame_gradient,
     rollout_objective,
     optimize_patch,
     patch_gradient,
@@ -26,12 +23,19 @@ from roadpatch.detector import DesiredPath, detect_lanes, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
 from roadpatch.sim import run_closed_loop
 
+from reference import (
+    FrameGradient,
+    aggregate_gradients_bev,
+    frame_gradient,
+    rect_slices,
+)
+
 BASE = 0.45
 
 
 def _proj(n_pixels, value):
-    return PatchProjection(rect_count=n_pixels,
-                           pixel_values=np.full(n_pixels, float(value)))
+    return PatchProjection(pixel_values=np.full(n_pixels, float(value)),
+                           pixels=np.arange(n_pixels))
 
 
 def _quad_path():
@@ -89,7 +93,7 @@ def test_rollout_without_patch(scenario72, scene72):
     assert len(record.states) == 6
     assert record.frames_evaluated == 5
     assert not record.truncated
-    assert all(p.pixel_values.size == 0 and p.rect_count == 0
+    assert all(p.pixel_values.size == 0 and p.pixels.size == 0
                for p in record.projections)
     assert all(d.responses is None for d in record.detections)
     assert record.max_lateral_deviation() < 0.01
@@ -107,10 +111,11 @@ def test_rollout_records_frames_and_sinks(scenario72, scene72):
                                 frame_sink=lambda f: seen.append(f.index))
     assert seen == [1, 2, 3]
     assert record.frames_evaluated == 3
-    assert record.projections[0].pixel_values.size > 0
-    # a sink keeps neither detector responses nor footprint indices
-    assert record.projections[0].pixels is None
-    assert record.detections[0].responses is None
+    # a patch means a tape, sink or not: responses and footprint indices
+    proj = record.projections[0]
+    assert proj.pixel_values.size > 0
+    assert proj.pixels.size == proj.pixel_values.size
+    assert all(d.responses is not None for d in record.detections)
 
 
 def test_benign_rollout_barely_bends_the_path(scenario72, scene72):
@@ -129,14 +134,12 @@ def test_frame_gradient_guards(scenario72, scene72):
     scene, mask = scene72
     pipe = scenario72.pipeline()
     cfg = scenario72.attack
-    # A frame sink drops every frame's detector responses, and a rollout
-    # without a patch keeps none either.
-    untaped = [rollout_with_patch(scene, mask, patch,
-                                  scenario72.initial_state(), 1, pipe,
-                                  frame_sink=sink)
-               for patch, sink in ((scenario72.initial_patch(),
-                                    lambda f: None), (None, None))]
-    for blind in untaped:
+    # A rollout without a patch keeps no detector responses, with or
+    # without a frame sink.
+    for sink in (None, lambda f: None):
+        blind = rollout_with_patch(scene, mask, None,
+                                   scenario72.initial_state(), 1, pipe,
+                                   frame_sink=sink)
         with pytest.raises(InvalidArgumentError):
             frame_gradient(blind, 0, cfg, pipe,
                            pipe.controller.decision_points, BASE)
@@ -160,8 +163,7 @@ def test_frame_gradient_support(scenario72, scene72):
     assert nonzero.any()
     allowed = np.zeros(fg.image.shape, dtype=bool)
     allowed.ravel()[record.projections[0].pixels] = True
-    rs, cs = pipe.camera.rect_slices
-    allowed[rs, cs] = True
+    allowed[rect_slices(pipe.camera)] = True
     assert not np.any(nonzero & ~allowed)
 
 
@@ -392,11 +394,11 @@ def test_support_rollout_sees_the_patch_like_the_dense_one(kind, scenario72,
     dense, frames = _sunk(scenario72, scene, mask, patch, cfg.horizon_frames)
     assert [f.index for f in frames] == list(range(1, len(dense.steers) + 1))
     assert support.states == dense.states and support.steers == dense.steers
-    assert any(p.rect_count for p in dense.projections)
+    assert any(p.pixels.size for p in dense.projections)
     pixels = support_set(pipe.detector, pipe.camera).pixels
     for a, b, det, frame in zip(support.projections, dense.projections,
                                 support.detections, frames, strict=True):
-        assert a.rect_count == b.rect_count
+        np.testing.assert_array_equal(a.pixels, b.pixels)
         np.testing.assert_array_equal(a.pixel_values, b.pixel_values)
         again = detect_lanes(frame.pixels.ravel()[pixels], pipe.detector,
                              pipe.camera)
@@ -506,8 +508,8 @@ from roadpatch.attack import PatchProjection, rollout_objective
 from roadpatch.detector import DesiredPath
 rng = np.random.default_rng(3)
 path = DesiredPath(coeffs=(0.0, 0.01, 0.001, 0.0), valid_range=(6.0, 50.0))
-projs = [PatchProjection(rect_count=38000,
-                         pixel_values=rng.uniform(0.05, 0.88, 38000))
+projs = [PatchProjection(pixel_values=rng.uniform(0.05, 0.88, 38000),
+                         pixels=np.arange(38000))
          for _ in range(4)]
 bd = rollout_objective([path] * 4, projs, 2e-5, (9.0, 13.0), "right", 0.45)
 print(repr(bd.reg_term))

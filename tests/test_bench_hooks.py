@@ -77,3 +77,21 @@ def test_every_workload_rebinding_resolves(tmp_path, monkeypatch):
                for (mod, name), value in zip(rebound, before))
     dump.close()
     assert cli.run_closed_loop is before[-1]
+
+
+def test_loop_timer_clocks_every_closed_loop_frame(scenario72, scene72,
+                                                 monkeypatch):
+    # ``frames_per_s`` is read off ``LoopTimer.frame_s``: a patched closed
+    # loop must go through the rollout and the step it rebinds, once a frame.
+    rebound = [(attack, "step"), (attack, "rollout_with_patch"),
+               (sim, "rollout_with_patch")]
+    for mod, name in rebound:
+        monkeypatch.setattr(mod, name, getattr(mod, name))
+    monkeypatch.syspath_prepend(str(_BENCH))
+    timer = _load("bench_workloads", _BENCH / "workloads.py").LoopTimer()
+    scene, mask = scene72
+    result = sim.run_closed_loop(scene, mask, scenario72.identity_patch(),
+                                 scenario72.initial_state(), 0.5,
+                                 scenario72.pipeline(), scenario72.goal_m)
+    assert result.frames_evaluated == 10
+    assert len(timer.frame_s) == result.frames_evaluated

@@ -13,6 +13,7 @@ from roadpatch.camera import (
     check_pose_bounds,
     ground_to_image,
     model_input_reach,
+    model_input_sees,
     patch_footprint,
     patch_pixels,
     pixel_ground_points,
@@ -38,7 +39,7 @@ from roadpatch.scene import (
     uniform_patch,
 )
 
-from reference import image_to_ground
+from reference import image_to_ground, rect_slices
 
 CAM = CameraConfig()
 ORIGIN = VehicleState(0.0, 0.0, 0.0, 10.0)
@@ -94,7 +95,7 @@ def test_warp_produces_a_fully_sourced_model_input():
     assert frame.pixels.shape == (480, 640)
     assert frame.index == 7 and frame.pose == ORIGIN
     valid = _per_pixel_warp(scene, ORIGIN)[1]
-    rs, cs = CAM.rect_slices
+    rs, cs = rect_slices(CAM)
     assert valid[rs, cs].all()
     assert np.all(frame.pixels[~valid] == 0.0)
 
@@ -117,7 +118,7 @@ def test_short_scene_cannot_source_the_model_input():
 def test_model_input_is_the_configured_crop():
     scene, _ = _scene()
     frame = warp_bev_to_camera(scene, CAM, ORIGIN)
-    rs, cs = CAM.rect_slices
+    rs, cs = rect_slices(CAM)
     crop = frame.pixels[rs, cs]
     assert crop.shape == (256, 512)
     np.testing.assert_array_equal(crop, frame.pixels[224:480, 64:576])
@@ -185,7 +186,7 @@ def test_dense_warp_matches_a_per_pixel_reference(pose):
 
 def _crop_unsourced(scene, pose):
     """Per-pixel rule: some model-input pixel has no BEV source."""
-    return not _per_pixel_warp(scene, pose)[1][CAM.rect_slices].all()
+    return not _per_pixel_warp(scene, pose)[1][rect_slices(CAM)].all()
 
 
 def _support_raises(scene, pose):
@@ -272,10 +273,11 @@ def test_patch_footprint_matches_a_per_pixel_reference(pose):
         assert rows[0] < CAM.model_input_rect[1] <= rows[-1]
     np.testing.assert_array_equal(patch_footprint(CAM, pose, patch), want)
     bev = composite_patch(scene, patch, mask)
-    pixels, values, rect_count = patch_pixels(bev, CAM, pose, patch)
+    pixels, values = patch_pixels(bev, CAM, pose, patch)
     np.testing.assert_array_equal(pixels, np.flatnonzero(want))
     np.testing.assert_array_equal(values, _per_pixel_warp(bev, pose)[0][want])
-    assert rect_count == np.count_nonzero(want[CAM.rect_slices])
+    assert model_input_sees(CAM, pose, patch.placement.rect) == bool(
+        want[rect_slices(CAM)].any())
 
 
 @pytest.mark.parametrize("pose", [ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import run_cli
@@ -9,7 +10,7 @@ from reference import read_trajectory_csv
 from roadpatch.artifacts import read_report
 from roadpatch.camera import CameraConfig, model_input_reach
 from roadpatch.config import config_hash, load_config, resolve_scenario
-from roadpatch.pgmio import load_patch, read_pgm, save_patch
+from roadpatch.pgmio import load_patch, read_pgm, save_patch, write_pgm
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,8 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
     save_patch(patch, load_config(tiny).initial_patch())
     meta, raster = json.loads(sidecar.read_text()), patch.read_bytes()
     unplaced = {k: v for k, v in meta.items() if k != "placement"}
+    small = tmp_path / "small.pgm"
+    write_pgm(small, np.full((3, 3), 0.45))
 
     def placed(**kw):
         return json.dumps({**meta, "placement": {**meta["placement"], **kw}})
@@ -173,7 +176,8 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
                       (placed(width=6.0), raster),             # over the lines
                       (placed(start_x=500.0), raster),         # off the scene
                       (json.dumps({**meta, "v_min": 0.40, "v_max": 0.44,
-                                   "base_value": 0.42}), raster)]):
+                                   "base_value": 0.42}), raster),
+                      (json.dumps(meta), small.read_bytes())]):  # 3x3 cells
         patch.write_bytes(pgm)
         sidecar.unlink(missing_ok=True)
         if text is not None:

@@ -224,10 +224,22 @@ def test_cross_checks():
     assert _err({"detector": {"band_far": 200.0}}) == "detector"
 
 
+def test_road_length_covers_the_attack_horizon():
+    # A 1 s drive fits an 85 m road, but the 34-frame (1.7 s) optimizer
+    # rollout would run off it, so the loader refuses the scenario.
+    doc = json.loads(resolve_scenario("highway-72").read_text())
+    doc["duration_s"] = 1.0
+    doc["road"]["road_length"] = 85.0
+    assert _err(doc) == "road.road_length"
+    doc["attack"]["horizon_frames"] = 20
+    assert config_from_dict(doc).n_frames == 20
+
+
 def test_builders(tmp_path):
     doc = {"name": "tiny", "speed_kmh": 54.0, "duration_s": 1.0,
            "road": {"road_length": 90.0},
-           "patch": {"start_x": 12.0, "width": 2.0, "length": 8.0}}
+           "patch": {"start_x": 12.0, "width": 2.0, "length": 8.0},
+           "attack": {"horizon_frames": 5}}
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
     cfg = load_config(path)

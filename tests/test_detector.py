@@ -27,6 +27,8 @@ from roadpatch.errors import (
 from roadpatch.motion import VehicleState
 from roadpatch.scene import RoadSpec, render_road_bev
 
+from reference import rect_slices
+
 DET = DetectorConfig()
 CAM = CameraConfig()
 
@@ -229,7 +231,7 @@ def test_pixel_gradient_matches_finite_differences(clean_scene):
         fd = (scalar(plus) - scalar(minus)) / (2.0 * h)
         assert g[i, j] == pytest.approx(fd, rel=1e-3, abs=1e-8)
 
-    rs, cs = CAM.rect_slices
+    rs, cs = rect_slices(CAM)
     outside = np.ones_like(g, dtype=bool)
     outside[rs, cs] = False
     assert np.all(g[outside] == 0.0)

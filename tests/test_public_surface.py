@@ -18,13 +18,6 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parent.parent
 _PACKAGE = _ROOT / "src" / "roadpatch"
 
-# Kept without a use until the reference code moves out of ``attack``
-# together with the benchmark hooks that look names up there (ROADMAP
-# item 3, after item 2).
-_ALLOWED = {("attack", "frame_gradient"),
-            ("attack", "aggregate_gradients_bev")}
-
-
 def _modules() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text()) for p in _PACKAGE.glob("*.py")
             if p.stem != "__init__"}
@@ -110,8 +103,7 @@ def _unreached() -> set[tuple[str, str]]:
 
 def test_every_public_name_has_a_production_or_benchmark_use():
     unused = _unreached()
-    assert unused - _ALLOWED == set(), sorted(unused - _ALLOWED)
-    assert _ALLOWED <= unused, "an allowed name gained a use; unlist it"
+    assert unused == set(), sorted(unused)
 
 
 # Dataclass introspection reads every field of the class it is given.

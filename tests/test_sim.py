@@ -3,21 +3,69 @@
 import numpy as np
 import pytest
 
-from roadpatch.attack import PatchProjection, RolloutRecord
+from roadpatch import attack, sim
+from roadpatch.camera import CameraConfig, pixel_ground_points
 from roadpatch.errors import InvalidArgumentError
+from roadpatch.motion import VehicleState
 from roadpatch.sim import attack_success_time, patch_entry_frame, run_closed_loop
 
+from reference import rect_slices
 
-def _record(rect_counts):
-    projs = [PatchProjection(rect_count=rc, pixel_values=np.zeros(rc))
-             for rc in rect_counts]
-    return RolloutRecord(states=[], steers=[], detections=[], paths=[],
-                         projections=projs, truncated=False)
+CAM = CameraConfig()
+RECT = (60.0, 96.0, -1.2, 1.2)          # the default scenario's patch
+
+
+def _model_input_hits(pose, rect):
+    """Per-pixel rule: which model-input pixels see a ground point in rect."""
+    gx, gy, front = pixel_ground_points(CAM, pose)
+    x_lo, x_hi, y_lo, y_hi = rect
+    hit = front & (gx >= x_lo) & (gx <= x_hi) & (gy >= y_lo) & (gy <= y_hi)
+    return hit[rect_slices(CAM)]
 
 
 def test_patch_entry_frame_is_first_rect_hit():
-    assert patch_entry_frame(_record([0, 0, 7, 9])) == 3
-    assert patch_entry_frame(_record([0, 0, 0])) is None
+    # Approach the patch in 0.5 m steps; frame t is seen from state t-1.
+    for y, heading in ((0.0, 0.0), (0.6, 0.05), (-1.5, -0.12), (2.5, 0.2)):
+        states = [VehicleState(float(x), y, heading, 20.0)
+                  for x in np.arange(-12.0, 12.0, 0.5)]
+        hits = [_model_input_hits(pose, RECT) for pose in states[:-1]]
+        seen = [t for t, h in enumerate(hits, start=1) if h.any()]
+        assert seen and seen[0] > 1
+        assert patch_entry_frame(CAM, states, RECT) == seen[0]
+        # the patch enters the model input across its top row
+        first = hits[seen[0] - 1]
+        assert first[0].any() and not first[1:].any()
+        # the last state is never seen
+        assert patch_entry_frame(CAM, states[:seen[0]], RECT) is None
+    # a rect behind the camera never enters
+    assert patch_entry_frame(CAM, states, (-60.0, -40.0, -1.2, 1.2)) is None
+
+
+def test_patched_closed_loop_keeps_no_tape(scenario72, scene72, monkeypatch):
+    # The loop composites its own patch and rolls out without one: no
+    # detector responses, no footprint, and no footprint is ever sampled.
+    scene, mask = scene72
+    records = []
+
+    def kept(*args, **kwargs):
+        records.append(rollout(*args, **kwargs))
+        return records[-1]
+
+    def no_footprint(*args, **kwargs):
+        raise AssertionError("the closed loop sampled the patch footprint")
+
+    rollout = sim.rollout_with_patch
+    monkeypatch.setattr(sim, "rollout_with_patch", kept)
+    monkeypatch.setattr(attack, "patch_pixels", no_footprint)
+    result = run_closed_loop(scene, mask, scenario72.initial_patch(),
+                             scenario72.initial_state(), 1.0,
+                             scenario72.pipeline(), scenario72.goal_m)
+    record, = records
+    assert result.patch_entry_frame is not None
+    assert record.frames_evaluated == result.frames_evaluated == 20
+    assert all(d.responses is None for d in record.detections)
+    assert all(p.pixels.size == 0 and p.pixel_values.size == 0
+               for p in record.projections)
 
 
 def test_success_time_interpolates_between_states():
