@@ -256,25 +256,6 @@ def _mean(splats) -> np.ndarray:
     return acc / len(splats)
 
 
-def _union_values(a: np.ndarray, va: np.ndarray, b: np.ndarray,
-                  vb: np.ndarray):
-    """Sorted union of the sorted index sets ``a`` and ``b``, with values.
-
-    One stable sort of the two sorted runs is a linear merge (``np.union1d``
-    hashes instead).  An index in both sets comes out ``a`` first and gets
-    ``va + vb``, the sum an image that holds ``va`` and then adds ``vb``
-    would hold.
-    """
-    both = np.concatenate([a, b])
-    order = np.argsort(both, kind="stable")
-    pixels = both[order]
-    values = np.concatenate([va, vb])[order]
-    dup = pixels[1:] == pixels[:-1]
-    values[:-1][dup] += values[1:][dup]
-    keep = np.concatenate([[True], ~dup])
-    return pixels[keep], values[keep]
-
-
 def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                    pipe: PipelineConfig, scene: BevImage, patch: PatchState,
                    line_mask: np.ndarray) -> np.ndarray:
@@ -282,14 +263,14 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
     objective, the mean over the frames that saw the patch.
 
     States are taken as recorded: in each frame only its detection and
-    its visible patch pixels vary.  A frame's pixel gradient is the
-    detector's gradient of the path term on its pixel support plus the
-    stealth term's on the patch footprint, taken on the sorted union of
-    the two from the detector responses and the footprint grays the
-    rollout recorded, so no frame is rendered or read.  Every pixel left
-    out has exactly zero gradient, so splatting the union through the
-    warp/composite adjoint is bit-identical to splatting the whole image.
-    Every frame that saw the patch weighs 1.
+    its visible patch pixels vary.  A frame's pixel gradient is two runs:
+    the detector's gradient of the path term on its pixel support and the
+    stealth term's on the patch footprint, taken from the detector
+    responses and the footprint grays the rollout recorded, so no frame
+    is rendered or read.  Every other pixel has exactly zero gradient, so
+    splatting the runs' sum through the warp/composite adjoint is
+    bit-identical to splatting the whole image.  Every frame that saw the
+    patch weighs 1.
     """
     upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
     support = support_set(pipe.detector, pipe.camera).pixels
@@ -301,7 +282,7 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                                 pipe.detector, pipe.camera)
         stealth = _stealth_gradient(proj, cfg.lambda_reg, patch.base_value)
         grads.append((record.states[t],
-                      *_union_values(support, path, proj.pixels, stealth)))
+                      [(support, path), (proj.pixels, stealth)]))
     return _mean(splat_pixels(grads, pipe.camera, scene, patch, line_mask))
 
 

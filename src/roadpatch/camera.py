@@ -211,29 +211,31 @@ def model_input_reach(cfg: CameraConfig) -> float:
 
 def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
                        *, index: int = 0) -> Frame:
-    """Render the camera view of the BEV scene at ``pose``.
-
-    Every pixel ray below the horizon is intersected with the ground
-    plane and the scene is sampled bilinearly there.  Pixels above the
-    horizon or looking outside the scene extent are zeroed; if any such
-    pixel lies inside the model-input rect the frame is rejected, because
-    the detector contract requires a fully sourced crop.
-    """
-    check_pose_bounds(pose)
+    """Render the camera view of the BEV scene at ``pose``:
+    :func:`warp_bev_to_points` over every row below the horizon, with the
+    rows above it zero."""
     xf, yf, front = _vehicle_ground_grid(cfg)
     r0 = _first_ground_row(cfg)
+    values = warp_bev_to_points(bev, cfg, pose, xf[r0:], yf[r0:], front[r0:])
+    # Made after the warp has freed its temporaries, so it can reuse their
+    # memory; made first, it cost a fresh process 8% more page faults.
     pixels = np.zeros(front.shape)
-    gx, gy = _vehicle_to_world(pose, xf[r0:], yf[r0:])
-    pixels[r0:] = _sample_ground(bev, gx, gy, front[r0:])
-    _check_model_input(bev, cfg, pose)
+    pixels[r0:] = values
     return Frame(pixels=pixels, pose=pose, index=index)
 
 
 def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
                        xf: np.ndarray, yf: np.ndarray,
                        front: np.ndarray) -> np.ndarray:
-    """The warp restricted to a pixel set given by its vehicle-frame ground
-    points (``_vehicle_ground_grid`` entries); same checks, same values."""
+    """Warp the BEV scene onto the pixels whose vehicle-frame ground points
+    (``_vehicle_ground_grid`` entries) are given.
+
+    Each pixel's ray is intersected with the ground plane and the scene is
+    sampled bilinearly there.  Pixels at or above the horizon or looking
+    outside the scene are zero.  The pose must lie in the warp envelope,
+    and every model-input pixel must be sourced (the detector contract
+    requires a fully sourced crop), whichever pixels are asked for.
+    """
     check_pose_bounds(pose)
     _check_model_input(bev, cfg, pose)
     gx, gy = _vehicle_to_world(pose, xf, yf)
@@ -315,30 +317,35 @@ def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
     """Pull an image-space gradient back onto the patch grid.
 
     Exact adjoint of ``warp(composite(patch))`` as a linear map in the
-    patch values: :func:`splat_pixels` over every pixel of the image.
+    patch values: :func:`splat_pixels` of one run over every pixel.
     """
     if grad_image.shape != tuple(reversed(cfg.image_size)):
         raise InvalidArgumentError("grad_image shape must match the camera image")
-    pixels = np.arange(grad_image.size)
-    return splat_pixels([(pose, pixels, grad_image.ravel())], cfg, scene,
-                        patch, line_mask)[0]
+    run = (np.arange(grad_image.size), grad_image.ravel())
+    return splat_pixels([(pose, [run])], cfg, scene, patch, line_mask)[0]
 
 
 def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
                  line_mask: np.ndarray) -> np.ndarray:
     """Pull sparse image-space gradients back onto the patch grid.
 
-    ``grads`` holds one ``(pose, pixels, values)`` triple per frame: sorted
-    flat image indices and the gradient there, zero at every other pixel.
-    Returns the stacked patch-grid gradients, one per triple.
+    ``grads`` holds one ``(pose, runs)`` pair per frame.  Each run is a
+    ``(pixels, values)`` pair of sorted distinct flat image indices and
+    the gradient there; a frame's gradient is the sum of its runs, zero
+    at every other pixel.  Returns the stacked patch-grid gradients, one
+    per frame.
 
-    The warp taps are transposed into scene space (only the patch's scene
-    rectangle is materialized) and the composite resampling is transposed
-    onto the patch raster, once for the whole stack.  Only pixels on the
-    rows that see the rectangle grown by one scene pixel can have a tap
-    inside it.  Leaving out zero-gradient pixels adds nothing to any sum
-    and keeps the rest in row-major order, so the result is bit-identical
-    to splatting the whole image.
+    Only pixels on the rows that see the patch's scene rectangle grown by
+    one scene pixel can have a tap inside it.  Each frame's runs are
+    summed, in run order, into a zero buffer over those rows, and the
+    buffer's nonzero pixels are splatted in row-major order: the warp
+    taps are transposed into scene space (only the rectangle is
+    materialized) and the composite resampling is transposed onto the
+    patch raster, once for the whole stack.  A pixel in two runs holds
+    ``(0 + a) + b``, which is ``a + b``.  A pixel left out holds ±0, which
+    adds nothing to a tap sum that starts at +0, and the rest keep their
+    row-major order, so the result is bit-identical to splatting the
+    whole image that holds the runs' sum.
     """
     width = cfg.image_size[0]
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
@@ -348,16 +355,20 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     row0, col0 = i_lo - 2, j_lo - 2
     local = np.zeros((len(grads), i_hi - i_lo + 5, j_hi - j_lo + 5))
     xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
-    for k, (pose, pixels, values) in enumerate(grads):
+    for k, (pose, runs) in enumerate(grads):
         rows = _rows_seeing(cfg, pose, grown)
-        band = slice(*np.searchsorted(pixels, (rows.start * width,
-                                               rows.stop * width)))
-        pix = pixels[band]
+        start, stop = rows.start * width, rows.stop * width
+        band = np.zeros(stop - start)
+        for pixels, values in runs:
+            a, b = np.searchsorted(pixels, (start, stop))
+            band[pixels[a:b] - start] += values[a:b]
+        kept = np.flatnonzero(band)
+        pix = kept + start
         fi, fj = scene.fractional_index(*_vehicle_to_world(pose, xf[pix],
                                                            yf[pix]))
         near = (front[pix] & interp.inside(fi, fj, scene.pixels.shape)
                 & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
                 & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
         local[k] = interp.scatter(local.shape[1:], fi[near] - row0,
-                                  fj[near] - col0, values[band][near])
+                                  fj[near] - col0, band[kept][near])
     return composite_adjoint_local(local, row0, col0, scene, patch, line_mask)

@@ -199,6 +199,9 @@ def cmd_evaluate(args) -> int:
         if not patch.within_bounds():
             raise ConfigError("patch", f"the grays of {patch_path} stray "
                                        f"outside [v_min, v_max]")
+        if patch.v_max >= cfg.road.line_intensity:
+            raise ConfigError("patch", f"the v_max of {patch_path} reaches "
+                                       f"the lane-line intensity")
     rep = _run_and_report("evaluate", cfg, args, patch, label)
     if rep["success"]:
         print(f"evaluate '{cfg.name}': goal {cfg.goal_m} m reached "

@@ -440,25 +440,36 @@ def test_patch_gradient_is_the_same_with_and_without_frames(name, kind,
 
 
 def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
+    # The support and the footprint overlap; each run holds exact zeros
+    # of both signs, and some shared pixels get values that cancel.
     scene, mask = scene72
     pipe = scenario72.pipeline()
     patch = scenario72.initial_patch()
     record = rollout_with_patch(scene, mask, patch,
                                 scenario72.initial_state(), 3, pipe)
+    support = support_set(pipe.detector, pipe.camera).pixels
     rng = np.random.default_rng(8)
     for proj, pose in zip(record.projections, record.states):
-        assert proj.pixel_values.size
-        pixels = np.union1d(support_set(pipe.detector, pipe.camera).pixels,
-                            proj.pixels)
-        values = rng.standard_normal(pixels.size)
+        shared = np.intersect1d(support, proj.pixels)
+        assert shared.size
+        runs = []
+        for pixels in (support, proj.pixels):
+            values = rng.standard_normal(pixels.size)
+            values[rng.random(pixels.size) < 0.2] = 0.0
+            values[rng.random(pixels.size) < 0.1] = -0.0
+            runs.append((pixels, values))
+        (sp, sv), (fp, fv) = runs
+        cancel = shared[::7]
+        fv[np.searchsorted(fp, cancel)] = -sv[np.searchsorted(sp, cancel)]
         image = np.zeros(pipe.camera.image_size[::-1])
-        image.ravel()[pixels] = values
-        sparse = splat_pixels([(pose, pixels, values)], pipe.camera,
-                              scene, patch, mask)
+        for pixels, values in runs:
+            image.ravel()[pixels] += values
+        sparse = splat_pixels([(pose, runs)], pipe.camera, scene, patch, mask)
         assert sparse.shape == (1,) + patch.values.shape
-        np.testing.assert_array_equal(
-            sparse[0], splat_camera_to_bev(image, pipe.camera, pose,
-                                           scene, patch, mask))
+        assert np.any(sparse != 0.0)
+        dense = splat_camera_to_bev(image, pipe.camera, pose, scene, patch,
+                                    mask)
+        assert sparse[0].tobytes() == dense.tobytes()
 
 
 def test_frame_gradient_of_a_frameless_record(scenario72, scene72):

@@ -172,6 +172,7 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
                       (json.dumps(unplaced), raster),
                       (json.dumps({**meta, "kind": "bev"}), raster),
                       (json.dumps({**meta, "v_min": 0.7}), raster),
+                      (json.dumps({**meta, "v_max": 0.95}), raster),
                       (json.dumps(meta), b"P2\n1 1\n255\n0\n"),
                       (placed(width=6.0), raster),             # over the lines
                       (placed(start_x=500.0), raster),         # off the scene
