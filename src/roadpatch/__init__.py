@@ -22,7 +22,6 @@ from .camera import CameraConfig, Frame, ground_to_image, warp_bev_to_camera
 from .config import ScenarioConfig, config_from_dict, load_config
 from .controller import ControllerConfig, steer_from_path
 from .detector import (
-    DesiredPath,
     DetectorConfig,
     LaneDetection,
     desired_path,
@@ -60,7 +59,6 @@ __all__ = [
     "ConfigError",
     "ConstraintViolationError",
     "ControllerConfig",
-    "DesiredPath",
     "DetectionFailedError",
     "DetectorConfig",
     "Frame",

@@ -31,7 +31,6 @@ from .camera import (
 )
 from .controller import ControllerConfig, path_derivatives, steer_from_path
 from .detector import (
-    DesiredPath,
     DetectorConfig,
     LaneDetection,
     desired_path,
@@ -41,6 +40,7 @@ from .detector import (
     support_set,
 )
 from .errors import (
+    ConfigError,
     DetectionFailedError,
     InvalidArgumentError,
     NoVisibilityError,
@@ -51,12 +51,33 @@ from .scene import BevImage, PatchState, composite_patch
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The fixed perception/control stack a rollout runs through."""
+    """The fixed perception/control stack a rollout runs through.
+
+    Its cross-section rules are checked once, here: the decision points
+    and the lookahead lie in the detector's band range, where a path is
+    trusted, and the detector's grid in the model-input rect.
+    """
 
     camera: CameraConfig = CameraConfig()
     detector: DetectorConfig = DetectorConfig()
     controller: ControllerConfig = ControllerConfig()
     vehicle: VehicleParams = VehicleParams()
+
+    def __post_init__(self):
+        det, ctl = self.detector, self.controller
+        for d in ctl.decision_points:
+            if not det.band_near <= d <= det.band_far:
+                raise ConfigError(
+                    "controller.decision_points",
+                    f"distance {d} lies outside the detector band range "
+                    f"[{det.band_near}, {det.band_far}]")
+        if not det.band_near <= ctl.lookahead <= det.band_far:
+            raise ConfigError("controller.lookahead",
+                              "must lie within the detector band range")
+        try:
+            support_set(det, self.camera)
+        except InvalidArgumentError as exc:
+            raise ConfigError("detector", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -104,7 +125,7 @@ class RolloutRecord:
     states: list[VehicleState]
     steers: list[float]
     detections: list[LaneDetection]
-    paths: list[DesiredPath]
+    paths: list[np.ndarray]
     projections: list[PatchProjection]
     truncated: bool
 
@@ -166,7 +187,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     states = [state0]
     steers: list[float] = []
     detections: list[LaneDetection] = []
-    paths: list[DesiredPath] = []
+    paths: list[np.ndarray] = []
     projections: list[PatchProjection] = []
     truncated = False
 
@@ -187,7 +208,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
             break
         if patch is None:
             det.responses = None
-        path = desired_path(det, pipe.detector)
+        path = desired_path(det)
         steer = steer_from_path(path, pipe.controller, pipe.vehicle)
         if frame_sink is not None:
             frame_sink(warp_bev_to_camera(bev, cam, s, index=t))

@@ -179,24 +179,25 @@ def _rect_corners(cfg: CameraConfig):
     return xf[rows, cols], yf[rows, cols], front[rows, cols]
 
 
-def _check_model_input(bev: BevImage, cfg: CameraConfig,
-                       pose: VehicleState) -> None:
-    """Raise ``IncompleteModelInputError`` iff a model-input pixel is unsourced.
+def model_input_gaps(cfg: CameraConfig, pose: VehicleState, origin,
+                     mpp: float, shape) -> tuple[bool, bool, bool]:
+    """Whether the model input at ``pose`` reads past the rows behind, past
+    the rows ahead, or past the columns of a raster of ``shape`` pixels of
+    pitch ``mpp`` whose pixel (0, 0) is centred at ``origin``.
 
-    Decided from the rect's four corner pixels.  ``front`` is a per-row
-    property, so the rect lies below the horizon iff its top corners do.
-    There the pixel-to-ground map is projective: it takes the rect onto
-    the convex quadrilateral spanned by the corners' ground points, and
-    the sourced part of the ground (the raster's interior) is convex too.
+    Decided from the rect's four corner pixels; one at or above the
+    horizon reads past the rows ahead.  ``front`` is a per-row property,
+    so the rect lies below the horizon iff its top corners do.  There the
+    pixel-to-ground map is projective: it takes the rect onto the convex
+    quadrilateral spanned by the corners' ground points, and the sourced
+    part of the ground (between the raster's pixel centres) is convex too.
     """
     xf, yf, front = _rect_corners(cfg)
     gx, gy = _vehicle_to_world(pose, xf, yf)
-    fi, fj = bev.fractional_index(gx, gy)
-    if np.all(front & interp.inside(fi, fj, bev.pixels.shape)):
-        return
-    raise IncompleteModelInputError(
-        "some model-input pixels have no BEV source at pose "
-        f"(x={pose.x:.1f}, y={pose.y:.2f}, heading={pose.heading:.3f})")
+    fi, fj = (gx - origin[0]) / mpp, (gy - origin[1]) / mpp
+    return (bool(np.any(front & ~(fi >= 0.0))),
+            bool(np.any(~front | ~(fi <= shape[0] - 1))),
+            bool(np.any(front & ~((fj >= 0.0) & (fj <= shape[1] - 1)))))
 
 
 def model_input_reach(cfg: CameraConfig) -> float:
@@ -237,7 +238,11 @@ def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     requires a fully sourced crop), whichever pixels are asked for.
     """
     check_pose_bounds(pose)
-    _check_model_input(bev, cfg, pose)
+    if any(model_input_gaps(cfg, pose, bev.origin, bev.meters_per_pixel,
+                            bev.pixels.shape)):
+        raise IncompleteModelInputError(
+            "some model-input pixels have no BEV source at pose "
+            f"(x={pose.x:.1f}, y={pose.y:.2f}, heading={pose.heading:.3f})")
     gx, gy = _vehicle_to_world(pose, xf, yf)
     return _sample_ground(bev, gx, gy, front)
 

@@ -191,17 +191,11 @@ def cmd_evaluate(args) -> int:
                     else patch_path)
         try:
             patch = pgmio.load_patch(patch_path)
-            cfg.check_placement(patch.placement)
+            cfg.check_patch(patch)
         except (OSError, ArithmeticError, LookupError, TypeError, ValueError,
                 RoadPatchError) as exc:
             raise ConfigError("patch", f"cannot use the patch at "
                                        f"{patch_path}: {exc}") from exc
-        if not patch.within_bounds():
-            raise ConfigError("patch", f"the grays of {patch_path} stray "
-                                       f"outside [v_min, v_max]")
-        if patch.v_max >= cfg.road.line_intensity:
-            raise ConfigError("patch", f"the v_max of {patch_path} reaches "
-                                       f"the lane-line intensity")
     rep = _run_and_report("evaluate", cfg, args, patch, label)
     if rep["success"]:
         print(f"evaluate '{cfg.name}': goal {cfg.goal_m} m reached "

@@ -21,9 +21,9 @@ from importlib import resources
 from pathlib import Path
 
 from .attack import AttackConfig, PipelineConfig
-from .camera import CameraConfig, model_input_reach
+from .camera import CameraConfig, model_input_gaps, model_input_reach
 from .controller import ControllerConfig
-from .detector import DetectorConfig, sampling_positions
+from .detector import DetectorConfig
 from .errors import ConfigError, ConstraintViolationError, InvalidArgumentError
 from .motion import VehicleParams, VehicleState
 from .scene import (
@@ -31,6 +31,7 @@ from .scene import (
     PatchPlacement,
     PatchState,
     RoadSpec,
+    _grid,
     check_placement,
     identity_patch,
     lane_line_mask,
@@ -240,18 +241,23 @@ class ScenarioConfig:
         return identity_patch(self.placement, self.patch_grid_mpp, self.road,
                               v_min=self.patch_v_min, v_max=self.patch_v_max)
 
-    def check_placement(self, placement: PatchPlacement) -> None:
-        """Raise ``ConfigError`` unless ``placement`` (plus its margin) stays
-        off both lane lines and inside the rendered scene extent."""
+    def check_patch(self, patch: PatchState) -> None:
+        """Raise ``ConfigError`` unless ``patch`` fits this scenario: its
+        placement (plus its margin) stays off both lane lines and inside
+        the rendered scene extent, and its grays stay below the lane-line
+        intensity."""
         try:
-            check_placement(placement, self.road)
+            check_placement(patch.placement, self.road)
         except ConstraintViolationError as exc:
             raise ConfigError("patch.placement", str(exc)) from exc
-        x_lo, x_hi, y_lo, y_hi = placement.rect
+        x_lo, x_hi, y_lo, y_hi = patch.placement.rect
         ex_lo, ex_hi, ey_lo, ey_hi = self.extent
         if x_lo < ex_lo or x_hi > ex_hi or y_lo < ey_lo or y_hi > ey_hi:
             raise ConfigError("patch.start_x",
                               "patch placement leaves the rendered scene extent")
+        if patch.v_max >= self.road.line_intensity:
+            raise ConfigError("patch.v_max", "patch grays must stay below "
+                                             "the lane-line intensity")
 
 
 def _build(section: str, cls, doc: dict, **given):
@@ -317,9 +323,6 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
         raise ConfigError("patch.v_min", "need 0 <= v_min < v_max <= 1")
     if not pk["v_min"] <= pk["init_value"] <= pk["v_max"]:
         raise ConfigError("patch.init_value", "must lie within the gray bounds")
-    if pk["v_max"] >= road.line_intensity:
-        raise ConfigError("patch.v_max",
-                          "patch grays must stay below the lane-line intensity")
     if pk["grid_mpp"] <= 0.0:
         raise ConfigError("patch.grid_mpp", "must be positive")
 
@@ -345,23 +348,8 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("duration_s",
                           "rounds to zero control steps "
                           f"of vehicle.dt = {cfg.vehicle.dt} s")
-    det = cfg.detector
-    for d in cfg.controller.decision_points:
-        if not det.band_near <= d <= det.band_far:
-            raise ConfigError(
-                "controller.decision_points",
-                f"distance {d} lies outside the detector band range "
-                f"[{det.band_near}, {det.band_far}]")
-    if not det.band_near <= cfg.controller.lookahead <= det.band_far:
-        raise ConfigError("controller.lookahead",
-                          "must lie within the detector band range")
-
-    cfg.check_placement(cfg.placement)
-
-    try:
-        sampling_positions(cfg.detector, cfg.camera)
-    except InvalidArgumentError as exc:
-        raise ConfigError("detector", str(exc)) from exc
+    cfg.pipeline()
+    cfg.check_patch(cfg.initial_patch())
 
     # Every model input needs ground; no pose passes speed times the longer
     # of the run and the attack horizon.  The raster is sourced up to its
@@ -375,6 +363,17 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("road.road_length", f"the road is sourced up to "
                           f"x = {last:.3f} m but the drive sees up to "
                           f"{need:.3f} m ({reach:.2f} m past its last pose)")
+
+    # The first frame's model input by the warp's own test; the rule above
+    # covers its far end.
+    n_x, n_y, origin = _grid(cfg.extent, mpp)
+    behind, _, side = model_input_gaps(cfg.camera, cfg.initial_state(),
+                                       origin, mpp, (n_x, n_y))
+    for fname, gap, where in (("vehicle.start_x", behind, "behind"),
+                              ("scene.y_half_extent", side, "beside")):
+        if gap:
+            raise ConfigError(fname, f"the first frame's model input reads "
+                                     f"{where} the rendered scene")
 
 
 def load_config(path, seed_override: int | None = None) -> ScenarioConfig:

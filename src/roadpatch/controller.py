@@ -3,7 +3,9 @@
 The steering command chases the desired path at a fixed lookahead:
 ``steer = atan(2 L p(la) / la^2)``, the circular-arc pursuit law for a
 target ``la`` meters ahead offset laterally by ``p(la)``.  A path to the
-left (positive offset) yields a positive (left) steering angle.
+left (positive offset) yields a positive (left) steering angle.  A path
+is a ``detector.desired_path``; ``PipelineConfig`` keeps every distance
+asked of it inside the detector's band range.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .detector import DesiredPath
-from .errors import InvalidArgumentError, OutOfRangeError
+from .errors import InvalidArgumentError
 from .motion import VehicleParams, clamp_steer
 
 
@@ -36,25 +38,15 @@ class ControllerConfig:
             raise InvalidArgumentError("steer_gain must be positive")
 
 
-def path_derivatives(path: DesiredPath, points) -> np.ndarray:
+def path_derivatives(path: np.ndarray, points) -> np.ndarray:
     """Slope of the desired path at each decision-point distance."""
-    pts = np.asarray(points, dtype=float)
-    lo, hi = path.valid_range
-    if np.any(pts < lo) or np.any(pts > hi):
-        raise OutOfRangeError(
-            f"decision points must lie within the trusted range [{lo}, {hi}] m")
-    deriv = np.polynomial.polynomial.polyder(np.asarray(path.coeffs))
-    return np.polynomial.polynomial.polyval(pts, deriv)
+    return P.polyval(np.asarray(points, dtype=float), P.polyder(path))
 
 
-def steer_from_path(path: DesiredPath, cfg: ControllerConfig,
+def steer_from_path(path: np.ndarray, cfg: ControllerConfig,
                     params: VehicleParams) -> float:
     """Pure-pursuit steering toward the path, clamped to the actuator limit."""
-    lo, hi = path.valid_range
-    if not lo <= cfg.lookahead <= hi:
-        raise OutOfRangeError(
-            f"lookahead {cfg.lookahead} m outside the trusted range [{lo}, {hi}] m")
-    offset = path.value(cfg.lookahead)
+    offset = float(P.polyval(cfg.lookahead, path))
     raw = cfg.steer_gain * math.atan(
         2.0 * params.wheelbase * offset / (cfg.lookahead ** 2))
     return clamp_steer(raw, params.max_steer)

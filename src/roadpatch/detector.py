@@ -68,17 +68,6 @@ class DetectorConfig:
             raise InvalidArgumentError("split must lie inside the lateral span")
 
 
-@dataclass(frozen=True)
-class DesiredPath:
-    """Lateral offset of the target path as a polynomial in distance ahead."""
-
-    coeffs: tuple[float, ...]          # ascending powers, meters
-    valid_range: tuple[float, float]   # distances the fit is trusted over
-
-    def value(self, d: float) -> float:
-        return float(np.polynomial.polynomial.polyval(d, np.asarray(self.coeffs)))
-
-
 @dataclass
 class LaneDetection:
     """Per-line fits plus the rectified responses they were built from.
@@ -231,11 +220,10 @@ def _lane_detection(samples: np.ndarray, plan: _Plan) -> LaneDetection:
     return LaneDetection(left.coeffs, right.coeffs, responses)
 
 
-def desired_path(detection: LaneDetection, det: DetectorConfig) -> DesiredPath:
-    """Target path = coefficient-wise mean of the two line fits."""
-    coeffs = 0.5 * (detection.left_coeffs + detection.right_coeffs)
-    return DesiredPath(coeffs=tuple(float(c) for c in coeffs),
-                       valid_range=(det.band_near, det.band_far))
+def desired_path(detection: LaneDetection) -> np.ndarray:
+    """Target path = coefficient-wise mean of the two line fits: lateral
+    offset (m) in ascending powers of distance ahead, over the band range."""
+    return 0.5 * (detection.left_coeffs + detection.right_coeffs)
 
 
 def detector_gradient(detection: LaneDetection, upstream: np.ndarray,
@@ -289,7 +277,7 @@ def sampling_positions(det: DetectorConfig, cam: CameraConfig):
     """(u, v) image positions of every detector grid point.
 
     Raises ``InvalidArgumentError`` when the grid leaves the model-input
-    rect; the scenario loader checks a configuration with it.
+    rect, as :func:`support_set` does.
     """
     plan = support_set(det, cam)
     return plan.u.copy(), plan.v.copy()

@@ -43,15 +43,11 @@ class NoVisibilityError(RoadPatchError):
     """No frame in the horizon ever saw the patch."""
 
 
-class OutOfRangeError(RoadPatchError, ValueError):
-    """A query distance lies outside a path's trusted range."""
-
-
 class ConfigError(RoadPatchError):
-    """A scenario file failed validation.
+    """A scenario file, or a ``PipelineConfig``, failed validation.
 
-    ``field`` holds a dotted path such as ``"patch.placement"`` so that
-    messages can point at the offending entry.
+    ``field`` holds a dotted scenario path such as ``"patch.placement"``
+    so that messages can point at the offending entry.
     """
 
     def __init__(self, field: str, message: str):

@@ -92,13 +92,14 @@ def save_patch(path, patch: PatchState, extra: dict | None = None) -> None:
 
 
 def load_patch(path) -> PatchState:
+    """Read a patch :func:`save_patch` wrote; out-of-bounds grays are refused."""
     meta = json.loads(_sidecar_path(path).read_text())
     if not isinstance(meta, dict) or meta.get("kind") != "patch":
         raise InvalidArgumentError(f"{path} sidecar does not describe a patch")
     pm = meta["placement"]
     values = read_pgm(path)
     # Quantization may overshoot the declared bounds by up to half a
-    # quantum; snap those back without touching genuine violations.
+    # quantum; snap those back and leave genuine violations to PatchState.
     snapped = np.clip(values, float(meta["v_min"]), float(meta["v_max"]))
     values = np.where(np.abs(snapped - values) <= 0.5 / _MAXVAL,
                       snapped, values)

@@ -111,7 +111,8 @@ class PatchPlacement:
 
 @dataclass
 class PatchState:
-    """Gray values of a patch on its own raster plus its bounds and placement."""
+    """Gray values of a patch on its own raster plus its bounds and placement;
+    a patch with a gray outside ``[v_min, v_max]`` cannot be built."""
 
     values: np.ndarray          # (n_len, n_wid), rows along x
     grid_mpp: float
@@ -132,10 +133,8 @@ class PatchState:
             raise InvalidArgumentError(
                 f"patch raster has shape {self.values.shape}, but its "
                 f"placement in {self.grid_mpp} m cells needs {shape}")
-
-    def within_bounds(self) -> bool:
-        return bool(np.all(self.values >= self.v_min)
-                    and np.all(self.values <= self.v_max))
+        if not self.v_min <= self.values.min() <= self.values.max() <= self.v_max:
+            raise InvalidArgumentError("patch grays must lie in [v_min, v_max]")
 
     def with_values(self, values: np.ndarray) -> "PatchState":
         """Same patch, new grays (of the shape its placement needs)."""
@@ -282,9 +281,6 @@ def composite_patch(scene: BevImage, patch: PatchState,
     """
     if line_mask.shape != scene.pixels.shape:
         raise InvalidArgumentError("line_mask shape must match the scene")
-    if not patch.within_bounds():
-        raise ConstraintViolationError(
-            "patch values stray outside [v_min, v_max]")
     rows, cols = _composite_indices(scene, patch, line_mask)
     out = scene.pixels.copy()
     if rows.size:
@@ -328,9 +324,8 @@ def identity_patch(placement: PatchPlacement, grid_mpp: float,
 
     Compositing it changes pavement pixels only below the detector's
     response threshold, so the closed-loop trajectory is bit-identical to
-    the no-patch run.
+    the no-patch run.  Its bounds widen to hold the asphalt gray.
     """
     value = road.asphalt_intensity
-    lo = min(v_min, value)
-    return uniform_patch(placement, grid_mpp, value,
-                         v_min=lo, v_max=v_max, base_value=value)
+    return uniform_patch(placement, grid_mpp, value, v_min=min(v_min, value),
+                         v_max=max(v_max, value), base_value=value)

@@ -108,7 +108,7 @@ def test_pixel_gradients_match_finite_differences(record_check, scenario72,
     def directed(pixels):
         det = detect_lanes(pixels.ravel()[support], pipe.detector,
                            pipe.camera)
-        slopes = path_derivatives(desired_path(det, pipe.detector), pts)
+        slopes = path_derivatives(desired_path(det), pts)
         reg = float(np.sum((pixels[fp] - patch.base_value) ** 2))
         return cfg.direction_sign * float(np.sum(slopes)) + cfg.lambda_reg * reg
 

@@ -19,7 +19,7 @@ from roadpatch.attack import (
     rollout_with_patch,
 )
 from roadpatch.camera import patch_footprint, splat_camera_to_bev, splat_pixels
-from roadpatch.detector import DesiredPath, detect_lanes, support_set
+from roadpatch.detector import detect_lanes, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
 from roadpatch.sim import run_closed_loop
 
@@ -40,7 +40,7 @@ def _proj(n_pixels, value):
 
 def _quad_path():
     # p(d) = 0.01 d^2, so p'(10) = 0.2
-    return DesiredPath(coeffs=(0.0, 0.0, 0.01, 0.0), valid_range=(6.0, 50.0))
+    return np.array([0.0, 0.0, 0.01, 0.0])
 
 
 def test_objective_worked_example():
@@ -516,9 +516,8 @@ def test_optimizer_never_renders_a_frame(scenario72, scene72, monkeypatch):
 _REG_TERM = """
 import numpy as np
 from roadpatch.attack import PatchProjection, rollout_objective
-from roadpatch.detector import DesiredPath
 rng = np.random.default_rng(3)
-path = DesiredPath(coeffs=(0.0, 0.01, 0.001, 0.0), valid_range=(6.0, 50.0))
+path = np.array([0.0, 0.01, 0.001, 0.0])
 projs = [PatchProjection(pixel_values=rng.uniform(0.05, 0.88, 38000),
                          pixels=np.arange(38000))
          for _ in range(4)]

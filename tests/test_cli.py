@@ -72,7 +72,6 @@ def test_optimize_then_evaluate(tiny, tmp_path):
     assert "elapsed_s" not in rep
     patch = load_patch(tmp_path / "patch.pgm")
     assert patch.values.shape == (80, 20)
-    assert patch.within_bounds()
     history = (tmp_path / "history.csv").read_text().splitlines()
     assert len(history) == 1 + 2   # header + initial entry + one iteration
 
@@ -108,12 +107,23 @@ def test_evaluate_report_does_not_depend_on_the_run_directory(tiny,
 
 
 def test_identity_patch_evaluation(tiny, tmp_path):
-    assert run_cli("evaluate", tiny, "--out", tmp_path, "--deterministic",
-                   "--identity-patch") == 0
-    rep = read_report(tmp_path / "evaluate_report.json")
-    assert rep["patch"] == "identity"
-    assert rep["success"] is False
-    assert rep["max_lateral_deviation"] < 0.01
+    # bounds that hold the asphalt gray, and bounds wholly below it
+    dark = tmp_path / "dark.json"
+    doc = json.loads(tiny.read_text())
+    doc["patch"].update(v_max=0.25, init_value=0.2)
+    dark.write_text(json.dumps(doc))
+    for scenario in (tiny, dark):
+        out = tmp_path / scenario.stem
+        assert run_cli("evaluate", scenario, "--out", out, "--deterministic",
+                       "--identity-patch") == 0
+        rep = read_report(out / "evaluate_report.json")
+        assert rep["patch"] == "identity"
+        assert rep["success"] is False
+        assert rep["max_lateral_deviation"] < 0.01
+        assert run_cli("benign", scenario, "--out", out,
+                       "--deterministic") == 0
+        assert (out / "evaluate_trajectory.csv").read_bytes() \
+            == (out / "benign_trajectory.csv").read_bytes()
 
 
 def test_dump_frames(tiny, tmp_path):
@@ -197,7 +207,12 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
             ([], {}, "-2", "seed"),
             ([], {"road": {"texture_seed": -3}}, None, "road"),
             # 10 s at 81 km/h outruns highway-72's 270 m road
-            ([], {**highway72, "speed_kmh": 81.0}, None, "road.road_length")]:
+            ([], {**highway72, "speed_kmh": 81.0}, None, "road.road_length"),
+            # the first frame's model input reaches 2.2 m ahead, and its
+            # far corners 30.7 m to each side
+            ([], {"vehicle": {"start_x": -3.0}}, None, "vehicle.start_x"),
+            ([], {"scene": {"y_half_extent": 25.0}}, None,
+             "scene.y_half_extent")]:
         refused.write_text(json.dumps(doc))
         if env is None:
             monkeypatch.delenv("DRP_SEED", raising=False)

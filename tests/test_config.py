@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from reference import image_to_ground
 from roadpatch.attack import AttackConfig
-from roadpatch.camera import CameraConfig
+from roadpatch.camera import CameraConfig, warp_bev_to_camera
 from roadpatch.config import (
     SEED_ENV_VAR,
     builtin_scenarios,
@@ -20,9 +21,13 @@ from roadpatch.config import (
 )
 from roadpatch.controller import ControllerConfig
 from roadpatch.detector import DetectorConfig
-from roadpatch.errors import ConfigError, InvalidArgumentError
+from roadpatch.errors import (
+    ConfigError,
+    IncompleteModelInputError,
+    InvalidArgumentError,
+)
 from roadpatch.motion import VehicleParams, VehicleState
-from roadpatch.scene import PatchPlacement, PatchState, RoadSpec
+from roadpatch.scene import PatchPlacement, PatchState, RoadSpec, render_road_bev
 
 
 def _err(doc, **kw):
@@ -235,6 +240,60 @@ def test_road_length_covers_the_attack_horizon():
     assert config_from_dict(doc).n_frames == 20
 
 
+_EDGE_MPP = 0.1
+_EDGE_ROAD = 70.0
+
+
+def _first_frame_raises(start_x, heading, y_half_extent):
+    scene = render_road_bev(RoadSpec(road_length=_EDGE_ROAD),
+                            (0.0, _EDGE_ROAD, -y_half_extent, y_half_extent),
+                            _EDGE_MPP)
+    try:
+        warp_bev_to_camera(scene, CameraConfig(),
+                           VehicleState(start_x, 0.0, heading, 1.0))
+    except IncompleteModelInputError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("heading", [-0.2, 0.0, 0.13])
+def test_start_pose_is_refused_exactly_when_frame_one_is_unsourced(heading):
+    # The model input's near corners lie about 2.2 m ahead and its far
+    # corners about 30.7 m to each side.  Sweep start_x and y_half_extent
+    # across the edges where the first frame loses its source; the loader
+    # must refuse exactly the poses whose first frame raises.
+    cam = CameraConfig()
+    rx, ry, rw, rh = cam.model_input_rect
+    corners = image_to_ground(cam, VehicleState(0.0, 0.0, heading, 0.0),
+                              [(rx, ry), (rx + rw - 1, ry), (rx, ry + rh - 1),
+                               (rx + rw - 1, ry + rh - 1)])
+    x_edge = 0.5 * _EDGE_MPP - corners[:, 0].min()
+    y_edge = _EDGE_MPP * np.ceil((np.abs(corners[:, 1]).max()
+                                  + 0.5 * _EDGE_MPP) / _EDGE_MPP)
+    cases = ([("vehicle.start_x", x_edge + d, 48.0)
+              for d in (-0.01, -1e-9, 1e-9, 0.01)]
+             + [("scene.y_half_extent", 0.0, y_edge + k * _EDGE_MPP)
+                for k in (-2, -1, 0, 1)])
+    seen = set()
+    for field, start_x, y_half in cases:
+        doc = {"speed_kmh": 1.0, "duration_s": 0.05,
+               "road": {"road_length": _EDGE_ROAD},
+               "scene": {"meters_per_pixel": _EDGE_MPP,
+                         "y_half_extent": y_half},
+               "vehicle": {"start_x": start_x, "start_heading": heading},
+               "patch": {"start_x": 5.0, "length": 5.0},
+               "attack": {"horizon_frames": 1}}
+        try:
+            config_from_dict(doc)
+            refused = None
+        except ConfigError as exc:
+            refused = exc.field
+        raises = _first_frame_raises(start_x, heading, y_half)
+        assert refused == (field if raises else None), (start_x, y_half)
+        seen.add((field, raises))
+    assert len(seen) == 4       # each sweep straddles its edge
+
+
 def test_builders(tmp_path):
     doc = {"name": "tiny", "speed_kmh": 54.0, "duration_s": 1.0,
            "road": {"road_length": 90.0},
@@ -254,7 +313,6 @@ def test_builders(tmp_path):
     assert (patch.v_min, patch.v_max) == (0.05, 0.60)
     ghost = cfg.identity_patch()
     assert ghost.values.shape == (80, 20)
-    assert ghost.within_bounds()
 
 
 def test_texture_seed_defaults_to_the_scenario_seed():

@@ -151,16 +151,18 @@ def test_clean_road_lines_are_found_where_painted(clean_scene):
     assert np.max(np.abs(left - 1.8)) < 0.05
     assert np.max(np.abs(right + 1.8)) < 0.05
     assert not any(dead.any() for dead in _dead_bands(det))
-    path = desired_path(det, DET)
-    assert path.valid_range == (6.0, 50.0)
-    assert max(abs(path.value(x)) for x in d) < 0.05
+    path = desired_path(det)
+    np.testing.assert_array_equal(path,
+                                  0.5 * (det.left_coeffs + det.right_coeffs))
+    assert np.max(np.abs(np.polynomial.polynomial.polyval(d, path))) < 0.05
 
 
 @pytest.mark.parametrize("y, expected", [(-0.3, 0.3), (0.3, -0.3)])
 def test_lateral_pose_error_shows_up_in_the_path(clean_scene, y, expected):
     _, det = _detect_at(clean_scene, y=y)
-    path = desired_path(det, DET)
-    assert path.value(15.0) == pytest.approx(expected, abs=0.05)
+    path = desired_path(det)
+    assert np.polynomial.polynomial.polyval(15.0, path) == pytest.approx(
+        expected, abs=0.05)
 
 
 def test_synthetic_ridge_is_localized():

@@ -93,18 +93,16 @@ def test_patch_sidecar_round_trip(tmp_path):
     # quantizes to just inside v_min and is kept as encoded
     assert back.values[0, 0] == 0.88
     assert abs(back.values[0, 1] - 0.05) <= HALF_Q
-    assert back.within_bounds()
 
 
-def test_load_patch_keeps_genuine_bound_violations(tmp_path):
+def test_load_patch_refuses_genuine_bound_violations(tmp_path):
     patch = uniform_patch(PatchPlacement(5.0, 0.0, 2.0, 10.0), 0.5, 0.3,
                           v_min=0.05, v_max=0.88)
     patch.values[0, 0] = 0.03   # far below v_min: not quantization noise
     p = tmp_path / "patch.pgm"
     save_patch(p, patch)
-    back = load_patch(p)
-    assert abs(back.values[0, 0] - 0.03) <= HALF_Q
-    assert not back.within_bounds()
+    with pytest.raises(InvalidArgumentError, match="v_min, v_max"):
+        load_patch(p)
 
 
 def test_sidecar_kind_is_checked(tmp_path):

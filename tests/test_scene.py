@@ -118,14 +118,26 @@ def test_identity_patch_is_painted_asphalt():
     p = identity_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, road)
     assert np.all(p.values == road.asphalt_intensity)
     assert p.v_min <= road.asphalt_intensity <= p.v_max
+    # bounds on either side of the asphalt gray widen to hold it
+    for lo, hi in [(0.35, 0.6), (0.05, 0.25)]:
+        p = identity_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, road,
+                           v_min=lo, v_max=hi)
+        assert np.all(p.values == road.asphalt_intensity)
+        assert (p.v_min, p.v_max) == (min(lo, 0.3), max(hi, 0.3))
 
 
 def test_patch_state_guards():
     p = uniform_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, 0.45)
-    assert p.within_bounds()
-    assert not p.with_values(np.full_like(p.values, 0.99)).within_bounds()
     with pytest.raises(InvalidArgumentError):
         p.with_values(np.zeros((3, 3)))
+    # a patch lies inside its gray bounds, or it cannot be built
+    p.with_values(np.where(np.arange(p.values.size).reshape(p.values.shape)
+                           % 2, p.v_min, p.v_max))
+    for bad in (p.v_max + 1e-12, p.v_min - 1e-12, np.nan):
+        values = p.values.copy()
+        values[3, 5] = bad
+        with pytest.raises(InvalidArgumentError):
+            p.with_values(values)
 
 
 def test_composite_replaces_pavement_but_never_lines():
@@ -159,8 +171,6 @@ def test_composite_rejects_bad_inputs():
     patch = uniform_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, 0.55)
     with pytest.raises(InvalidArgumentError):
         composite_patch(scene, patch, mask[:10, :10])
-    with pytest.raises(ConstraintViolationError):
-        composite_patch(scene, patch.with_values(patch.values + 1.0), mask)
     beyond = uniform_patch(PatchPlacement(35.0, 0.0, 2.4, 10.0), 0.1, 0.55)
     with pytest.raises(OutOfExtentError):
         composite_patch(scene, beyond, mask)
