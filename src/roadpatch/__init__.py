@@ -29,7 +29,6 @@ from .detector import (
 )
 from .errors import (
     ConfigError,
-    ConstraintViolationError,
     DetectionFailedError,
     IncompleteModelInputError,
     InvalidArgumentError,
@@ -57,7 +56,6 @@ __all__ = [
     "BevImage",
     "CameraConfig",
     "ConfigError",
-    "ConstraintViolationError",
     "ControllerConfig",
     "DetectionFailedError",
     "DetectorConfig",

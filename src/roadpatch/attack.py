@@ -32,7 +32,6 @@ from .camera import (
 from .controller import ControllerConfig, path_derivatives, steer_from_path
 from .detector import (
     DetectorConfig,
-    LaneDetection,
     desired_path,
     detect_lanes,
     detector_gradient,  # unused here; bench/spans.py rebinds it in this module
@@ -109,24 +108,29 @@ class AttackConfig:
 
 
 @dataclass
-class PatchProjection:
-    """Where the patch landed in one frame and what it looked like; frame
-    ``t`` (0-based) of a record was seen from ``record.states[t]``.  Both
-    arrays are empty in a rollout without a patch."""
+class FrameTape:
+    """What a gradient pass reads of one patched frame: the detector's
+    rectified responses, and the patch footprint's sorted flat pixel
+    indices and the frame's grays there."""
 
-    pixel_values: np.ndarray        # frame grays over the footprint
-    pixels: np.ndarray              # sorted flat footprint indices
+    responses: np.ndarray
+    pixels: np.ndarray
+    grays: np.ndarray
 
 
 @dataclass
 class RolloutRecord:
-    """Everything one closed-loop pass produced."""
+    """Everything one closed-loop pass produced.
+
+    Frame ``t`` (0-based) was seen from ``states[t]`` and gave ``paths[t]``
+    and ``steers[t]``.  A patched rollout keeps one tape per frame,
+    ``tapes[t]``; a rollout without a patch keeps none.
+    """
 
     states: list[VehicleState]
     steers: list[float]
-    detections: list[LaneDetection]
     paths: list[np.ndarray]
-    projections: list[PatchProjection]
+    tapes: list[FrameTape]
     truncated: bool
 
     @property
@@ -139,23 +143,14 @@ class RolloutRecord:
 
 @dataclass
 class ObjectiveBreakdown:
-    """The rollout objective split into its bending and stealth parts."""
+    """The rollout objective split into its bending and stealth parts,
+    with ``total = path + lambda * reg`` and the optimizer's
+    ``directed = direction_sign * path + lambda * reg``."""
 
     path_term: float
     reg_term: float
-    lambda_reg: float
-    direction: str
-    per_frame_path: np.ndarray
-    per_frame_reg: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return self.path_term + self.lambda_reg * self.reg_term
-
-    @property
-    def directed(self) -> float:
-        sign = 1.0 if self.direction == "right" else -1.0
-        return sign * self.path_term + self.lambda_reg * self.reg_term
+    total: float
+    directed: float
 
 
 def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
@@ -172,11 +167,10 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     Each frame renders just the detector's pixel support.  A whole frame
     (the dense warp) is rendered only for ``frame_sink``, after its
     detection succeeded, and is not kept.  A patch is composited into
-    ``scene`` here and makes the record a gradient pass's tape: each
-    frame keeps its rectified detector responses and the footprint's
-    sorted flat pixel indices and grays, found without an image-sized
-    mask.  Only the optimizer passes a patch; a rollout without one
-    (the closed loop composites its own patch) keeps neither.
+    ``scene`` here, and each frame then keeps a :class:`FrameTape` for
+    the gradient pass, its footprint found without an image-sized mask.
+    Only the optimizer passes a patch; a rollout without one (the closed
+    loop composites its own patch) keeps no tape.
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
@@ -186,68 +180,57 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
 
     states = [state0]
     steers: list[float] = []
-    detections: list[LaneDetection] = []
     paths: list[np.ndarray] = []
-    projections: list[PatchProjection] = []
+    tapes: list[FrameTape] = []
     truncated = False
 
     s = state0
     for t in range(1, horizon + 1):
         values = warp_bev_to_points(bev, cam, s, support.xf, support.yf,
                                     support.front)
-        if patch is not None:
-            pixels, seen = patch_pixels(bev, cam, s, patch)
-            proj = PatchProjection(pixel_values=seen, pixels=pixels)
-        else:
-            proj = PatchProjection(pixel_values=np.zeros(0),
-                                   pixels=np.zeros(0, dtype=np.intp))
         try:
             det = detect_lanes(values, pipe.detector, cam)
         except DetectionFailedError:
             truncated = True
             break
-        if patch is None:
-            det.responses = None
         path = desired_path(det)
         steer = steer_from_path(path, pipe.controller, pipe.vehicle)
         if frame_sink is not None:
             frame_sink(warp_bev_to_camera(bev, cam, s, index=t))
-        detections.append(det)
+        if patch is not None:
+            tapes.append(FrameTape(det.responses,
+                                   *patch_pixels(bev, cam, s, patch)))
         paths.append(path)
-        projections.append(proj)
         steers.append(steer)
         s = step(s, steer, pipe.vehicle)
         states.append(s)
 
-    return RolloutRecord(states=states, steers=steers, detections=detections,
-                         paths=paths, projections=projections,
-                         truncated=truncated)
+    return RolloutRecord(states=states, steers=steers, paths=paths,
+                         tapes=tapes, truncated=truncated)
 
 
-def rollout_objective(paths, projections, lambda_reg: float, decision_points,
-                  direction: str, base_value: float) -> ObjectiveBreakdown:
+def rollout_objective(record: RolloutRecord, cfg: AttackConfig,
+                      decision_points, base_value: float) -> ObjectiveBreakdown:
     """Score a rollout: summed path slopes plus the stealth penalty.
 
     ``path_term`` sums the desired-path derivative over every frame and
     decision distance; ``reg_term`` sums squared deviation of the
-    patch's visible frame pixels from the neutral ``base_value``.  The
-    squares are summed by numpy's own pairwise reduction, not a BLAS dot,
-    so ``reg_term`` does not depend on the BLAS thread count.
+    patch's visible frame pixels (the tapes' footprint grays) from the
+    neutral ``base_value``, so a rollout without a patch scores 0.0
+    there.  Each term sums per-frame sums; the squares are summed by
+    numpy's own pairwise reduction, not a BLAS dot, so ``reg_term`` does
+    not depend on the BLAS thread count.
     """
-    if len(paths) != len(projections):
-        raise InvalidArgumentError("paths and projections must align")
-    n = len(paths)
-    per_path = np.zeros(n)
-    per_reg = np.zeros(n)
-    for k, (path, proj) in enumerate(zip(paths, projections)):
-        per_path[k] = float(np.sum(path_derivatives(path, decision_points)))
-        if proj.pixel_values.size:
-            dev = proj.pixel_values - base_value
-            per_reg[k] = float(np.sum(dev * dev))
-    return ObjectiveBreakdown(path_term=float(per_path.sum()),
-                              reg_term=float(per_reg.sum()),
-                              lambda_reg=lambda_reg, direction=direction,
-                              per_frame_path=per_path, per_frame_reg=per_reg)
+    path = float(np.array(
+        [np.sum(path_derivatives(p, decision_points)) for p in record.paths],
+        dtype=float).sum())
+    reg = float(np.array(
+        [np.sum(np.square(tape.grays - base_value)) for tape in record.tapes],
+        dtype=float).sum())
+    stealth = cfg.lambda_reg * reg
+    return ObjectiveBreakdown(path_term=path, reg_term=reg,
+                              total=path + stealth,
+                              directed=cfg.direction_sign * path + stealth)
 
 
 def _path_upstream(cfg: AttackConfig, pipe: PipelineConfig,
@@ -261,10 +244,10 @@ def _path_upstream(cfg: AttackConfig, pipe: PipelineConfig,
     return upstream
 
 
-def _stealth_gradient(proj: PatchProjection, lambda_reg: float,
+def _stealth_gradient(tape: FrameTape, lambda_reg: float,
                       base_value: float) -> np.ndarray:
     """Gradient of the stealth term on the footprint pixels."""
-    return 2.0 * lambda_reg * (proj.pixel_values - base_value)
+    return 2.0 * lambda_reg * (tape.grays - base_value)
 
 
 def _mean(splats) -> np.ndarray:
@@ -291,19 +274,19 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
     is rendered or read.  Every other pixel has exactly zero gradient, so
     splatting the runs' sum through the warp/composite adjoint is
     bit-identical to splatting the whole image.  Every frame that saw the
-    patch weighs 1.
+    patch weighs 1; a record without tapes has none and raises
+    ``NoVisibilityError``.
     """
     upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
     support = support_set(pipe.detector, pipe.camera).pixels
     grads = []
-    for t, proj in enumerate(record.projections):
-        if not proj.pixel_values.size:
+    for state, tape in zip(record.states, record.tapes):
+        if not tape.pixels.size:
             continue
-        path = support_gradient(record.detections[t], upstream,
-                                pipe.detector, pipe.camera)
-        stealth = _stealth_gradient(proj, cfg.lambda_reg, patch.base_value)
-        grads.append((record.states[t],
-                      [(support, path), (proj.pixels, stealth)]))
+        path = support_gradient(tape.responses, upstream, pipe.detector,
+                                pipe.camera)
+        stealth = _stealth_gradient(tape, cfg.lambda_reg, patch.base_value)
+        grads.append((state, [(support, path), (tape.pixels, stealth)]))
     return _mean(splat_pixels(grads, pipe.camera, scene, patch, line_mask))
 
 
@@ -339,9 +322,8 @@ class OptimizeResult:
 def _evaluate(scene, line_mask, patch, state0, pipe, cfg):
     record = rollout_with_patch(scene, line_mask, patch, state0,
                                 cfg.horizon_frames, pipe)
-    bd = rollout_objective(record.paths, record.projections, cfg.lambda_reg,
-                       pipe.controller.decision_points, cfg.direction,
-                       patch.base_value)
+    bd = rollout_objective(record, cfg, pipe.controller.decision_points,
+                           patch.base_value)
     return record, bd
 
 
@@ -352,7 +334,8 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
 
     Each iteration takes one gradient pass at the current iterate, then
     tries a step, halving it up to ``max_halvings`` times until the
-    directed objective strictly decreases.  At every trial size the sign
+    directed objective strictly decreases; an iteration after a stalled
+    one, whose iterate did not move, reuses the gradient in hand.  At every trial size the sign
     of the gradient is tried first (full-cell moves develop large-scale
     patch structure quickly) and the max-normalized raw gradient second —
     the fallback rescues iterates where the all-cells sign move overshoots
@@ -372,9 +355,11 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
     history = [HistoryEntry(0, bd, step_size, record.max_lateral_deviation(),
                             True)]
     converged = False
+    grad = None
 
     for it in range(1, cfg.iterations + 1):
-        grad = patch_gradient(record, cfg, pipe, scene, current, line_mask)
+        if grad is None:
+            grad = patch_gradient(record, cfg, pipe, scene, current, line_mask)
         # Steepest descent in the max-norm geometry: raw gradients put
         # almost all their mass on a handful of cells, which stalls the
         # search long before the patch develops large-scale structure,
@@ -395,6 +380,7 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
                     accepted = True
                     break
             if accepted:
+                grad = None
                 break
             step_size *= 0.5
         history.append(HistoryEntry(it, bd, step_size,

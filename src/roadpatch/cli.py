@@ -8,10 +8,10 @@ Subcommands cover the full experiment loop:
 - ``evaluate``  closed-loop run with a saved (or identity) patch
 - ``report``    fold a run directory's JSON reports into one summary
 
-Exit codes: 0 success, 2 configuration problem, 3 runtime failure,
-4 the attack goal was not met under ``--require-success``.  Failures
-also emit a one-line JSON record on stderr so harnesses don't have to
-parse prose.
+Exit codes: 0 success, 2 configuration problem, 3 runtime failure
+(an ``OSError`` writing an output included), 4 the attack goal was not
+met under ``--require-success``.  Failures also emit a one-line JSON
+record on stderr so harnesses don't have to parse prose.
 """
 
 from __future__ import annotations
@@ -209,35 +209,45 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _summary_lines(kind: str, rep) -> list[str]:
+    """What ``report`` prints for one report; raises ``LookupError``,
+    ``TypeError`` or ``ValueError`` on a report without a field it prints
+    (a render report has none)."""
+    if kind == "render":
+        return []
+    if kind == "optimize":
+        return [f"optimize: directed objective {rep['directed']:.5f} after "
+                f"{rep['iterations_run']} iterations"]
+    line = f"{kind}: max |y| = {rep['max_lateral_deviation']:.4f} m"
+    if kind == "evaluate":
+        t = rep.get("attack_time_s")
+        line += (f", attack time {t:.3f} s" if t is not None
+                 else ", goal not reached")
+    return [line]
+
+
 def cmd_report(args) -> int:
     out = Path(args.out) if args.out else None
     if out is None or not out.is_dir():
         raise InvalidArgumentError("report needs --out pointing at a run "
                                    "directory")
     summary: dict = {"kind": "summary", "run_dir": str(out)}
+    lines: list[str] = []
     found = False
-    for name in ("render", "benign", "optimize", "evaluate"):
-        path = out / f"{name}_report.json"
+    for kind in ("render", "benign", "evaluate", "optimize"):
+        path = out / f"{kind}_report.json"
         if path.exists():
             found = True
-            summary[name] = artifacts.read_report(path)
+            try:
+                summary[kind] = artifacts.read_report(path)
+                lines += _summary_lines(kind, summary[kind])
+            except (LookupError, TypeError, ValueError) as exc:
+                raise InvalidArgumentError(
+                    f"{path} is not a {kind} report: {exc!r}") from exc
     if not found:
         raise InvalidArgumentError(f"no reports found under {out}")
     artifacts.write_report(out / "summary.json", summary)
-    for key in ("benign", "evaluate"):
-        rep = summary.get(key)
-        if rep:
-            line = (f"{key}: max |y| = {rep['max_lateral_deviation']:.4f} m")
-            if key == "evaluate":
-                t = rep.get("attack_time_s")
-                line += (f", attack time {t:.3f} s" if t is not None
-                         else ", goal not reached")
-            print(line)
-    if "optimize" in summary:
-        rep = summary["optimize"]
-        print(f"optimize: directed objective {rep['directed']:.5f} after "
-              f"{rep['iterations_run']} iterations")
-    print(f"summary -> {out / 'summary.json'}")
+    print("\n".join(lines + [f"summary -> {out / 'summary.json'}"]))
     return EXIT_OK
 
 
@@ -310,7 +320,7 @@ def main(argv=None) -> int:
                    "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_CONFIG
-    except RoadPatchError as exc:
+    except (RoadPatchError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)
         sys.stderr.write("\n")

@@ -24,15 +24,15 @@ from .attack import AttackConfig, PipelineConfig
 from .camera import CameraConfig, model_input_gaps, model_input_reach
 from .controller import ControllerConfig
 from .detector import DetectorConfig
-from .errors import ConfigError, ConstraintViolationError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError
 from .motion import VehicleParams, VehicleState
 from .scene import (
     BevImage,
     PatchPlacement,
     PatchState,
     RoadSpec,
+    _EDGE_EPS,
     _grid,
-    check_placement,
     identity_patch,
     lane_line_mask,
     render_road_bev,
@@ -246,16 +246,21 @@ class ScenarioConfig:
         placement (plus its margin) stays off both lane lines and inside
         the rendered scene extent, and its grays stay below the lane-line
         intensity."""
-        try:
-            check_placement(patch.placement, self.road)
-        except ConstraintViolationError as exc:
-            raise ConfigError("patch.placement", str(exc)) from exc
-        x_lo, x_hi, y_lo, y_hi = patch.placement.rect
+        placement, road = patch.placement, self.road
+        half_interior = 0.5 * (road.lane_width - road.lane_line_width)
+        reach = (abs(placement.center_y) + 0.5 * placement.width
+                 + placement.margin)
+        if reach > half_interior + _EDGE_EPS:
+            raise ConfigError(
+                "patch.placement",
+                f"patch reaches {reach:.3f} m from lane center but the "
+                f"line-free interior extends only {half_interior:.3f} m")
+        x_lo, x_hi, y_lo, y_hi = placement.rect
         ex_lo, ex_hi, ey_lo, ey_hi = self.extent
         if x_lo < ex_lo or x_hi > ex_hi or y_lo < ey_lo or y_hi > ey_hi:
             raise ConfigError("patch.start_x",
                               "patch placement leaves the rendered scene extent")
-        if patch.v_max >= self.road.line_intensity:
+        if patch.v_max >= road.line_intensity:
             raise ConfigError("patch.v_max", "patch grays must stay below "
                                              "the lane-line intensity")
 
@@ -380,7 +385,7 @@ def load_config(path, seed_override: int | None = None) -> ScenarioConfig:
     """Read and validate a scenario JSON file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)

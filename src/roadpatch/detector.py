@@ -73,12 +73,12 @@ class LaneDetection:
     """Per-line fits plus the rectified responses they were built from.
 
     ``responses`` (bands x columns) is the whole tape of the backward
-    pass; a rollout that takes no gradient drops it (``None``).
+    pass.
     """
 
     left_coeffs: np.ndarray
     right_coeffs: np.ndarray
-    responses: np.ndarray | None
+    responses: np.ndarray
 
 
 class _Plan:
@@ -226,37 +226,36 @@ def desired_path(detection: LaneDetection) -> np.ndarray:
     return 0.5 * (detection.left_coeffs + detection.right_coeffs)
 
 
-def detector_gradient(detection: LaneDetection, upstream: np.ndarray,
+def detector_gradient(responses: np.ndarray, upstream: np.ndarray,
                       det: DetectorConfig, cam: CameraConfig) -> np.ndarray:
     """:func:`support_gradient` placed in an image, zero off the support."""
     w, h = cam.image_size
     image = np.zeros(h * w)
-    image[support_set(det, cam).pixels] = support_gradient(detection, upstream,
+    image[support_set(det, cam).pixels] = support_gradient(responses, upstream,
                                                            det, cam)
     return image.reshape(h, w)
 
 
-def support_gradient(detection: LaneDetection, upstream: np.ndarray,
+def support_gradient(responses: np.ndarray, upstream: np.ndarray,
                      det: DetectorConfig, cam: CameraConfig) -> np.ndarray:
-    """Exact pixel gradient of ``upstream . desired_path_coeffs``.
+    """Exact pixel gradient of ``upstream . desired_path_coeffs`` for the
+    detection whose rectified responses are ``responses``.
 
     ``upstream`` is the gradient of some scalar objective with respect to
     the desired-path coefficients.  The result holds one value per pixel
     of ``support_set(det, cam).pixels``; every other pixel's gradient is
     zero.  All stages of the forward pass (soft argmax, confidence
     weights, weighted fit) are differentiated; they are recomputed from
-    ``detection.responses`` by the same :func:`_fit_lines` the forward
-    pass ran, so they are bit-identical to its values.  The sample
-    gradients are scattered through the support's taps with the same sums
-    as a full-image :func:`interp.scatter`, so the values are
-    bit-identical to that image's values on the support.
+    ``responses`` by the same :func:`_fit_lines` the forward pass ran,
+    so they are bit-identical to its values.  The sample gradients are
+    scattered through the support's taps with the same sums as a
+    full-image :func:`interp.scatter`, so the values are bit-identical to
+    that image's values on the support.
     """
-    if detection.responses is None:
-        raise InvalidArgumentError("detection carries no responses")
     plan = support_set(det, cam)
     g_t = plan.M.T @ (0.5 * np.asarray(upstream, dtype=float))  # line mean
     d_resp = np.zeros((det.n_bands, det.n_lateral))
-    for line in _fit_lines(detection.responses, plan):
+    for line in _fit_lines(responses, plan):
         sA = np.linalg.solve(line.A, g_t)
         r_proj = plan.T @ sA                      # dL/d(weighted residual row)
         d_y = line.mass * r_proj                  # dL/d(y_est)
@@ -268,7 +267,7 @@ def support_gradient(detection: LaneDetection, upstream: np.ndarray,
         block *= (d_idx / det.tau)[:, None]
         block += d_mass[:, None]
         d_resp[:, line.cols] += block
-    d_samples = d_resp * (detection.responses > 0.0)
+    d_samples = d_resp * (responses > 0.0)
     return interp.accumulate(plan.pixels.size, plan.taps, plan.weights,
                              d_samples)
 

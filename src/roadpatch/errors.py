@@ -15,10 +15,6 @@ class InvalidArgumentError(RoadPatchError, ValueError):
     """An argument is outside its documented domain."""
 
 
-class ConstraintViolationError(RoadPatchError):
-    """A structural constraint (e.g. patch placement) is violated."""
-
-
 class OutOfExtentError(RoadPatchError):
     """A ground-plane query falls outside a raster's extent."""
 

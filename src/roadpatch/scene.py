@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import interp
-from .errors import ConstraintViolationError, InvalidArgumentError, OutOfExtentError
+from .errors import InvalidArgumentError, OutOfExtentError
 
 # Nudge applied when mapping rectangle edges to pixel-center ranges so that
 # edges falling exactly on a center are treated deterministically.
@@ -139,16 +139,6 @@ class PatchState:
     def with_values(self, values: np.ndarray) -> "PatchState":
         """Same patch, new grays (of the shape its placement needs)."""
         return replace(self, values=np.asarray(values, dtype=float))
-
-
-def check_placement(placement: PatchPlacement, road: RoadSpec) -> None:
-    """Raise unless the patch (plus margin) stays off both lane lines."""
-    half_interior = 0.5 * (road.lane_width - road.lane_line_width)
-    reach = abs(placement.center_y) + 0.5 * placement.width + placement.margin
-    if reach > half_interior + _EDGE_EPS:
-        raise ConstraintViolationError(
-            f"patch reaches {reach:.3f} m from lane center but the line-free "
-            f"interior extends only {half_interior:.3f} m")
 
 
 def _patch_shape(placement: PatchPlacement, grid_mpp: float) -> tuple[int, int]:

@@ -30,7 +30,7 @@ from roadpatch.camera import (
     _vehicle_to_world,
     splat_camera_to_bev,
 )
-from roadpatch.detector import LaneDetection, detector_gradient
+from roadpatch.detector import detector_gradient
 from roadpatch.errors import InvalidArgumentError, NoGroundIntersectionError
 from roadpatch.motion import VehicleParams, VehicleState, clamp_steer, step
 from roadpatch.pgmio import _sidecar_path, read_pgm
@@ -52,16 +52,6 @@ class FrameGradient:
     index: int
 
 
-def _taped_detection(record: RolloutRecord, t: int) -> LaneDetection:
-    if not 0 <= t < record.frames_evaluated:
-        raise InvalidArgumentError(f"frame index {t} outside the record")
-    detection = record.detections[t]
-    if detection.responses is None:
-        raise InvalidArgumentError(
-            "rollout kept no detector responses: rerun it with a patch")
-    return detection
-
-
 def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
                    pipe: PipelineConfig, decision_points,
                    base_value: float) -> FrameGradient:
@@ -70,16 +60,18 @@ def frame_gradient(record: RolloutRecord, t: int, cfg: AttackConfig,
     States are taken as recorded: only this frame's detection and its
     visible patch pixels vary.  The gradient is zero outside the
     detector's pixel support (path term) and the patch footprint (stealth
-    term).  It is computed from the detector responses and the footprint
-    grays the rollout recorded.
+    term).  It is computed from the frame's tape, so a rollout without a
+    patch, which keeps none, has no frame gradient.
     """
-    detection = _taped_detection(record, t)
-    img = detector_gradient(detection,
+    if not 0 <= t < len(record.tapes):
+        raise InvalidArgumentError(f"frame index {t} has no tape in the "
+                                   f"record: rerun it with a patch")
+    tape = record.tapes[t]
+    img = detector_gradient(tape.responses,
                             _path_upstream(cfg, pipe, decision_points),
                             pipe.detector, pipe.camera)
-    proj = record.projections[t]
-    if proj.pixel_values.size:
-        img.ravel()[proj.pixels] += _stealth_gradient(proj, cfg.lambda_reg,
+    if tape.grays.size:
+        img.ravel()[tape.pixels] += _stealth_gradient(tape, cfg.lambda_reg,
                                                       base_value)
     return FrameGradient(image=img, pose=record.states[t], index=t)
 

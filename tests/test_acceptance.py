@@ -245,9 +245,8 @@ def test_single_gray_optimum_matches_brute_force(record_check, scenario72,
         record = rollout_with_patch(scene, mask,
                                     patch0.with_values(np.full((1, 1), v)),
                                     state0, cfg.horizon_frames, pipe)
-        return rollout_objective(record.paths, record.projections, cfg.lambda_reg,
-                             pipe.controller.decision_points, cfg.direction,
-                             patch0.base_value).directed
+        return rollout_objective(record, cfg, pipe.controller.decision_points,
+                                 patch0.base_value).directed
 
     grid = np.arange(patch0.v_min, patch0.v_max + 1e-9, 0.005)
     brute = float(grid[int(np.argmin([directed(v) for v in grid]))])

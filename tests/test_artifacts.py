@@ -2,8 +2,6 @@
 
 import csv
 
-import numpy as np
-
 from roadpatch.artifacts import (
     HISTORY_FIELDS,
     TRAJECTORY_FIELDS,
@@ -38,10 +36,9 @@ def test_trajectory_round_trip(tmp_path):
 
 
 def _entry(iteration, accepted):
-    bd = ObjectiveBreakdown(path_term=0.2, reg_term=100.0, lambda_reg=1e-4,
-                            direction="right",
-                            per_frame_path=np.array([0.2]),
-                            per_frame_reg=np.array([100.0]))
+    bd = ObjectiveBreakdown(path_term=0.2, reg_term=100.0,
+                            total=0.2 + 1e-4 * 100.0,
+                            directed=0.2 + 1e-4 * 100.0)
     return HistoryEntry(iteration=iteration, breakdown=bd, step_size=0.05,
                         max_deviation=0.1, accepted=accepted)
 

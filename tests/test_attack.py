@@ -11,15 +11,17 @@ import pytest
 from roadpatch import attack
 from roadpatch.attack import (
     AttackConfig,
-    PatchProjection,
+    FrameTape,
     PipelineConfig,
+    RolloutRecord,
     rollout_objective,
     optimize_patch,
     patch_gradient,
     rollout_with_patch,
 )
 from roadpatch.camera import patch_footprint, splat_camera_to_bev, splat_pixels
-from roadpatch.detector import detect_lanes, support_set
+from roadpatch.config import config_from_dict
+from roadpatch.detector import desired_path, detect_lanes, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
 from roadpatch.sim import run_closed_loop
 
@@ -33,9 +35,14 @@ from reference import (
 BASE = 0.45
 
 
-def _proj(n_pixels, value):
-    return PatchProjection(pixel_values=np.full(n_pixels, float(value)),
-                           pixels=np.arange(n_pixels))
+def _tape(n_pixels, value):
+    return FrameTape(responses=np.zeros((1, 1)), pixels=np.arange(n_pixels),
+                     grays=np.full(n_pixels, float(value)))
+
+
+def _record(paths, tapes):
+    return RolloutRecord(states=[], steers=[], paths=paths, tapes=tapes,
+                         truncated=False)
 
 
 def _quad_path():
@@ -44,27 +51,30 @@ def _quad_path():
 
 
 def test_objective_worked_example():
-    bd = rollout_objective([_quad_path()], [_proj(100, BASE + 1.0)], 1e-4,
-                       (10.0,), "right", BASE)
+    record = _record([_quad_path()], [_tape(100, BASE + 1.0)])
+    cfg = AttackConfig(lambda_reg=1e-4)
+    bd = rollout_objective(record, cfg, (10.0,), BASE)
     assert bd.path_term == pytest.approx(0.2, rel=1e-12)
     assert bd.reg_term == pytest.approx(100.0, rel=1e-12)
     assert bd.total == pytest.approx(0.21, rel=1e-12)
     assert bd.directed == pytest.approx(0.21, rel=1e-12)
-    left = dataclasses.replace(bd, direction="left")
+    left = rollout_objective(record, dataclasses.replace(cfg, direction="left"),
+                             (10.0,), BASE)
     assert left.directed == pytest.approx(-0.19, rel=1e-12)
-    np.testing.assert_allclose(bd.per_frame_path, [0.2])
-    np.testing.assert_allclose(bd.per_frame_reg, [100.0])
+    assert left.total == bd.total
 
 
 def test_objective_sums_over_frames_and_points():
-    bd = rollout_objective([_quad_path(), _quad_path()],
-                       [_proj(10, BASE + 0.5), _proj(0, 0.0)],
-                       0.0, (10.0, 20.0), "right", BASE)
+    cfg = AttackConfig(lambda_reg=0.0)
+    bd = rollout_objective(_record([_quad_path(), _quad_path()],
+                                   [_tape(10, BASE + 0.5), _tape(0, 0.0)]),
+                           cfg, (10.0, 20.0), BASE)
     assert bd.path_term == pytest.approx(0.2 + 0.4 + 0.2 + 0.4, rel=1e-12)
     assert bd.reg_term == pytest.approx(10 * 0.25, rel=1e-12)
-    assert bd.per_frame_reg[1] == 0.0
-    with pytest.raises(InvalidArgumentError):
-        rollout_objective([_quad_path()], [], 0.0, (10.0,), "right", BASE)
+    # a record without tapes (no patch) scores its paths and no stealth
+    bare = rollout_objective(_record([_quad_path()], []), cfg, (10.0,), BASE)
+    assert bare.path_term == pytest.approx(0.2, rel=1e-12)
+    assert bare.reg_term == 0.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -93,9 +103,7 @@ def test_rollout_without_patch(scenario72, scene72):
     assert len(record.states) == 6
     assert record.frames_evaluated == 5
     assert not record.truncated
-    assert all(p.pixel_values.size == 0 and p.pixels.size == 0
-               for p in record.projections)
-    assert all(d.responses is None for d in record.detections)
+    assert len(record.paths) == 5 and record.tapes == []
     assert record.max_lateral_deviation() < 0.01
     with pytest.raises(InvalidArgumentError):
         rollout_with_patch(scene, mask, None, scenario72.initial_state(),
@@ -111,11 +119,15 @@ def test_rollout_records_frames_and_sinks(scenario72, scene72):
                                 frame_sink=lambda f: seen.append(f.index))
     assert seen == [1, 2, 3]
     assert record.frames_evaluated == 3
-    # a patch means a tape, sink or not: responses and footprint indices
-    proj = record.projections[0]
-    assert proj.pixel_values.size > 0
-    assert proj.pixels.size == proj.pixel_values.size
-    assert all(d.responses is not None for d in record.detections)
+    # a patch means a tape per frame, sink or not: the detector responses
+    # and the footprint's indices and grays
+    assert len(record.tapes) == 3
+    pipe = scenario72.pipeline()
+    for tape in record.tapes:
+        assert tape.responses.shape == (pipe.detector.n_bands,
+                                        pipe.detector.n_lateral)
+        assert tape.pixels.size == tape.grays.size
+    assert record.tapes[0].grays.size > 0
 
 
 def test_benign_rollout_barely_bends_the_path(scenario72, scene72):
@@ -123,8 +135,8 @@ def test_benign_rollout_barely_bends_the_path(scenario72, scene72):
     pipe = scenario72.pipeline()
     record = rollout_with_patch(scene, mask, None, scenario72.initial_state(),
                                 5, pipe)
-    bd = rollout_objective(record.paths, record.projections, 0.0,
-                       pipe.controller.decision_points, "right", BASE)
+    bd = rollout_objective(record, AttackConfig(lambda_reg=0.0),
+                           pipe.controller.decision_points, BASE)
     bound = 2e-3 * 5 * len(pipe.controller.decision_points)
     assert abs(bd.path_term) < bound
     assert bd.reg_term == 0.0
@@ -134,8 +146,8 @@ def test_frame_gradient_guards(scenario72, scene72):
     scene, mask = scene72
     pipe = scenario72.pipeline()
     cfg = scenario72.attack
-    # A rollout without a patch keeps no detector responses, with or
-    # without a frame sink.
+    # A rollout without a patch keeps no tape, with or without a frame
+    # sink.
     for sink in (None, lambda f: None):
         blind = rollout_with_patch(scene, mask, None,
                                    scenario72.initial_state(), 1, pipe,
@@ -162,7 +174,7 @@ def test_frame_gradient_support(scenario72, scene72):
     nonzero = fg.image != 0.0
     assert nonzero.any()
     allowed = np.zeros(fg.image.shape, dtype=bool)
-    allowed.ravel()[record.projections[0].pixels] = True
+    allowed.ravel()[record.tapes[0].pixels] = True
     allowed[rect_slices(pipe.camera)] = True
     assert not np.any(nonzero & ~allowed)
 
@@ -177,7 +189,7 @@ def test_aggregate_is_the_mean_over_frames_that_saw_the_patch(scenario72,
     pts = pipe.controller.decision_points
     fg = [frame_gradient(record, t, scenario72.attack, pipe, pts, BASE)
           for t in range(2)]
-    counts = [p.pixel_values.size for p in record.projections]
+    counts = [tape.grays.size for tape in record.tapes]
     assert counts[0] > 0 and counts[1] > 0
     splats = [splat_camera_to_bev(g.image, pipe.camera, g.pose, scene,
                                   patch, mask) for g in fg]
@@ -217,10 +229,23 @@ def test_patch_gradient_is_the_documented_composition(scenario72, scene72):
     manual = aggregate_gradients_bev(
         [frame_gradient(record, t, cfg, pipe, pts, patch.base_value)
          for t in range(2)],
-        [p.pixel_values.size for p in record.projections], pipe.camera,
+        [tape.grays.size for tape in record.tapes], pipe.camera,
         scene, patch, mask)
     auto = patch_gradient(record, cfg, pipe, scene, patch, mask)
     np.testing.assert_array_equal(auto, manual)
+
+
+def test_an_untaped_rollout_has_no_gradient(scenario72, scene72):
+    # A rollout without a patch keeps no tape, so no frame of it saw the
+    # patch for a gradient pass.
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    patch = scenario72.initial_patch()
+    record = rollout_with_patch(scene, mask, None,
+                                scenario72.initial_state(), 3, pipe)
+    assert record.frames_evaluated == 3 and record.tapes == []
+    with pytest.raises(NoVisibilityError):
+        patch_gradient(record, scenario72.attack, pipe, scene, patch, mask)
 
 
 def test_optimize_zero_iterations_scores_the_start(scenario72, scene72):
@@ -250,9 +275,8 @@ def test_optimize_bookkeeping_matches_a_rescore(scenario72, scene72):
     record = rollout_with_patch(scene, mask, result.patch,
                                 scenario72.initial_state(),
                                 cfg.horizon_frames, pipe)
-    rescored = rollout_objective(record.paths, record.projections, cfg.lambda_reg,
-                             pipe.controller.decision_points, cfg.direction,
-                             result.patch.base_value)
+    rescored = rollout_objective(record, cfg, pipe.controller.decision_points,
+                                 result.patch.base_value)
     assert rescored.directed == pytest.approx(min(directeds), abs=1e-12)
 
 
@@ -314,6 +338,33 @@ def test_optimize_steps_stay_clamped(scenario72, scene72, monkeypatch):
         assert np.max(np.abs(after - before)) <= cfg.step_size + 1e-12
 
 
+def test_a_stalled_iteration_reuses_its_gradient(monkeypatch):
+    # A stalled iteration keeps its iterate, so the next one has the
+    # gradient there already; every gradient pass sees a new iterate.
+    cfg = config_from_dict({
+        "name": "tiny", "speed_kmh": 54.0, "duration_s": 1.0,
+        "road": {"road_length": 90.0},
+        "patch": {"start_x": 12.0, "width": 2.0, "length": 8.0},
+        "attack": {"horizon_frames": 5, "iterations": 6, "step_size": 0.3,
+                   "max_halvings": 0}})
+    seen = []
+
+    def gradient_at(record, cfg, pipe, scene, patch, mask):
+        seen.append(patch.values)
+        return patch_gradient(record, cfg, pipe, scene, patch, mask)
+
+    monkeypatch.setattr(attack, "patch_gradient", gradient_at)
+    scene, mask = cfg.build_scene()
+    result = optimize_patch(scene, mask, cfg.initial_patch(),
+                            cfg.initial_state(), cfg.pipeline(), cfg.attack)
+    # the budget holds an iteration after a stall
+    stalls = [h.iteration for h in result.history[1:] if not h.accepted]
+    assert stalls and stalls[0] < result.iterations_run
+    assert len(seen) > 1
+    for before, after in zip(seen, seen[1:]):
+        assert not np.array_equal(before, after)
+
+
 def test_optimize_is_deterministic(scenario72, scene72):
     scene, mask = scene72
     cfg = dataclasses.replace(scenario72.attack, iterations=2,
@@ -364,19 +415,19 @@ def _sunk(cfg, scene, mask, patch, horizon):
 
 
 def _taped_from_frames(record, frames, patch, pipe):
-    """``record`` with its tapes and footprints read off its whole frames:
-    each detection rerun on the frame's support grays, each footprint
-    taken from ``patch_footprint``."""
+    """``record`` with its tapes read off its whole frames: each
+    detection rerun on the frame's support grays, each footprint taken
+    from ``patch_footprint``."""
+    assert len(frames) == len(record.tapes)
     support = support_set(pipe.detector, pipe.camera).pixels
-    detections, projections = [], []
-    for frame, proj in zip(frames, record.projections, strict=True):
-        detections.append(detect_lanes(frame.pixels.ravel()[support],
-                                       pipe.detector, pipe.camera))
+    tapes = []
+    for frame in frames:
+        det = detect_lanes(frame.pixels.ravel()[support], pipe.detector,
+                           pipe.camera)
         fp = patch_footprint(pipe.camera, frame.pose, patch)
-        projections.append(dataclasses.replace(
-            proj, pixel_values=frame.pixels[fp], pixels=np.flatnonzero(fp)))
-    return dataclasses.replace(record, detections=detections,
-                               projections=projections)
+        tapes.append(FrameTape(det.responses, np.flatnonzero(fp),
+                               frame.pixels[fp]))
+    return dataclasses.replace(record, tapes=tapes)
 
 
 @pytest.mark.parametrize("kind", ["initial", "random"])
@@ -394,29 +445,24 @@ def test_support_rollout_sees_the_patch_like_the_dense_one(kind, scenario72,
     dense, frames = _sunk(scenario72, scene, mask, patch, cfg.horizon_frames)
     assert [f.index for f in frames] == list(range(1, len(dense.steers) + 1))
     assert support.states == dense.states and support.steers == dense.steers
-    assert any(p.pixels.size for p in dense.projections)
+    assert any(tape.pixels.size for tape in dense.tapes)
     pixels = support_set(pipe.detector, pipe.camera).pixels
-    for a, b, det, frame in zip(support.projections, dense.projections,
-                                support.detections, frames, strict=True):
+    for a, b, path, frame in zip(support.tapes, dense.tapes, support.paths,
+                                 frames, strict=True):
         np.testing.assert_array_equal(a.pixels, b.pixels)
-        np.testing.assert_array_equal(a.pixel_values, b.pixel_values)
+        np.testing.assert_array_equal(a.grays, b.grays)
+        np.testing.assert_array_equal(a.responses, b.responses)
         again = detect_lanes(frame.pixels.ravel()[pixels], pipe.detector,
                              pipe.camera)
-        np.testing.assert_array_equal(again.left_coeffs, det.left_coeffs)
-        np.testing.assert_array_equal(again.right_coeffs, det.right_coeffs)
+        np.testing.assert_array_equal(again.responses, a.responses)
+        np.testing.assert_array_equal(desired_path(again), path)
         np.testing.assert_array_equal(
             frame.pixels[patch_footprint(pipe.camera, frame.pose, patch)],
-            a.pixel_values)
-    scores = [rollout_objective(r.paths, r.projections, cfg.lambda_reg,
-                                pipe.controller.decision_points,
-                                cfg.direction, patch.base_value)
+            a.grays)
+    scores = [rollout_objective(r, cfg, pipe.controller.decision_points,
+                                patch.base_value)
               for r in (support, dense)]
-    assert scores[0].path_term == scores[1].path_term
-    assert scores[0].reg_term == scores[1].reg_term
-    np.testing.assert_array_equal(scores[0].per_frame_path,
-                                  scores[1].per_frame_path)
-    np.testing.assert_array_equal(scores[0].per_frame_reg,
-                                  scores[1].per_frame_reg)
+    assert scores[0] == scores[1]
 
 
 @pytest.mark.parametrize("kind", ["initial", "random"])
@@ -449,11 +495,11 @@ def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
                                 scenario72.initial_state(), 3, pipe)
     support = support_set(pipe.detector, pipe.camera).pixels
     rng = np.random.default_rng(8)
-    for proj, pose in zip(record.projections, record.states):
-        shared = np.intersect1d(support, proj.pixels)
+    for tape, pose in zip(record.tapes, record.states):
+        shared = np.intersect1d(support, tape.pixels)
         assert shared.size
         runs = []
-        for pixels in (support, proj.pixels):
+        for pixels in (support, tape.pixels):
             values = rng.standard_normal(pixels.size)
             values[rng.random(pixels.size) < 0.2] = 0.0
             values[rng.random(pixels.size) < 0.1] = -0.0
@@ -489,7 +535,7 @@ def test_frame_gradient_of_a_frameless_record(scenario72, scene72):
         assert fg.pose == want.pose == records[0].states[t]
         allowed = np.zeros(fg.image.size, dtype=bool)
         allowed[support] = True
-        allowed[records[0].projections[t].pixels] = True
+        allowed[records[0].tapes[t].pixels] = True
         assert np.any(fg.image.ravel()[allowed] != 0.0)
         assert not np.any(fg.image.ravel()[~allowed])
 
@@ -500,7 +546,7 @@ def test_optimizer_never_renders_a_frame(scenario72, scene72, monkeypatch):
     patch = scenario72.initial_patch()
     record = rollout_with_patch(scene, mask, patch,
                                 scenario72.initial_state(), 2, pipe)
-    assert all(d.responses is not None for d in record.detections)
+    assert len(record.tapes) == 2
 
     def no_dense_warp(*args, **kwargs):
         raise AssertionError("the optimizer rendered a whole frame")
@@ -515,13 +561,17 @@ def test_optimizer_never_renders_a_frame(scenario72, scene72, monkeypatch):
 
 _REG_TERM = """
 import numpy as np
-from roadpatch.attack import PatchProjection, rollout_objective
+from roadpatch.attack import (AttackConfig, FrameTape, RolloutRecord,
+                             rollout_objective)
 rng = np.random.default_rng(3)
 path = np.array([0.0, 0.01, 0.001, 0.0])
-projs = [PatchProjection(pixel_values=rng.uniform(0.05, 0.88, 38000),
-                         pixels=np.arange(38000))
+tapes = [FrameTape(responses=np.zeros((1, 1)), pixels=np.arange(38000),
+                   grays=rng.uniform(0.05, 0.88, 38000))
          for _ in range(4)]
-bd = rollout_objective([path] * 4, projs, 2e-5, (9.0, 13.0), "right", 0.45)
+record = RolloutRecord(states=[], steers=[], paths=[path] * 4, tapes=tapes,
+                       truncated=False)
+bd = rollout_objective(record, AttackConfig(lambda_reg=2e-5), (9.0, 13.0),
+                       0.45)
 print(repr(bd.reg_term))
 """
 

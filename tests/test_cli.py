@@ -152,6 +152,12 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and err["field"] == "duration_s"
 
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\x00bad")               # not UTF-8 text
+    assert run_cli("benign", binary, "--out", tmp_path) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["field"] == "config"
+
     blink = tmp_path / "blink.json"
     blink.write_text('{"duration_s": 0.02}')       # shorter than one frame
     assert run_cli("benign", blink, "--out", tmp_path) == 2
@@ -231,6 +237,30 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
 
     with pytest.raises(SystemExit):
         run_cli()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-frames"])
+def test_an_output_path_that_names_a_file_is_a_runtime_failure(
+        flag, tiny, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = tmp_path / "out"
+    flags = ["--out", afile] if flag == "--out" else ["--out", out, flag, afile]
+    assert run_cli("benign", tiny, "--deterministic", *flags) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FileExistsError" and str(afile) in err["message"]
+    assert afile.read_text() == "kept"
+
+
+@pytest.mark.parametrize("text", ['{"kind": "benign", "max_lateral',
+                                  '{"kind": "benign"}', '[1, 2]'])
+def test_report_refuses_a_malformed_report(text, tmp_path, capsys):
+    (tmp_path / "benign_report.json").write_text(text)
+    assert run_cli("report", "--out", tmp_path) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidArgumentError"
+    assert "benign_report.json" in err["message"]
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("slack, code", [(0.0, 2), (0.01, 2), (0.02, 0),

@@ -229,6 +229,17 @@ def test_cross_checks():
     assert _err({"detector": {"band_far": 200.0}}) == "detector"
 
 
+def test_patch_must_clear_the_lane_lines():
+    # the default road's line-free interior extends to +-1.725 m, and the
+    # patch keeps a 0.15 m margin from it
+    assert config_from_dict({"patch": {"width": 2.4}}).placement.width == 2.4
+    assert _err({"patch": {"width": 3.2}}) == "patch.placement"
+    assert _err({"patch": {"center_y": 1.0, "width": 2.0}}) \
+        == "patch.placement"
+    assert _err({"patch": {"center_y": -1.0, "width": 2.0}}) \
+        == "patch.placement"
+
+
 def test_road_length_covers_the_attack_horizon():
     # A 1 s drive fits an 85 m road, but the 34-frame (1.7 s) optimizer
     # rollout would run off it, so the loader refuses the scenario.

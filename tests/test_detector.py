@@ -206,18 +206,10 @@ def test_unsourced_crop_pixels_are_rejected(clean_scene):
         warp_bev_to_points(clean_scene, CAM, pose, sup.xf, sup.yf, sup.front)
 
 
-def test_gradient_demands_the_matching_forward_pass(clean_scene):
-    _, det = _detect_at(clean_scene)
-    upstream = np.array([1.0, 0.0, 0.0, 0.0])
-    det.responses = None
-    with pytest.raises(InvalidArgumentError):
-        detector_gradient(det, upstream, DET, CAM)
-
-
 def test_pixel_gradient_matches_finite_differences(clean_scene):
     frame, det = _detect_at(clean_scene)
     upstream = np.array([0.0, 1.0, 0.0, 0.0])
-    g = detector_gradient(det, upstream, DET, CAM)
+    g = detector_gradient(det.responses, upstream, DET, CAM)
 
     def scalar(pixels):
         d = detect_lanes(_support_grays(pixels), DET, CAM)

@@ -78,8 +78,7 @@ def test_invalid_inputs_are_rejected():
 
 def test_state_helpers():
     record = RolloutRecord(states=[VehicleState(3.0, -0.4, 0.0, 1.0)],
-                           steers=[], detections=[], paths=[], projections=[],
-                           truncated=False)
+                           steers=[], paths=[], tapes=[], truncated=False)
     assert record.max_lateral_deviation() == 0.4
     faster = dataclasses.replace(VehicleState(1.0, 2.0, 0.1, 5.0), speed=9.0)
     assert faster.speed == 9.0

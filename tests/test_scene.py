@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from roadpatch.errors import (
-    ConstraintViolationError,
-    InvalidArgumentError,
-    OutOfExtentError,
-)
+from roadpatch.errors import InvalidArgumentError, OutOfExtentError
 from roadpatch.scene import (
     PatchPlacement,
     RoadSpec,
     _rect_index_ranges,
-    check_placement,
     composite_adjoint_local,
     composite_patch,
     identity_patch,
@@ -87,15 +82,6 @@ def test_bad_raster_requests_are_rejected():
         render_road_bev(_road(), EXTENT, 0.0)
     with pytest.raises(InvalidArgumentError):
         render_road_bev(_road(), (0.0, 0.0, -6.0, 6.0), MPP)
-
-
-def test_patch_must_clear_the_lane_lines():
-    road = _road()  # line-free interior extends to +-1.725 m
-    check_placement(PatchPlacement(5.0, 0.0, 2.4, 10.0), road)
-    with pytest.raises(ConstraintViolationError):
-        check_placement(PatchPlacement(5.0, 0.0, 3.2, 10.0), road)
-    with pytest.raises(ConstraintViolationError):
-        check_placement(PatchPlacement(5.0, 1.0, 2.0, 10.0), road)
 
 
 def test_placement_rect_and_validation():

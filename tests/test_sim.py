@@ -43,7 +43,7 @@ def test_patch_entry_frame_is_first_rect_hit():
 
 def test_patched_closed_loop_keeps_no_tape(scenario72, scene72, monkeypatch):
     # The loop composites its own patch and rolls out without one: no
-    # detector responses, no footprint, and no footprint is ever sampled.
+    # tape, and no footprint is ever sampled.
     scene, mask = scene72
     records = []
 
@@ -63,9 +63,7 @@ def test_patched_closed_loop_keeps_no_tape(scenario72, scene72, monkeypatch):
     record, = records
     assert result.patch_entry_frame is not None
     assert record.frames_evaluated == result.frames_evaluated == 20
-    assert all(d.responses is None for d in record.detections)
-    assert all(p.pixels.size == 0 and p.pixel_values.size == 0
-               for p in record.projections)
+    assert record.tapes == []
 
 
 def test_success_time_interpolates_between_states():
