@@ -17,6 +17,7 @@ record on stderr so harnesses don't have to parse prose.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import sys
@@ -47,8 +48,13 @@ EXIT_GOAL_NOT_MET = 4
 
 def _out_dir(args, cfg: ScenarioConfig) -> Path:
     """The run directory; a command makes it just before its first
-    artifact, so a refused run leaves none."""
-    return Path(args.out) if args.out else Path("runs") / cfg.name
+    artifact, so a refused run leaves none.  A path through an existing
+    file is refused here, before any work."""
+    out = Path(args.out) if args.out else Path("runs") / cfg.name
+    for p in (out, *out.parents):
+        if p.exists() and not p.is_dir():
+            raise FileExistsError(errno.EEXIST, "File exists", str(p))
+    return out
 
 
 def _base_report(kind: str, cfg: ScenarioConfig, args) -> dict:
@@ -94,13 +100,13 @@ def cmd_render(args) -> int:
 
 def _run_and_report(kind: str, cfg: ScenarioConfig, args, patch,
                     patch_label: str) -> dict:
+    out = _out_dir(args, cfg)
     scene, mask = cfg.build_scene()
     sink = _frame_sink(Path(args.dump_frames)) if getattr(
         args, "dump_frames", None) else None
     result = run_closed_loop(scene, mask, patch, cfg.initial_state(),
                              cfg.duration_s, cfg.pipeline(), cfg.goal_m,
                              frame_sink=sink)
-    out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     traj_name = f"{kind}_trajectory.csv"
     artifacts.write_trajectory_csv(out / traj_name, result.states,
@@ -239,8 +245,10 @@ def cmd_report(args) -> int:
         if path.exists():
             found = True
             try:
-                summary[kind] = artifacts.read_report(path)
-                lines += _summary_lines(kind, summary[kind])
+                rep = summary[kind] = artifacts.read_report(path)
+                if rep["kind"] != kind:
+                    raise ValueError(f"its kind is {rep['kind']!r}")
+                lines += _summary_lines(kind, rep)
             except (LookupError, TypeError, ValueError) as exc:
                 raise InvalidArgumentError(
                     f"{path} is not a {kind} report: {exc!r}") from exc

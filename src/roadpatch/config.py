@@ -5,8 +5,9 @@ camera, vehicle, detector, controller, patch placement, and optimizer
 settings.  Every field has a default, unknown fields are rejected, and
 each complaint names the offending entry by its dotted path.  The
 canonical hash of the merged (defaults-applied) document identifies a
-setup across runs; a ``DRP_SEED`` environment variable overrides the
-file's seed before hashing.
+setup across runs.  The ``seed`` draws the road's asphalt texture, the
+only random input; ``seed_override`` (the command line's ``--seed``)
+replaces the file's value before hashing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import copy
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -33,13 +33,13 @@ from .scene import (
     RoadSpec,
     _EDGE_EPS,
     _grid,
+    _raster_extent,
+    _rect_leaves,
     identity_patch,
     lane_line_mask,
     render_road_bev,
     uniform_patch,
 )
-
-SEED_ENV_VAR = "DRP_SEED"
 
 _FIXED_LEN = {"camera.principal_point": 2, "camera.image_size": 2,
               "camera.model_input_rect": 4}
@@ -64,8 +64,7 @@ def defaults() -> dict:
         "speed_kmh": 72.0,
         "duration_s": 10.0,
         "goal_m": 0.745,
-        "road": {**_section(RoadSpec()),
-                 "texture_seed": None},     # null: reuse the scenario seed
+        "road": _section(RoadSpec()),
         "scene": {
             "meters_per_pixel": 0.05,
             "x_min": 0.0,
@@ -109,10 +108,6 @@ def _finite(value, dotted: str) -> float:
 
 
 def _coerce(uval, dval, dotted: str):
-    if dval is None:                       # nullable int (texture_seed)
-        if uval is None or _is_int(uval):
-            return uval
-        raise ConfigError(dotted, "expected an integer or null")
     if isinstance(dval, str):
         if not isinstance(uval, str):
             raise ConfigError(dotted, "expected a string")
@@ -220,7 +215,8 @@ class ScenarioConfig:
         return int(round(self.duration_s / self.vehicle.dt))
 
     def build_scene(self) -> tuple[BevImage, "np.ndarray"]:
-        scene = render_road_bev(self.road, self.extent, self.meters_per_pixel)
+        scene = render_road_bev(self.road, self.extent, self.meters_per_pixel,
+                                self.seed)
         mask = lane_line_mask(self.road, self.extent, self.meters_per_pixel)
         return scene, mask
 
@@ -244,8 +240,8 @@ class ScenarioConfig:
     def check_patch(self, patch: PatchState) -> None:
         """Raise ``ConfigError`` unless ``patch`` fits this scenario: its
         placement (plus its margin) stays off both lane lines and inside
-        the rendered scene extent, and its grays stay below the lane-line
-        intensity."""
+        the extent of the rendered raster (by the test compositing
+        applies), and its grays stay below the lane-line intensity."""
         placement, road = patch.placement, self.road
         half_interior = 0.5 * (road.lane_width - road.lane_line_width)
         reach = (abs(placement.center_y) + 0.5 * placement.width
@@ -255,9 +251,9 @@ class ScenarioConfig:
                 "patch.placement",
                 f"patch reaches {reach:.3f} m from lane center but the "
                 f"line-free interior extends only {half_interior:.3f} m")
-        x_lo, x_hi, y_lo, y_hi = placement.rect
-        ex_lo, ex_hi, ey_lo, ey_hi = self.extent
-        if x_lo < ex_lo or x_hi > ex_hi or y_lo < ey_lo or y_hi > ey_hi:
+        mpp = self.meters_per_pixel
+        if _rect_leaves(placement.rect,
+                        _raster_extent(*_grid(self.extent, mpp), mpp)):
             raise ConfigError("patch.start_x",
                               "patch placement leaves the rendered scene extent")
         if patch.v_max >= road.line_intensity:
@@ -265,10 +261,10 @@ class ScenarioConfig:
                                              "the lane-line intensity")
 
 
-def _build(section: str, cls, doc: dict, **given):
-    """``cls`` from its fields in the merged ``doc`` (lists as tuples) and
-    ``given``; a refusal is reported against ``section``."""
-    values = {**{f.name: doc[f.name] for f in fields(cls)}, **given}
+def _build(section: str, cls, doc: dict):
+    """``cls`` from its fields in the merged ``doc`` (lists as tuples); a
+    refusal is reported against ``section``."""
+    values = {f.name: doc[f.name] for f in fields(cls)}
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v
                       for k, v in values.items()})
@@ -277,25 +273,15 @@ def _build(section: str, cls, doc: dict, **given):
 
 
 def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioConfig:
-    """Merge, apply seed overrides, and validate a scenario document.
+    """Merge, apply the seed override, and validate a scenario document.
 
-    Seed precedence: explicit ``seed_override`` beats the ``DRP_SEED``
-    environment variable, which beats the file.  The hash covers the
-    effective document, overrides included.
+    ``seed_override`` beats the file's seed.  The hash covers the
+    effective document, the override included.
     """
     merged = merge_with_defaults(user)
 
     if seed_override is not None:
         merged["seed"] = int(seed_override)
-    else:
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                merged["seed"] = int(env_seed)
-            except ValueError:
-                raise ConfigError("seed",
-                                  f"{SEED_ENV_VAR} must be an integer, got "
-                                  f"{env_seed!r}") from None
     if merged["seed"] < 0:
         raise ConfigError("seed", "must be >= 0")
     for fname, positive in (("speed_kmh", True), ("duration_s", True),
@@ -304,9 +290,7 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
             kind = "positive" if positive else ">= 0"
             raise ConfigError(fname, f"must be {kind}")
 
-    seed = merged["road"]["texture_seed"]
-    road = _build("road", RoadSpec, merged["road"],
-                  texture_seed=merged["seed"] if seed is None else seed)
+    road = _build("road", RoadSpec, merged["road"])
 
     sc = merged["scene"]
     if sc["meters_per_pixel"] <= 0.0:
@@ -354,7 +338,6 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
                           "rounds to zero control steps "
                           f"of vehicle.dt = {cfg.vehicle.dt} s")
     cfg.pipeline()
-    cfg.check_patch(cfg.initial_patch())
 
     # Every model input needs ground; no pose passes speed times the longer
     # of the run and the attack horizon.  The raster is sourced up to its
@@ -368,6 +351,7 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("road.road_length", f"the road is sourced up to "
                           f"x = {last:.3f} m but the drive sees up to "
                           f"{need:.3f} m ({reach:.2f} m past its last pose)")
+    cfg.check_patch(cfg.initial_patch())   # sizes the raster: after the road rule
 
     # The first frame's model input by the warp's own test; the rule above
     # covers its far end.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,14 +78,11 @@ def save_bev(path, bev: BevImage, extra: dict | None = None) -> None:
 
 def save_patch(path, patch: PatchState, extra: dict | None = None) -> None:
     write_pgm(path, patch.values)
-    p = patch.placement
     meta = {"kind": "patch",
             "grid_mpp": patch.grid_mpp,
             "v_min": patch.v_min, "v_max": patch.v_max,
             "base_value": patch.base_value,
-            "placement": {"start_x": p.start_x, "center_y": p.center_y,
-                          "width": p.width, "length": p.length,
-                          "margin": p.margin}}
+            "placement": asdict(patch.placement)}
     if extra:
         meta.update(extra)
     _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True)
@@ -109,8 +107,5 @@ def load_patch(path) -> PatchState:
                       v_max=float(meta["v_max"]),
                       base_value=float(meta["base_value"]),
                       placement=PatchPlacement(
-                          start_x=float(pm["start_x"]),
-                          center_y=float(pm["center_y"]),
-                          width=float(pm["width"]),
-                          length=float(pm["length"]),
-                          margin=float(pm["margin"])))
+                          **{f.name: float(pm[f.name])
+                             for f in fields(PatchPlacement)}))

@@ -14,7 +14,7 @@ repaint the markings themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class RoadSpec:
     line_intensity: float = 0.90
     asphalt_intensity: float = 0.30
     texture_noise_amp: float = 0.02
-    texture_seed: int = 0
     road_length: float = 270.0
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class RoadSpec:
                 "asphalt_intensity must be darker than line_intensity")
         if self.texture_noise_amp < 0.0:
             raise InvalidArgumentError("texture_noise_amp must be >= 0")
-        if self.texture_seed < 0:
-            raise InvalidArgumentError("texture_seed must be >= 0")
         if self.road_length <= 0.0:
             raise InvalidArgumentError("road_length must be positive")
 
@@ -68,12 +65,8 @@ class BevImage:
     @property
     def extent(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the covered ground rectangle."""
-        half = 0.5 * self.meters_per_pixel
-        n_x, n_y = self.pixels.shape
-        return (self.origin[0] - half,
-                self.origin[0] + (n_x - 1) * self.meters_per_pixel + half,
-                self.origin[1] - half,
-                self.origin[1] + (n_y - 1) * self.meters_per_pixel + half)
+        return _raster_extent(*self.pixels.shape, self.origin,
+                              self.meters_per_pixel)
 
     def fractional_index(self, gx: np.ndarray, gy: np.ndarray):
         """Raster coordinates of ground points (no bounds handling)."""
@@ -97,6 +90,8 @@ class PatchPlacement:
     margin: float = 0.15
 
     def __post_init__(self):
+        if not np.isfinite(astuple(self)).all():
+            raise InvalidArgumentError("patch placement must be finite")
         if self.width <= 0.0 or self.length <= 0.0:
             raise InvalidArgumentError("patch width and length must be positive")
         if self.margin < 0.0:
@@ -185,13 +180,30 @@ def _grid(extent, meters_per_pixel):
     return n_x, n_y, origin
 
 
-def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float) -> BevImage:
+def _raster_extent(n_x: int, n_y: int, origin, meters_per_pixel: float):
+    """Ground an ``n_x`` by ``n_y`` raster covers (its ``BevImage.extent``)."""
+    half = 0.5 * meters_per_pixel
+    return (origin[0] - half,
+            origin[0] + (n_x - 1) * meters_per_pixel + half,
+            origin[1] - half,
+            origin[1] + (n_y - 1) * meters_per_pixel + half)
+
+
+def _rect_leaves(rect, extent) -> bool:
+    """Whether ``rect`` reaches past ``extent`` by more than the tolerance."""
+    x_lo, x_hi, y_lo, y_hi = rect
+    return (x_lo < extent[0] - _EDGE_EPS or x_hi > extent[1] + _EDGE_EPS
+            or y_lo < extent[2] - _EDGE_EPS or y_hi > extent[3] + _EDGE_EPS)
+
+
+def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
+                    seed: int) -> BevImage:
     """Rasterize the road over ``extent`` = (x_min, x_max, y_min, y_max).
 
     Lane lines are painted at exactly ``line_intensity`` wherever a pixel
-    center falls on them; asphalt gets seeded zero-mean texture noise and
-    is clamped to [0, 1].  The same (road, extent, seed) always renders a
-    bit-identical raster.
+    center falls on them; asphalt gets zero-mean texture noise drawn from
+    ``seed`` and is clamped to [0, 1].  The same (road, extent, seed)
+    always renders a bit-identical raster.
     """
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
     ys = origin[1] + np.arange(n_y) * meters_per_pixel
@@ -200,7 +212,7 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float) -> BevImage
     if road.texture_noise_amp > 0.0:
         # noise + asphalt == asphalt + noise bit for bit, so the raster is
         # built in the noise buffer without a second full-size array.
-        rng = np.random.default_rng(road.texture_seed)
+        rng = np.random.default_rng(seed)
         pixels = rng.uniform(-road.texture_noise_amp, road.texture_noise_amp,
                              size=(n_x, n_y))
         pixels += road.asphalt_intensity
@@ -222,8 +234,7 @@ def _rect_index_ranges(scene: BevImage, placement: PatchPlacement):
     """Scene row/column index ranges whose pixel centers fall in the rect."""
     x_lo, x_hi, y_lo, y_hi = placement.rect
     ex = scene.extent
-    if x_lo < ex[0] - _EDGE_EPS or x_hi > ex[1] + _EDGE_EPS \
-            or y_lo < ex[2] - _EDGE_EPS or y_hi > ex[3] + _EDGE_EPS:
+    if _rect_leaves(placement.rect, ex):
         raise OutOfExtentError(
             f"patch rect x[{x_lo:.2f},{x_hi:.2f}] y[{y_lo:.2f},{y_hi:.2f}] "
             f"exceeds scene extent {tuple(round(v, 2) for v in ex)}")

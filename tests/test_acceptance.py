@@ -145,7 +145,7 @@ def test_ground_camera_geometry_is_self_consistent(record_check, scenario72):
 
     road = dataclasses.replace(scenario72.road, road_length=80.0)
     scene = render_road_bev(road, (0.0, 80.0, -48.0, 48.0),
-                            scenario72.meters_per_pixel)
+                            scenario72.meters_per_pixel, scenario72.seed)
     mask = lane_line_mask(road, (0.0, 80.0, -48.0, 48.0),
                           scenario72.meters_per_pixel)
     patch = scenario72.initial_patch()

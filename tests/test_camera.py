@@ -48,7 +48,7 @@ ORIGIN = VehicleState(0.0, 0.0, 0.0, 10.0)
 def _scene(road_length=80.0, **road_kw):
     road = RoadSpec(road_length=road_length, **road_kw)
     extent = (0.0, road_length, -48.0, 48.0)
-    return (render_road_bev(road, extent, 0.05),
+    return (render_road_bev(road, extent, 0.05, 0),
             lane_line_mask(road, extent, 0.05))
 
 
@@ -110,7 +110,7 @@ def test_warp_of_a_constant_scene_is_constant():
 
 def test_short_scene_cannot_source_the_model_input():
     road = RoadSpec(road_length=30.0)
-    scene = render_road_bev(road, (0.0, 30.0, -48.0, 48.0), 0.05)
+    scene = render_road_bev(road, (0.0, 30.0, -48.0, 48.0), 0.05, 0)
     with pytest.raises(IncompleteModelInputError):
         warp_bev_to_camera(scene, CAM, ORIGIN)
 
@@ -239,7 +239,7 @@ def test_crop_check_at_the_road_end_transition(y, heading, scene72):
 ])
 def test_crop_check_matches_the_per_pixel_rule(extent, x_range):
     road = RoadSpec(road_length=extent[1])
-    scene = render_road_bev(road, extent, 0.05)
+    scene = render_road_bev(road, extent, 0.05, 0)
     rng = np.random.default_rng(17)
     verdicts = []
     for _ in range(150):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import run_cli
 from reference import read_trajectory_csv
+from roadpatch import cli
 from roadpatch.artifacts import read_report
 from roadpatch.camera import CameraConfig, model_input_reach
 from roadpatch.config import config_hash, load_config, resolve_scenario
@@ -136,7 +137,7 @@ def test_dump_frames(tiny, tmp_path):
     assert read_pgm(files[0]).shape == (480, 640)
 
 
-def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
+def test_error_exit_codes(tiny, tmp_path, capsys):
     assert run_cli("benign", "no-such-scenario", "--out", tmp_path) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and err["field"] == "config"
@@ -192,6 +193,8 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
                       (json.dumps(meta), b"P2\n1 1\n255\n0\n"),
                       (placed(width=6.0), raster),             # over the lines
                       (placed(start_x=500.0), raster),         # off the scene
+                      (placed(start_x=float("nan")), raster),
+                      (placed(center_y=float("nan")), raster),
                       (json.dumps({**meta, "v_min": 0.40, "v_max": 0.44,
                                    "base_value": 0.42}), raster),
                       (json.dumps(meta), small.read_bytes())]):  # 3x3 cells
@@ -207,27 +210,24 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
 
     refused = tmp_path / "refused.json"
     highway72 = json.loads(resolve_scenario("highway-72").read_text())
-    for flags, doc, env, field in [
-            (["--seed", -1], {}, None, "seed"),
-            ([], {"seed": -1}, None, "seed"),
-            ([], {}, "-2", "seed"),
-            ([], {"road": {"texture_seed": -3}}, None, "road"),
+    for flags, doc, field in [
+            (["--seed", -1], {}, "seed"),
+            ([], {"seed": -1}, "seed"),
+            ([], {"road": {"texture_seed": -3}}, "road.texture_seed"),
             # 10 s at 81 km/h outruns highway-72's 270 m road
-            ([], {**highway72, "speed_kmh": 81.0}, None, "road.road_length"),
+            ([], {**highway72, "speed_kmh": 81.0}, "road.road_length"),
             # the first frame's model input reaches 2.2 m ahead, and its
             # far corners 30.7 m to each side
-            ([], {"vehicle": {"start_x": -3.0}}, None, "vehicle.start_x"),
-            ([], {"scene": {"y_half_extent": 25.0}}, None,
-             "scene.y_half_extent")]:
+            ([], {"vehicle": {"start_x": -3.0}}, "vehicle.start_x"),
+            ([], {"scene": {"y_half_extent": 25.0}}, "scene.y_half_extent"),
+            # the raster of a 300.01 m road ends at 300.0 m
+            ([], {"road": {"road_length": 300.01},
+                  "patch": {"start_x": 264.0, "length": 36.005}},
+             "patch.start_x")]:
         refused.write_text(json.dumps(doc))
-        if env is None:
-            monkeypatch.delenv("DRP_SEED", raising=False)
-        else:
-            monkeypatch.setenv("DRP_SEED", env)
         assert run_cli("benign", refused, "--out", tmp_path, *flags) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and err["field"] == field
-    monkeypatch.delenv("DRP_SEED", raising=False)
 
     assert run_cli("report", "--out", empty) == 3
     err = json.loads(capsys.readouterr().err)
@@ -241,25 +241,42 @@ def test_error_exit_codes(tiny, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-frames"])
 def test_an_output_path_that_names_a_file_is_a_runtime_failure(
-        flag, tiny, tmp_path, capsys):
+        flag, tiny, tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("the output path is checked only after the work")
+    monkeypatch.setattr(cli, "optimize_patch", work)
+    monkeypatch.setattr(cli, "run_closed_loop", work)
     afile = tmp_path / "afile"
     afile.write_text("kept")
     out = tmp_path / "out"
-    flags = ["--out", afile] if flag == "--out" else ["--out", out, flag, afile]
-    assert run_cli("benign", tiny, "--deterministic", *flags) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "FileExistsError" and str(afile) in err["message"]
-    assert afile.read_text() == "kept"
+    if flag == "--out":
+        runs = [["benign"], ["optimize"], ["evaluate", "--identity-patch"]]
+        flags = ["--out", afile]
+    else:
+        runs = [["benign"], ["evaluate", "--identity-patch"]]
+        flags = ["--out", out, flag, afile]
+    for command, *extra in runs:
+        assert run_cli(command, tiny, "--deterministic", *extra, *flags) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileExistsError"
+        assert str(afile) in err["message"]
+        assert afile.read_text() == "kept" and not out.exists()
 
 
-@pytest.mark.parametrize("text", ['{"kind": "benign", "max_lateral',
-                                  '{"kind": "benign"}', '[1, 2]'])
-def test_report_refuses_a_malformed_report(text, tmp_path, capsys):
-    (tmp_path / "benign_report.json").write_text(text)
+_MALFORMED = [("benign", '{"kind": "benign", "max_lateral'),
+              ("benign", '{"kind": "benign"}'), ("benign", "[1, 2]"),
+              ("render", "[1, 2]"),
+              ("benign", '{"kind": "evaluate", "max_lateral_deviation": 0.1}')]
+
+
+@pytest.mark.parametrize("kind, text", _MALFORMED, ids=[
+    text if kind == "benign" else f"{kind}-{text}" for kind, text in _MALFORMED])
+def test_report_refuses_a_malformed_report(kind, text, tmp_path, capsys):
+    (tmp_path / f"{kind}_report.json").write_text(text)
     assert run_cli("report", "--out", tmp_path) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidArgumentError"
-    assert "benign_report.json" in err["message"]
+    assert f"{kind}_report.json" in err["message"]
     assert not (tmp_path / "summary.json").exists()
 
 
@@ -290,13 +307,12 @@ def test_road_length_rule_at_the_last_pixel_centre(slack, code, tmp_path,
 
 
 def test_seed_override_chain(tiny, tmp_path, monkeypatch):
-    monkeypatch.delenv("DRP_SEED", raising=False)
     assert run_cli("benign", tiny, "--out", tmp_path, "--deterministic") == 0
     assert read_report(tmp_path / "benign_report.json")["seed"] == 3
 
-    monkeypatch.setenv("DRP_SEED", "7")
+    monkeypatch.setenv("DRP_SEED", "7")        # the environment changes nothing
     assert run_cli("benign", tiny, "--out", tmp_path, "--deterministic") == 0
-    assert read_report(tmp_path / "benign_report.json")["seed"] == 7
+    assert read_report(tmp_path / "benign_report.json")["seed"] == 3
 
     assert run_cli("benign", tiny, "--out", tmp_path, "--deterministic",
                    "--seed", 9) == 0

@@ -10,7 +10,6 @@ from reference import image_to_ground
 from roadpatch.attack import AttackConfig
 from roadpatch.camera import CameraConfig, warp_bev_to_camera
 from roadpatch.config import (
-    SEED_ENV_VAR,
     builtin_scenarios,
     config_from_dict,
     config_hash,
@@ -62,15 +61,24 @@ def test_empty_document_is_a_full_scenario():
     cfg.pipeline()
 
 
-_PINNED_HASHES = {"highway-72": "8d15c2b76772", "highway-105": "4d47cea6aef8",
-                  "highway-126": "87f54284895f"}
+_PINNED_HASHES = {"highway-72": "5ecf0303e54b", "highway-105": "e9443d6a0aaf",
+                  "highway-126": "eb9c5e3383db"}
+_EMPTY_HASH = "c6148b610770"
 
 
-def test_bundled_config_hashes_are_pinned(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_bundled_config_hashes_are_pinned():
     for name, digest in _PINNED_HASHES.items():
         assert load_config(resolve_scenario(name)).hash == digest
-    assert config_from_dict({}).hash == "43ec8703b901"
+    assert config_from_dict({}).hash == _EMPTY_HASH
+
+
+def test_the_environment_does_not_set_the_seed(monkeypatch):
+    # the seed has no way in but the file and ``seed_override``
+    monkeypatch.setenv("DRP_SEED", "5")
+    for name, digest in _PINNED_HASHES.items():
+        cfg = load_config(resolve_scenario(name))
+        assert (cfg.seed, cfg.hash) == (0, digest)
+    assert config_from_dict({}).hash == _EMPTY_HASH
 
 
 @pytest.mark.parametrize("section, cls", [
@@ -125,9 +133,10 @@ _INVALID = [
     (AttackConfig, {}, dict(step_size=0.0)),
     (RoadSpec, {}, dict(lane_line_width=0.0)),
     (RoadSpec, {}, dict(asphalt_intensity=0.95)),
-    (RoadSpec, {}, dict(texture_seed=-1)),
     (PatchPlacement, _PLACEMENT, dict(width=0.0)),
     (PatchPlacement, _PLACEMENT, dict(margin=-0.1)),
+    (PatchPlacement, _PLACEMENT, dict(start_x=float("nan"))),
+    (PatchPlacement, _PLACEMENT, dict(center_y=float("inf"))),
     (PatchState, _PATCH, dict(v_min=0.6, v_max=0.5, base_value=0.55)),
 ]
 
@@ -158,20 +167,16 @@ def test_type_coercion_complaints():
 
 
 def test_seed_precedence(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert config_from_dict({"seed": 3}).seed == 3
-    monkeypatch.setenv(SEED_ENV_VAR, "17")
-    assert config_from_dict({"seed": 3}).seed == 17
     assert config_from_dict({"seed": 3}, seed_override=25).seed == 25
-    monkeypatch.setenv(SEED_ENV_VAR, "abc")
-    assert _err({"seed": 3}) == "seed"
-    monkeypatch.setenv(SEED_ENV_VAR, "-2")
-    assert _err({"seed": 3}) == "seed"
     assert _err({"seed": 3}, seed_override=-1) == "seed"
+    for env in ("17", "abc", "-2"):          # the environment changes nothing
+        monkeypatch.setenv("DRP_SEED", env)
+        assert config_from_dict({"seed": 3}).seed == 3
+        assert config_from_dict({"seed": 3}, seed_override=25).seed == 25
 
 
-def test_hash_tracks_the_effective_document(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_hash_tracks_the_effective_document():
     h3 = config_from_dict({"seed": 3}).hash
     h4 = config_from_dict({"seed": 4}).hash
     assert h3 != h4
@@ -212,7 +217,7 @@ def test_section_validation_is_attributed():
     assert _err({"camera": {"focal": 0}}) == "camera"
     assert _err({"vehicle": {"dt": 0}}) == "vehicle"
     assert _err({"road": {"road_length": 0}}) == "road"
-    assert _err({"road": {"texture_seed": -3}}) == "road"
+    assert _err({"road": {"texture_seed": -3}}) == "road.texture_seed"
 
 
 def test_cross_checks():
@@ -221,6 +226,10 @@ def test_cross_checks():
     assert _err({"controller": {"lookahead": 60.0}}) == "controller.lookahead"
     assert _err({"patch": {"width": 3.2}}) == "patch.placement"
     assert _err({"patch": {"start_x": 240.0}}) == "patch.start_x"
+    # a 300.01 m road rounds to 6000 pixels, so the raster ends at 300.0 m
+    assert _err({"road": {"road_length": 300.01},
+                 "patch": {"start_x": 264.0, "length": 36.005}}) \
+        == "patch.start_x"
     assert _err({"speed_kmh": 81.0}) == "road.road_length"
     assert _err({"patch": {"v_max": 0.92}}) == "patch.v_max"
     assert _err({"patch": {"v_min": 0.7}}) == "patch.v_min"
@@ -258,7 +267,7 @@ _EDGE_ROAD = 70.0
 def _first_frame_raises(start_x, heading, y_half_extent):
     scene = render_road_bev(RoadSpec(road_length=_EDGE_ROAD),
                             (0.0, _EDGE_ROAD, -y_half_extent, y_half_extent),
-                            _EDGE_MPP)
+                            _EDGE_MPP, 0)
     try:
         warp_bev_to_camera(scene, CameraConfig(),
                            VehicleState(start_x, 0.0, heading, 1.0))
@@ -305,13 +314,15 @@ def test_start_pose_is_refused_exactly_when_frame_one_is_unsourced(heading):
     assert len(seen) == 4       # each sweep straddles its edge
 
 
+_TINY = {"name": "tiny", "speed_kmh": 54.0, "duration_s": 1.0,
+         "road": {"road_length": 90.0},
+         "patch": {"start_x": 12.0, "width": 2.0, "length": 8.0},
+         "attack": {"horizon_frames": 5}}
+
+
 def test_builders(tmp_path):
-    doc = {"name": "tiny", "speed_kmh": 54.0, "duration_s": 1.0,
-           "road": {"road_length": 90.0},
-           "patch": {"start_x": 12.0, "width": 2.0, "length": 8.0},
-           "attack": {"horizon_frames": 5}}
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_TINY))
     cfg = load_config(path)
     assert cfg.n_frames == 20
     assert cfg.initial_state() == VehicleState(0.0, 0.0, 0.0, 15.0)
@@ -327,10 +338,11 @@ def test_builders(tmp_path):
 
 
 def test_texture_seed_defaults_to_the_scenario_seed():
-    cfg = config_from_dict({"seed": 5})
-    assert cfg.road.texture_seed == 5
-    pinned = config_from_dict({"seed": 5, "road": {"texture_seed": 2}})
-    assert pinned.road.texture_seed == 2
+    # the scenario seed draws the texture; the road section has no seed
+    cfg = config_from_dict({"seed": 5, **_TINY})
+    scene, _ = cfg.build_scene()
+    want = render_road_bev(cfg.road, cfg.extent, cfg.meters_per_pixel, 5)
+    np.testing.assert_array_equal(scene.pixels, want.pixels)
 
 
 def test_load_config_file_errors(tmp_path):

@@ -36,7 +36,7 @@ CAM = CameraConfig()
 @pytest.fixture(scope="module")
 def clean_scene():
     return render_road_bev(RoadSpec(road_length=200.0),
-                           (0.0, 200.0, -48.0, 48.0), 0.05)
+                           (0.0, 200.0, -48.0, 48.0), 0.05, 0)
 
 
 def _support_grays(pixels):

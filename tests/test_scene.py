@@ -26,15 +26,15 @@ def _road(**kw):
 
 
 def test_rendering_is_deterministic():
-    a = render_road_bev(_road(), EXTENT, MPP)
-    b = render_road_bev(_road(), EXTENT, MPP)
+    a = render_road_bev(_road(), EXTENT, MPP, 0)
+    b = render_road_bev(_road(), EXTENT, MPP, 0)
     np.testing.assert_array_equal(a.pixels, b.pixels)
     assert a.pixels.shape == (800, 240)
 
 
 def test_lane_lines_paint_at_exact_intensity_where_the_mask_says():
     road = _road()
-    scene = render_road_bev(road, EXTENT, MPP)
+    scene = render_road_bev(road, EXTENT, MPP, 0)
     mask = lane_line_mask(road, EXTENT, MPP)
     assert mask.any()
     assert np.all(scene.pixels[mask] == road.line_intensity)
@@ -54,8 +54,8 @@ def test_line_mask_is_left_right_symmetric(lane, line):
 
 
 def test_texture_seed_changes_asphalt_but_not_lines():
-    a = render_road_bev(_road(), EXTENT, MPP)
-    b = render_road_bev(_road(texture_seed=1), EXTENT, MPP)
+    a = render_road_bev(_road(), EXTENT, MPP, 0)
+    b = render_road_bev(_road(), EXTENT, MPP, 1)
     mask = lane_line_mask(_road(), EXTENT, MPP)
     np.testing.assert_array_equal(a.pixels[mask], b.pixels[mask])
     assert not np.array_equal(a.pixels[~mask], b.pixels[~mask])
@@ -63,13 +63,13 @@ def test_texture_seed_changes_asphalt_but_not_lines():
 
 def test_noise_free_rendering_is_flat_asphalt():
     road = _road(texture_noise_amp=0.0)
-    scene = render_road_bev(road, EXTENT, MPP)
+    scene = render_road_bev(road, EXTENT, MPP, 0)
     mask = lane_line_mask(road, EXTENT, MPP)
     assert np.all(scene.pixels[~mask] == road.asphalt_intensity)
 
 
 def test_extent_and_fractional_index_round_trip():
-    bev = render_road_bev(_road(), EXTENT, MPP)
+    bev = render_road_bev(_road(), EXTENT, MPP, 0)
     assert bev.extent == pytest.approx(EXTENT)
     assert bev.origin == pytest.approx((0.025, -5.975))
     fi, fj = bev.fractional_index(bev.origin[0] + 3 * MPP,
@@ -79,9 +79,9 @@ def test_extent_and_fractional_index_round_trip():
 
 def test_bad_raster_requests_are_rejected():
     with pytest.raises(InvalidArgumentError):
-        render_road_bev(_road(), EXTENT, 0.0)
+        render_road_bev(_road(), EXTENT, 0.0, 0)
     with pytest.raises(InvalidArgumentError):
-        render_road_bev(_road(), (0.0, 0.0, -6.0, 6.0), MPP)
+        render_road_bev(_road(), (0.0, 0.0, -6.0, 6.0), MPP, 0)
 
 
 def test_placement_rect_and_validation():
@@ -128,7 +128,7 @@ def test_patch_state_guards():
 
 def test_composite_replaces_pavement_but_never_lines():
     road = _road()
-    scene = render_road_bev(road, EXTENT, MPP)
+    scene = render_road_bev(road, EXTENT, MPP, 0)
     mask = lane_line_mask(road, EXTENT, MPP)
     patch = uniform_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, 0.55)
     out = composite_patch(scene, patch, mask)
@@ -142,7 +142,7 @@ def test_composite_replaces_pavement_but_never_lines():
 
 def test_composite_is_idempotent():
     road = _road()
-    scene = render_road_bev(road, EXTENT, MPP)
+    scene = render_road_bev(road, EXTENT, MPP, 0)
     mask = lane_line_mask(road, EXTENT, MPP)
     patch = uniform_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, 0.55)
     once = composite_patch(scene, patch, mask)
@@ -152,7 +152,7 @@ def test_composite_is_idempotent():
 
 def test_composite_rejects_bad_inputs():
     road = _road()
-    scene = render_road_bev(road, EXTENT, MPP)
+    scene = render_road_bev(road, EXTENT, MPP, 0)
     mask = lane_line_mask(road, EXTENT, MPP)
     patch = uniform_patch(PatchPlacement(5.0, 0.0, 2.4, 10.0), 0.1, 0.55)
     with pytest.raises(InvalidArgumentError):
@@ -164,7 +164,7 @@ def test_composite_rejects_bad_inputs():
 
 def test_composite_adjoint_matches_the_forward_inner_product():
     road = _road()
-    scene = render_road_bev(road, EXTENT, MPP)
+    scene = render_road_bev(road, EXTENT, MPP, 0)
     mask = lane_line_mask(road, EXTENT, MPP)
     patch = uniform_patch(PatchPlacement(5.0, 0.3, 2.0, 10.0), 0.08, 0.45)
     rng = np.random.default_rng(3)
@@ -180,10 +180,10 @@ def test_composite_adjoint_matches_the_forward_inner_product():
 
 
 def test_in_place_rendering_matches_the_two_step_formula():
-    road = _road(texture_seed=4, asphalt_intensity=0.99, line_intensity=1.0,
+    road = _road(asphalt_intensity=0.99, line_intensity=1.0,
                  texture_noise_amp=0.02)
-    got = render_road_bev(road, EXTENT, MPP)
-    rng = np.random.default_rng(road.texture_seed)
+    got = render_road_bev(road, EXTENT, MPP, 4)
+    rng = np.random.default_rng(4)
     noise = rng.uniform(-road.texture_noise_amp, road.texture_noise_amp,
                         size=got.pixels.shape)
     want = np.clip(np.full(got.pixels.shape, road.asphalt_intensity) + noise,
