@@ -12,11 +12,15 @@ Per-frame pixel gradients treat the vehicle states of the recorded
 rollout as fixed (no differentiation through the controller or plant);
 closing the loop again after each update is what feeds the state
 dependence back in.
+
+Every candidate patch is rolled out on the shared scene with the patch
+laid over it as a small tile of composited grays; no rollout copies the
+scene.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +49,12 @@ from .errors import (
     NoVisibilityError,
 )
 from .motion import VehicleParams, VehicleState, step
-from .scene import BevImage, PatchState, composite_patch
+from .scene import (
+    BevImage,
+    PatchState,
+    composite_patch,  # unused here; bench/spans.py rebinds it in this module
+    patch_tile,
+)
 
 
 @dataclass(frozen=True)
@@ -166,15 +175,18 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
 
     Each frame renders just the detector's pixel support.  A whole frame
     (the dense warp) is rendered only for ``frame_sink``, after its
-    detection succeeded, and is not kept.  A patch is composited into
-    ``scene`` here, and each frame then keeps a :class:`FrameTape` for
-    the gradient pass, its footprint found without an image-sized mask.
-    Only the optimizer passes a patch; a rollout without one (the closed
-    loop composites its own patch) keeps no tape.
+    detection succeeded, and is not kept.  A patch is laid over ``scene``
+    here as a :func:`~roadpatch.scene.patch_tile`, which every read of
+    the scene then sees (the scene itself is not copied), and each frame
+    keeps a :class:`FrameTape` for the gradient pass, its footprint found
+    without an image-sized mask and its grays read from the tile.  Only
+    the optimizer passes a patch; a rollout without one (the closed loop
+    brings its own tiled scene) keeps no tape.
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
-    bev = scene if patch is None else composite_patch(scene, patch, line_mask)
+    bev = (scene if patch is None
+           else replace(scene, tile=patch_tile(scene, patch, line_mask)))
     cam = pipe.camera
     support = support_set(pipe.detector, cam)
 

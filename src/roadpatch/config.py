@@ -342,10 +342,15 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
     # Every model input needs ground; no pose passes speed times the longer
     # of the run and the attack horizon.  The raster is sourced up to its
     # last pixel centre, half a pixel short of the extent.
+    mpp = cfg.meters_per_pixel
+    x_lo, x_hi, y_lo, y_hi = cfg.extent
+    for fname, span in (("road.road_length", x_hi - x_lo),
+                        ("scene.y_half_extent", y_hi - y_lo)):
+        if int(round(span / mpp)) < 1:      # as the raster counts its pixels
+            raise ConfigError(fname, f"spans less than one {mpp} m pixel")
     reach = model_input_reach(cfg.camera)
     drive_s = max(cfg.duration_s, cfg.attack.horizon_frames * cfg.vehicle.dt)
     need = cfg.start_x + cfg.speed_kmh / 3.6 * drive_s + reach
-    mpp = cfg.meters_per_pixel
     last = cfg.x_min + (round(cfg.road.road_length / mpp) - 0.5) * mpp
     if last < need:
         raise ConfigError("road.road_length", f"the road is sourced up to "

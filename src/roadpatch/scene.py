@@ -9,7 +9,9 @@ pixel (0, 0).
 A road patch is an independently rastered gray rectangle that is
 resampled onto the scene grid when composited.  Lane-line pixels are
 never overwritten, so a patch can darken or brighten pavement but cannot
-repaint the markings themselves.
+repaint the markings themselves.  The composited grays live in a small
+:class:`PatchTile` laid over the unchanged scene raster, so a patched
+scene costs the patch's area, not a copy of the scene.
 """
 
 from __future__ import annotations
@@ -54,13 +56,33 @@ class RoadSpec:
             raise InvalidArgumentError("road_length must be positive")
 
 
+@dataclass(frozen=True)
+class PatchTile:
+    """The composited scene over a patch's index rectangle grown by two
+    pixels on each side, clipped at the raster's edge: ``pixels[k, l]``
+    is scene pixel ``(row0 + k, col0 + l)``.  ``rect`` is the ground
+    rectangle its pixel centers span."""
+
+    row0: int
+    col0: int
+    pixels: np.ndarray
+    rect: tuple[float, float, float, float]
+
+
 @dataclass
 class BevImage:
-    """Ground-plane raster with its resolution and placement metadata."""
+    """Ground-plane raster with its resolution and placement metadata.
+
+    A patched scene shares the ``pixels`` of the scene it was made from
+    and carries the composited patch as ``tile``: where the tile covers
+    a pixel, the patched scene's gray is the tile's, so ``pixels`` alone
+    is the scene without the patch.
+    """
 
     pixels: np.ndarray          # (n_x, n_y) float64 gray in [0, 1]
     meters_per_pixel: float
     origin: tuple[float, float]  # ground (x, y) of pixel (0, 0) center
+    tile: PatchTile | None = None
 
     @property
     def extent(self) -> tuple[float, float, float, float]:
@@ -272,21 +294,45 @@ def _composite_indices(scene: BevImage, patch: PatchState, line_mask: np.ndarray
     return rows[keep].astype(np.intp), cols[keep].astype(np.intp)
 
 
-def composite_patch(scene: BevImage, patch: PatchState,
-                    line_mask: np.ndarray) -> BevImage:
+def patch_tile(scene: BevImage, patch: PatchState,
+               line_mask: np.ndarray) -> PatchTile:
     """Resample the patch onto the scene grid; lane-line pixels pass through.
 
-    Replacement is linear in the patch values, which is what makes the
-    camera-side gradient splat an exact adjoint.  Compositing the same
-    patch twice is a no-op by construction (pure replacement).
+    The result holds a copy of the scene over the patch's index rectangle
+    grown by two pixels on each side (clipped at the raster's edge), with
+    the patch's resampled grays written into it.  Replacement is linear
+    in the patch values, which is what makes the camera-side gradient
+    splat an exact adjoint.
     """
     if line_mask.shape != scene.pixels.shape:
         raise InvalidArgumentError("line_mask shape must match the scene")
+    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
+    n_i, n_j = scene.pixels.shape
+    row0, col0 = max(i_lo - 2, 0), max(j_lo - 2, 0)
+    row1, col1 = min(i_hi + 3, n_i), min(j_hi + 3, n_j)
+    pixels = scene.pixels[row0:row1, col0:col1].copy()
     rows, cols = _composite_indices(scene, patch, line_mask)
-    out = scene.pixels.copy()
     if rows.size:
         fi, fj = _patch_fractional(scene, patch, rows, cols)
-        out[rows, cols] = interp.gather(patch.values, fi, fj)
+        pixels[rows - row0, cols - col0] = interp.gather(patch.values, fi, fj)
+    mpp, (ox, oy) = scene.meters_per_pixel, scene.origin
+    return PatchTile(row0, col0, pixels,
+                     (ox + row0 * mpp, ox + (row1 - 1) * mpp,
+                      oy + col0 * mpp, oy + (col1 - 1) * mpp))
+
+
+def composite_patch(scene: BevImage, patch: PatchState,
+                    line_mask: np.ndarray) -> BevImage:
+    """The scene with :func:`patch_tile` pasted into a copy of its raster.
+
+    Production code reads the tile over the shared scene instead; this
+    whole-raster form serves checks and tests.  Compositing the same
+    patch twice is a no-op by construction (pure replacement).
+    """
+    tile = patch_tile(scene, patch, line_mask)
+    out = scene.pixels.copy()
+    n_i, n_j = tile.pixels.shape
+    out[tile.row0:tile.row0 + n_i, tile.col0:tile.col0 + n_j] = tile.pixels
     return BevImage(pixels=out, meters_per_pixel=scene.meters_per_pixel,
                     origin=scene.origin)
 
@@ -296,7 +342,7 @@ def composite_adjoint_local(local_grad: np.ndarray, row0: int, col0: int,
                             line_mask: np.ndarray) -> np.ndarray:
     """Pull a scene-space gradient back onto the patch grid.
 
-    Exact transpose of the resampling performed by :func:`composite_patch`:
+    Exact transpose of the resampling performed by :func:`patch_tile`:
     only the replaced pixels contribute, with the same bilinear weights.
     ``local_grad`` may cover just the patch's scene rectangle; ``row0`` and
     ``col0`` give the scene indices of its first cell.  A stack of such

@@ -9,7 +9,7 @@ linearly between the bracketing control steps.  Runs without a patch
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .attack import PipelineConfig, rollout_with_patch
 from .camera import CameraConfig, model_input_sees
 from .errors import InvalidArgumentError
 from .motion import VehicleState
-from .scene import BevImage, PatchState, composite_patch
+from .scene import BevImage, PatchState, patch_tile
 
 
 @dataclass
@@ -82,8 +82,9 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
                     frame_sink=None) -> SimResult:
     """Drive for ``duration_s`` seconds and score the excursion.
 
-    The patch is composited into the scene once, here, and the rollout
-    runs on that scene without one, so it keeps no gradient tape.  The
+    The patch is laid over the scene once, here, as a small tile of
+    composited grays (the scene is not copied), and the rollout runs on
+    that tiled scene without a patch, so it keeps no gradient tape.  The
     patch's entry frame is found afterwards from the recorded poses.  A
     detection failure mid-run truncates the rollout; everything driven
     up to that point is still scored (a runaway that blinds the detector
@@ -92,7 +93,8 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
     if duration_s <= 0.0:
         raise InvalidArgumentError("duration_s must be positive")
     horizon = int(round(duration_s / pipe.vehicle.dt))
-    bev = scene if patch is None else composite_patch(scene, patch, line_mask)
+    bev = (scene if patch is None
+           else replace(scene, tile=patch_tile(scene, patch, line_mask)))
     record = rollout_with_patch(bev, line_mask, None, state0, horizon, pipe,
                                 frame_sink=frame_sink)
     lateral = np.array([abs(s.y) for s in record.states])

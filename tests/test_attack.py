@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -585,3 +586,28 @@ def test_stealth_term_does_not_depend_on_blas_threads():
                               capture_output=True, text=True, check=True)
         out.append(float(done.stdout))
     assert out[0] == out[1]
+
+
+def _traced_peak(run):
+    """``run()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_patched_runs_never_copy_the_scene(scenario72, scene72):
+    # The patch is a small tile laid over the shared scene; a scene-sized
+    # copy would put the traced peak above half the scene's size.
+    scene, mask = scene72
+    patch, state0 = scenario72.initial_patch(), scenario72.initial_state()
+    pipe = scenario72.pipeline()
+    record, rollout_peak = _traced_peak(
+        lambda: rollout_with_patch(scene, mask, patch, state0, 5, pipe))
+    result, loop_peak = _traced_peak(
+        lambda: run_closed_loop(scene, mask, patch, state0, 0.5, pipe,
+                                scenario72.goal_m))
+    assert all(tape.pixels.size for tape in record.tapes)
+    assert result.patch_entry_frame == 1
+    assert max(rollout_peak, loop_peak) < scene.pixels.nbytes / 2

@@ -35,6 +35,7 @@ from roadpatch.scene import (
     composite_adjoint_local,
     composite_patch,
     lane_line_mask,
+    patch_tile,
     render_road_bev,
     uniform_patch,
 )
@@ -273,7 +274,8 @@ def test_patch_footprint_matches_a_per_pixel_reference(pose):
         assert rows[0] < CAM.model_input_rect[1] <= rows[-1]
     np.testing.assert_array_equal(patch_footprint(CAM, pose, patch), want)
     bev = composite_patch(scene, patch, mask)
-    pixels, values = patch_pixels(bev, CAM, pose, patch)
+    tiled = dataclasses.replace(scene, tile=patch_tile(scene, patch, mask))
+    pixels, values = patch_pixels(tiled, CAM, pose, patch)
     np.testing.assert_array_equal(pixels, np.flatnonzero(want))
     np.testing.assert_array_equal(values, _per_pixel_warp(bev, pose)[0][want])
     assert model_input_sees(CAM, pose, patch.placement.rect) == bool(

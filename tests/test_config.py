@@ -231,6 +231,13 @@ def test_cross_checks():
                  "patch": {"start_x": 264.0, "length": 36.005}}) \
         == "patch.start_x"
     assert _err({"speed_kmh": 81.0}) == "road.road_length"
+    # shorter than half a pixel, so the raster would have no row, with the
+    # start pose far enough behind it to pass the road-length rule
+    assert _err({"speed_kmh": 0.01, "duration_s": 1.0,
+                 "road": {"road_length": 0.01},
+                 "vehicle": {"start_x": -100.0},
+                 "patch": {"start_x": 0.0, "length": 0.005, "width": 2.0}}) \
+        == "road.road_length"
     assert _err({"patch": {"v_max": 0.92}}) == "patch.v_max"
     assert _err({"patch": {"v_min": 0.7}}) == "patch.v_min"
     assert _err({"patch": {"init_value": 0.7}}) == "patch.init_value"
