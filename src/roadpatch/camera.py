@@ -15,7 +15,11 @@ ground point (x_f forward, y_f left) maps to::
 and projects at ``u = u0 + f x_c / z_c``, ``v = v0 + f y_c / z_c``.
 Everything here is plain float64 numpy; the warp is a bilinear gather
 from the BEV raster and the splat is its literal transpose, sharing one
-tap computation so the adjoint identity holds to round-off.
+tap computation so the adjoint identity holds to round-off.  Ground
+points and raster indices are elementwise, with each sum in the order
+written (``pose.x + c xf - s yf``), and ``interp`` keeps its tap sums
+in order too; so a pixel gets the same bits from the whole frame, the
+detector's support, a footprint or a block, and so does its splat.
 """
 
 from __future__ import annotations
@@ -100,7 +104,13 @@ def _world_to_vehicle(pose: VehicleState, gx, gy):
 
 def _vehicle_to_world(pose: VehicleState, xf, yf):
     c, s = math.cos(pose.heading), math.sin(pose.heading)
-    return pose.x + c * xf - s * yf, pose.y + s * xf + c * yf
+    gx = xf * c
+    gx += pose.x
+    gx -= yf * s
+    gy = xf * s
+    gy += pose.y
+    gy += yf * c
+    return gx, gy
 
 
 def ground_to_image(cfg: CameraConfig, pose: VehicleState, points):
@@ -210,14 +220,15 @@ def _sample_ground(bev: BevImage, gx, gy, front, tile: PatchTile | None):
     return values
 
 
+@lru_cache(maxsize=8)
 def _rect_corners(cfg: CameraConfig):
     """Vehicle-frame ground hits ``(xf, yf, front)`` of the model-input
-    rect's four corner pixels."""
+    rect's four corner pixels, as tuples of Python floats and bools."""
     rx, ry, rw, rh = cfg.model_input_rect
     rows = [ry, ry, ry + rh - 1, ry + rh - 1]
     cols = [rx, rx + rw - 1, rx, rx + rw - 1]
-    xf, yf, front = _vehicle_ground_grid(cfg)
-    return xf[rows, cols], yf[rows, cols], front[rows, cols]
+    return tuple(tuple(a[rows, cols].tolist())
+                 for a in _vehicle_ground_grid(cfg))
 
 
 def model_input_gaps(cfg: CameraConfig, pose: VehicleState, origin,
@@ -232,13 +243,19 @@ def model_input_gaps(cfg: CameraConfig, pose: VehicleState, origin,
     pixel-to-ground map is projective: it takes the rect onto the convex
     quadrilateral spanned by the corners' ground points, and the sourced
     part of the ground (between the raster's pixel centres) is convex too.
+    The four points are tested in Python floats, with the IEEE double
+    operations of :func:`_vehicle_to_world` and ``fractional_index``.
     """
-    xf, yf, front = _rect_corners(cfg)
-    gx, gy = _vehicle_to_world(pose, xf, yf)
-    fi, fj = (gx - origin[0]) / mpp, (gy - origin[1]) / mpp
-    return (bool(np.any(front & ~(fi >= 0.0))),
-            bool(np.any(~front | ~(fi <= shape[0] - 1))),
-            bool(np.any(front & ~((fj >= 0.0) & (fj <= shape[1] - 1)))))
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    x, y = float(pose.x), float(pose.y)
+    behind = ahead = side = False
+    for xf, yf, front in zip(*_rect_corners(cfg)):
+        fi = (x + c * xf - s * yf - origin[0]) / mpp
+        fj = (y + s * xf + c * yf - origin[1]) / mpp
+        behind |= front and not fi >= 0.0
+        ahead |= not front or not fi <= shape[0] - 1
+        side |= front and not (fj >= 0.0 and fj <= shape[1] - 1)
+    return behind, ahead, side
 
 
 def model_input_reach(cfg: CameraConfig) -> float:
@@ -345,11 +362,17 @@ def _ground_hits(cfg: CameraConfig, pose: VehicleState, rect, rows,
 
 def _footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
     """Sorted flat indices of the pixels whose ground point lies inside
-    ``rect``, found on the rows that can see it, and their ground points."""
+    ``rect``, found on the rows that can see it in blocks (``_blocks``),
+    and their ground points."""
     rows = _rows_seeing(cfg, pose, rect)
-    hit, gx, gy = _ground_hits(cfg, pose, rect, rows)
-    pixels = np.flatnonzero(hit) + rows.start * cfg.image_size[0]
-    return pixels, gx[hit], gy[hit]
+    width = cfg.image_size[0]
+    parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0))]
+    for block in _blocks(rows.stop - rows.start, width):
+        r0 = rows.start + block.start
+        hit, gx, gy = _ground_hits(cfg, pose, rect,
+                                   slice(r0, rows.start + block.stop))
+        parts.append((np.flatnonzero(hit) + r0 * width, gx[hit], gy[hit]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def model_input_sees(cfg: CameraConfig, pose: VehicleState, rect) -> bool:

@@ -73,9 +73,9 @@ def _load_scenario(args) -> ScenarioConfig:
 def _frame_sink(dump_dir: Path):
     dump_dir.mkdir(parents=True, exist_ok=True)
 
-    def sink(frame):
+    def sink(frame):    # the frame is the sink's alone: clip it in place
         pgmio.write_pgm(dump_dir / f"frame_{frame.index:05d}.pgm",
-                        np.clip(frame.pixels, 0.0, 1.0))
+                        np.clip(frame.pixels, 0.0, 1.0, out=frame.pixels))
     return sink
 
 

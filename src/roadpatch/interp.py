@@ -3,6 +3,13 @@
 The forward gather and the scatter (adjoint) are built on one tap/weight
 computation, so ``<g, J d> == <J^T g, d>`` holds to floating-point
 round-off by construction rather than by tolerance tuning.
+
+Each value is one fixed sequence of float64 operations, whatever the
+input's size: a read sums its four tap products left to right in tap
+order, and a write adds one ``bincount`` per tap in tap order.  So any
+subset of points, or the same taps remapped into a subset of a raster,
+gets bit-identical values.  Buffers are reused in place only where that
+leaves every operation, and the order of every sum, as it is.
 """
 
 from __future__ import annotations
@@ -16,24 +23,32 @@ def taps(fi: np.ndarray, fj: np.ndarray, shape: tuple[int, int]):
     ``fi``/``fj`` are fractional row/column indices, already clamped by the
     caller to ``[0, shape-1]``.  Rows beyond ``shape-2`` collapse onto the
     last cell with the complementary weight equal to zero, which keeps the
-    operation linear and exact at the border.
+    operation linear and exact at the border.  The floors stay float,
+    which is exact below 2**53.
     """
     n_i, n_j = shape
-    i0 = np.clip(np.floor(fi), 0, max(n_i - 2, 0)).astype(np.intp)
-    j0 = np.clip(np.floor(fj), 0, max(n_j - 2, 0)).astype(np.intp)
+    # ``out`` keeps a 0-d input an array for the in-place clip; adding +0.0
+    # turns a -0.0 floor into the +0.0 that an integer floor gives back.
+    i0 = np.floor(fi, out=np.empty(np.shape(fi)))
+    j0 = np.floor(fj, out=np.empty(np.shape(fj)))
+    np.clip(i0, 0, max(n_i - 2, 0), out=i0)
+    np.clip(j0, 0, max(n_j - 2, 0), out=j0)
+    i0 += 0.0
+    j0 += 0.0
+    di, dj = fi - i0, fj - j0
+    ci, cj = 1.0 - di, 1.0 - dj
+    w00 = ci * cj
+    ci *= dj                         # w01 = (1 - di) dj
+    cj *= di                         # w10 = di (1 - dj)
+    di *= dj                         # w11
+    i0 *= n_j
+    i0 += j0
+    base = i0.astype(np.intp)
     # The +1 neighbors collapse onto the same cell for single-row or
     # single-column rasters; their weights are zero there, but the index
     # itself still has to stay inside the array.
-    i1 = np.minimum(i0 + 1, n_i - 1)
-    j1 = np.minimum(j0 + 1, n_j - 1)
-    di = fi - i0
-    dj = fj - j0
-    w00 = (1.0 - di) * (1.0 - dj)
-    w01 = (1.0 - di) * dj
-    w10 = di * (1.0 - dj)
-    w11 = di * dj
-    return (i0 * n_j + j0, i0 * n_j + j1, i1 * n_j + j0, i1 * n_j + j1), \
-        (w00, w01, w10, w11)
+    sj, si = int(n_j > 1), n_j * int(n_i > 1)
+    return (base, base + sj, base + si, base + (si + sj)), (w00, ci, cj, di)
 
 
 def gather(arr: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
@@ -49,8 +64,13 @@ def combine(flat: np.ndarray, idx, w) -> np.ndarray:
     taps from a subset of a raster (with remapped indices) gives the
     bit-identical value.
     """
-    return (flat[idx[0]] * w[0] + flat[idx[1]] * w[1]
-            + flat[idx[2]] * w[2] + flat[idx[3]] * w[3])
+    out = flat[idx[0]]
+    out *= w[0]
+    for k in (1, 2, 3):
+        part = flat[idx[k]]
+        part *= w[k]
+        out += part
+    return out
 
 
 def scatter(shape: tuple[int, int], fi: np.ndarray, fj: np.ndarray,
@@ -65,13 +85,16 @@ def accumulate(size: int, idx, w, values: np.ndarray) -> np.ndarray:
 
     Every bilinear scatter goes through these four ``bincount`` calls in
     tap order, so scattering the same taps into a subset of a raster
-    (with remapped indices) gives the bit-identical sums.
+    (with remapped indices) gives the bit-identical sums.  A ``bincount``
+    sum starts at +0.0 and is never -0.0, so the first one stands for
+    itself added to zeros.
     """
-    out = np.zeros(size)
-    for k in range(4):
-        out += np.bincount(idx[k].ravel(),
-                           weights=(values * w[k]).ravel(),
-                           minlength=size)
+    values = np.asarray(values).ravel()
+    part = values * w[0].ravel()
+    out = np.bincount(idx[0].ravel(), weights=part, minlength=size)
+    for k in (1, 2, 3):
+        np.multiply(values, w[k].ravel(), out=part)
+        out += np.bincount(idx[k].ravel(), weights=part, minlength=size)
     return out
 
 

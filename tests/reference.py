@@ -3,7 +3,9 @@
 Each is written from the package's own pieces, so a check built on one
 still exercises production code: the plant's ``step``, the camera model's
 constants, the detector's and the splat's gradients, the PGM reader, and
-the trajectory CSV's field list.
+the trajectory CSV's field list.  The exception is the bilinear kernel
+(``taps``, ``combine``, ``accumulate``): a plain, unfused form of
+``roadpatch.interp``'s, which production must match bit for bit.
 """
 
 from __future__ import annotations
@@ -138,3 +140,43 @@ def read_trajectory_csv(path) -> list[dict]:
         for key in TRAJECTORY_FIELDS:
             row[key] = float(row[key]) if row[key] != "" else None
     return rows
+
+
+# The bilinear kernel in its plain form: one expression per tap and per
+# weight, with integer floors.  ``roadpatch.interp`` computes the same
+# values with fewer passes and temporaries, and must stay bit-identical.
+
+def taps(fi: np.ndarray, fj: np.ndarray, shape: tuple[int, int]):
+    """Flat tap indices and weights for bilinear access at (fi, fj)."""
+    n_i, n_j = shape
+    i0 = np.clip(np.floor(fi), 0, max(n_i - 2, 0)).astype(np.intp)
+    j0 = np.clip(np.floor(fj), 0, max(n_j - 2, 0)).astype(np.intp)
+    # The +1 neighbors collapse onto the same cell for single-row or
+    # single-column rasters; their weights are zero there, but the index
+    # itself still has to stay inside the array.
+    i1 = np.minimum(i0 + 1, n_i - 1)
+    j1 = np.minimum(j0 + 1, n_j - 1)
+    di = fi - i0
+    dj = fj - j0
+    w00 = (1.0 - di) * (1.0 - dj)
+    w01 = (1.0 - di) * dj
+    w10 = di * (1.0 - dj)
+    w11 = di * dj
+    return (i0 * n_j + j0, i0 * n_j + j1, i1 * n_j + j0, i1 * n_j + j1), \
+        (w00, w01, w10, w11)
+
+
+def combine(flat: np.ndarray, idx, w) -> np.ndarray:
+    """Weighted sum of the four taps ``flat[idx[k]] * w[k]``, in tap order."""
+    return (flat[idx[0]] * w[0] + flat[idx[1]] * w[1]
+            + flat[idx[2]] * w[2] + flat[idx[3]] * w[3])
+
+
+def accumulate(size: int, idx, w, values: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`combine`: add ``values * w[k]`` at ``idx[k]``."""
+    out = np.zeros(size)
+    for k in range(4):
+        out += np.bincount(idx[k].ravel(),
+                           weights=(values * w[k]).ravel(),
+                           minlength=size)
+    return out

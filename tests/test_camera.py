@@ -10,8 +10,11 @@ from roadpatch.camera import (
     MAX_HEADING,
     MAX_LATERAL,
     CameraConfig,
+    _vehicle_ground_grid,
+    _vehicle_to_world,
     check_pose_bounds,
     ground_to_image,
+    model_input_gaps,
     model_input_reach,
     model_input_sees,
     patch_footprint,
@@ -251,6 +254,55 @@ def test_crop_check_matches_the_per_pixel_rule(extent, x_range):
         assert _support_raises(scene, pose) is want, pose
         verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
+
+
+def _numpy_gaps(cfg, pose, origin, mpp, shape):
+    """The corner rule of ``model_input_gaps`` in numpy arrays."""
+    rx, ry, rw, rh = cfg.model_input_rect
+    rows, cols = [ry, ry, ry + rh - 1, ry + rh - 1], [rx, rx + rw - 1] * 2
+    xf, yf, front = (a[rows, cols] for a in _vehicle_ground_grid(cfg))
+    gx, gy = _vehicle_to_world(pose, xf, yf)
+    fi, fj = (gx - origin[0]) / mpp, (gy - origin[1]) / mpp
+    return (bool(np.any(front & ~(fi >= 0.0))),
+            bool(np.any(~front | ~(fi <= shape[0] - 1))),
+            bool(np.any(front & ~((fj >= 0.0) & (fj <= shape[1] - 1)))))
+
+
+def _ulps_around(v, k=3):
+    """``v`` and the ``k`` floats on either side of it."""
+    return [v + i * abs(np.spacing(v)) for i in range(-k, k + 1)]
+
+
+def test_model_input_gaps_match_the_numpy_corner_rule():
+    # Random poses, each moved to within a few ulps of where one of its
+    # corners crosses one of the raster's edges: every flag must flip
+    # inside some of those windows, at the same ulp in both rules.
+    rng = np.random.default_rng(3)
+    origin, mpp, shape = (0.025, -31.975), 0.05, (1600, 1280)
+    rx, ry, rw, rh = CAM.model_input_rect
+    rows, cols = [ry, ry, ry + rh - 1, ry + rh - 1], [rx, rx + rw - 1] * 2
+    flips = np.zeros(3, int)
+    for cfg in (CAM, dataclasses.replace(CAM, pitch=0.0)):  # top at horizon
+        xf, yf = (a[rows, cols] for a in _vehicle_ground_grid(cfg)[:2])
+        for _ in range(40):
+            pose = VehicleState(rng.uniform(-10.0, 70.0),
+                                rng.uniform(-MAX_LATERAL, MAX_LATERAL),
+                                rng.uniform(-MAX_HEADING, MAX_HEADING), 20.0)
+            gx, gy = _vehicle_to_world(pose, xf, yf)
+            fi, fj = (gx - origin[0]) / mpp, (gy - origin[1]) / mpp
+            windows = [[dataclasses.replace(pose, x=x) for x in
+                        _ulps_around(pose.x + (e - f) * mpp)]
+                       for e in (0.0, shape[0] - 1) for f in fi]
+            windows += [[dataclasses.replace(pose, y=y) for y in
+                         _ulps_around(pose.y + (e - f) * mpp)]
+                        for e in (0.0, shape[1] - 1) for f in fj]
+            for window in windows:
+                verdicts = np.array([_numpy_gaps(cfg, p, origin, mpp, shape)
+                                     for p in window])
+                assert [model_input_gaps(cfg, p, origin, mpp, shape)
+                        for p in window] == [tuple(v) for v in verdicts]
+                flips += verdicts.any(axis=0) & ~verdicts.all(axis=0)
+    assert np.all(flips > 0), flips
 
 
 _BEHIND = VehicleState(40.0, 0.0, 0.0, 10.0)

@@ -1,9 +1,17 @@
 """Bilinear gather/scatter primitives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from roadpatch import interp
+from roadpatch.attack import patch_gradient, rollout_with_patch
+from roadpatch.camera import warp_bev_to_camera
+from roadpatch.detector import support_set
+from roadpatch.scene import patch_tile
+
+import reference
 
 
 def test_gather_at_integer_indices_returns_exact_values():
@@ -45,3 +53,95 @@ def test_inside_requires_full_bilinear_support():
     ok = interp.inside(np.array([0.0, 3.0, 3.0001, -0.1]),
                        np.array([0.0, 2.0, 1.0, 1.0]), (4, 3))
     np.testing.assert_array_equal(ok, [True, True, False, False])
+
+
+def _bits(x):
+    """The exact bits of a result, so that -0.0 differs from +0.0."""
+    x = np.asarray(x)
+    return x.view(np.int64) if x.dtype == float else x
+
+
+def _same(a, b):
+    return np.shape(a) == np.shape(b) and np.array_equal(_bits(a), _bits(b))
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(17)
+    shape = (9, 7)
+    yield "seeded", shape, rng.uniform(0.0, 8.0, 200), rng.uniform(0.0, 6.0, 200)
+    yield "seeded-2d", shape, rng.uniform(0.0, 8.0, (5, 6)), \
+        rng.uniform(0.0, 6.0, (5, 6))
+    fi, fj = np.meshgrid(np.arange(9.0), np.arange(7.0), indexing="ij")
+    yield "integers", shape, fi, fj
+    edge = np.linspace(0.0, 6.0, 13)
+    yield "last-row", shape, np.full(13, 8.0), edge
+    yield "last-col", shape, edge * (8.0 / 6.0), np.full(13, 6.0)
+    yield "signed-zero", shape, np.array([-0.0, 0.0, -0.0, 3.5]), \
+        np.array([0.0, -0.0, -0.0, -0.0])
+    yield "0-d", shape, np.array(3.25), np.array(5.5)
+    yield "0-d-corner", shape, np.array(8.0), np.array(6.0)
+    yield "1x1", (1, 1), np.array([0.0, -0.0]), np.array([-0.0, 0.0])
+    yield "1xN", (1, 6), np.zeros(11), np.linspace(0.0, 5.0, 11)
+    yield "Nx1", (6, 1), np.linspace(0.0, 5.0, 11), np.zeros(11)
+    yield "0-d-1x1", (1, 1), np.array(0.0), np.array(0.0)
+
+
+@pytest.mark.parametrize("name, shape, fi, fj", list(_kernel_cases()),
+                         ids=[c[0] for c in _kernel_cases()])
+def test_kernel_is_bit_identical_to_the_reference(name, shape, fi, fj):
+    rng = np.random.default_rng(len(name))
+    arr = rng.standard_normal(shape)
+    arr.ravel()[0] = -0.0
+    values = rng.standard_normal(np.shape(fi))
+    idx, w = interp.taps(fi, fj, shape)
+    ref_idx, ref_w = reference.taps(fi, fj, shape)
+    assert all(_same(a, b) for a, b in zip(idx + w, ref_idx + ref_w))
+    assert _same(interp.gather(arr, fi, fj),
+                 reference.combine(arr.ravel(), ref_idx, ref_w))
+    assert _same(interp.scatter(shape, fi, fj, values),
+                 reference.accumulate(arr.size, ref_idx, ref_w,
+                                      values).reshape(shape))
+    # A zero raster and zero values make every sum a signed zero.
+    zero = np.full(shape, -0.0)
+    assert _same(interp.gather(zero, fi, fj),
+                 reference.combine(zero.ravel(), ref_idx, ref_w))
+    assert _same(interp.scatter(shape, fi, fj, -0.0 * values),
+                 reference.accumulate(arr.size, ref_idx, ref_w,
+                                      -0.0 * values).reshape(shape))
+
+
+def _patched_run(scenario, scene, mask):
+    """A 5-frame patched rollout's tapes, its patch gradient, and one dense
+    frame, all on highway-72."""
+    pipe = scenario.pipeline()
+    patch = scenario.initial_patch()
+    record = rollout_with_patch(scene, mask, patch, scenario.initial_state(),
+                                5, pipe)
+    grad = patch_gradient(record, scenario.attack, pipe, scene, patch, mask)
+    tiled = dataclasses.replace(scene, tile=patch_tile(scene, patch, mask))
+    frame = warp_bev_to_camera(tiled, pipe.camera, record.states[2])
+    return record, grad, frame.pixels
+
+
+def test_production_kernel_matches_the_reference_end_to_end(
+        scenario72, scene72, monkeypatch):
+    scene, mask = scene72
+    record, grad, frame = _patched_run(scenario72, scene, mask)
+    for name in ("taps", "combine", "accumulate"):
+        monkeypatch.setattr(interp, name, getattr(reference, name))
+    support_set.cache_clear()          # rebuild the detector's taps too
+    try:
+        ref_record, ref_grad, ref_frame = _patched_run(scenario72, scene, mask)
+    finally:
+        support_set.cache_clear()
+    assert len(record.tapes) == len(ref_record.tapes) == 5
+    for tape, ref in zip(record.tapes, ref_record.tapes):
+        assert tape.responses.tobytes() == ref.responses.tobytes()
+        assert tape.pixels.tobytes() == ref.pixels.tobytes()
+        assert tape.grays.tobytes() == ref.grays.tobytes()
+    assert record.states == ref_record.states
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert frame.tobytes() == ref_frame.tobytes()
+    # Every frame saw the patch, so the tile reads and the splat ran.
+    assert all(tape.pixels.size for tape in record.tapes)
+    assert np.count_nonzero(grad) and np.count_nonzero(frame)

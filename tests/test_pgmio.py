@@ -41,6 +41,17 @@ def test_known_code_points(tmp_path):
     np.testing.assert_array_equal(read_pgm(p), [[0.0, 1.0]])
 
 
+def test_a_frame_encodes_like_one_rounding_of_the_whole(tmp_path):
+    # Many quantization blocks, a ragged last one, halves rounded to even.
+    rng = np.random.default_rng(4)
+    values = rng.uniform(size=(481, 641))
+    values.ravel()[::97] = (np.arange(values.size)[::97] % 65535 + 0.5) / 65535
+    p = tmp_path / "f.pgm"
+    write_pgm(p, values)
+    body = p.read_bytes()[len(b"P5\n641 481\n65535\n"):]
+    assert body == np.round(values * 65535).astype(">u2").tobytes()
+
+
 def test_write_rejects_bad_payloads(tmp_path):
     with pytest.raises(InvalidArgumentError):
         write_pgm(tmp_path / "x.pgm", np.array([[1.5]]))
