@@ -89,7 +89,7 @@ def cmd_render(args) -> int:
     pgmio.write_pgm(out / "line_mask.pgm", mask.astype(float))
     rep = _base_report("render", cfg, args)
     rep.update({"extent": list(cfg.extent),
-                "meters_per_pixel": cfg.meters_per_pixel,
+                "meters_per_pixel": cfg.scene.meters_per_pixel,
                 "shape": list(scene.pixels.shape),
                 "scene_file": "scene.pgm"})
     artifacts.write_report(out / "render_report.json", rep)
@@ -197,7 +197,7 @@ def cmd_evaluate(args) -> int:
                     else patch_path)
         try:
             patch = pgmio.load_patch(patch_path)
-            cfg.check_patch(patch)
+            cfg.check_patch(patch.placement, patch.v_max)
         except (OSError, ArithmeticError, LookupError, TypeError, ValueError,
                 RoadPatchError) as exc:
             raise ConfigError("patch", f"cannot use the patch at "

@@ -2,23 +2,25 @@
 
 A scenario bundles everything one experiment needs — road, scene raster,
 camera, vehicle, detector, controller, patch placement, and optimizer
-settings.  Every field has a default, unknown fields are rejected, and
-each complaint names the offending entry by its dotted path.  The
-canonical hash of the merged (defaults-applied) document identifies a
-setup across runs.  The ``seed`` draws the road's asphalt texture, the
-only random input; ``seed_override`` (the command line's ``--seed``)
-replaces the file's value before hashing.
+settings.  A section's keys and defaults are the fields of its config
+classes (``_SECTIONS``), each value must fit its field's annotation, and
+each complaint names the offending entry by its dotted path.  The hash
+of the merged (defaults-applied) document identifies a setup across
+runs.  The ``seed`` draws the road's asphalt texture, the only random
+input; ``seed_override`` (the command line's ``--seed``) replaces the
+file's value before hashing.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .attack import AttackConfig, PipelineConfig
 from .camera import CameraConfig, model_input_gaps, model_input_reach
@@ -41,63 +43,100 @@ from .scene import (
     uniform_patch,
 )
 
-_FIXED_LEN = {"camera.principal_point": 2, "camera.image_size": 2,
-              "camera.model_input_rect": 4}
-_INT_LISTS = {"camera.image_size", "camera.model_input_rect"}
+
+@dataclass(frozen=True)
+class SceneSpec:
+    """The rendered raster's pixel pitch, near edge and half width (m)."""
+
+    meters_per_pixel: float = 0.05
+    x_min: float = 0.0
+    y_half_extent: float = 48.0
+
+    def __post_init__(self):
+        if self.meters_per_pixel <= 0.0:
+            raise ConfigError("scene.meters_per_pixel", "must be positive")
 
 
-def _section(obj) -> dict:
-    """A config object's fields as a scenario section, tuples as lists."""
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in asdict(obj).items()}
+@dataclass(frozen=True)
+class StartPose:
+    """Where the vehicle starts: road-frame position (m) and heading (rad)."""
+
+    start_x: float = 0.0
+    start_y: float = 0.0
+    start_heading: float = 0.0
+
+
+@dataclass(frozen=True)
+class PatchSpec:
+    """A patch's cell size (m), gray bounds and starting gray."""
+
+    grid_mpp: float = 0.10
+    v_min: float = 0.05
+    v_max: float = 0.60
+    init_value: float = 0.45
+
+    def __post_init__(self):
+        if not 0.0 <= self.v_min < self.v_max <= 1.0:
+            raise ConfigError("patch.v_min", "need 0 <= v_min < v_max <= 1")
+        if not self.v_min <= self.init_value <= self.v_max:
+            raise ConfigError("patch.init_value",
+                              "must lie within the gray bounds")
+        if self.grid_mpp <= 0.0:
+            raise ConfigError("patch.grid_mpp", "must be positive")
+
+
+# The top-level run keys; their annotations are ``ScenarioConfig``'s.
+_RUN = {"name": "scenario", "seed": 0, "speed_kmh": 72.0, "duration_s": 10.0,
+        "goal_m": 0.745}
+
+# (section, ``ScenarioConfig`` field, default object).  A section read into
+# two classes holds the fields of both, in this order.
+_SECTIONS = (
+    ("road", "road", RoadSpec()),
+    ("scene", "scene", SceneSpec()),
+    ("camera", "camera", CameraConfig()),
+    ("vehicle", "vehicle", VehicleParams()),
+    ("vehicle", "start", StartPose()),
+    ("detector", "detector", DetectorConfig()),
+    ("controller", "controller", ControllerConfig()),
+    ("patch", "placement", PatchPlacement(start_x=60.0, center_y=0.0,
+                                          width=2.4, length=36.0)),
+    ("patch", "patch", PatchSpec()),
+    ("attack", "attack", AttackConfig()),
+)
 
 
 def defaults() -> dict:
-    """The complete scenario document every file is merged onto.
+    """The complete scenario document every file is merged onto: the run
+    keys, then each section's class fields (tuples as lists)."""
+    doc = dict(_RUN)
+    for section, _, obj in _SECTIONS:
+        doc.setdefault(section, {}).update(
+            (k, list(v) if isinstance(v, tuple) else v)
+            for k, v in asdict(obj).items())
+    return doc
 
-    Class-backed sections take their fields and defaults from the config
-    classes themselves; only the values no class holds are written here.
-    """
-    return {
-        "name": "scenario",
-        "seed": 0,
-        "speed_kmh": 72.0,
-        "duration_s": 10.0,
-        "goal_m": 0.745,
-        "road": _section(RoadSpec()),
-        "scene": {
-            "meters_per_pixel": 0.05,
-            "x_min": 0.0,
-            "y_half_extent": 48.0,
-        },
-        "camera": _section(CameraConfig()),
-        "vehicle": {
-            **_section(VehicleParams()),
-            "start_x": 0.0,
-            "start_y": 0.0,
-            "start_heading": 0.0,
-        },
-        "detector": _section(DetectorConfig()),
-        "controller": _section(ControllerConfig()),
-        "patch": {
-            **_section(PatchPlacement(start_x=60.0, center_y=0.0, width=2.4,
-                                      length=36.0)),
-            "grid_mpp": 0.10,
-            "v_min": 0.05,
-            "v_max": 0.60,
-            "init_value": 0.45,
-        },
-        "attack": _section(AttackConfig()),
-    }
+
+@cache
+def _rules() -> dict:
+    """Each document key's annotation by dotted name, read at first load."""
+    run = get_type_hints(ScenarioConfig)
+    rules = {key: run[key] for key in _RUN}
+    for section, _, obj in _SECTIONS:
+        rules.update((f"{section}.{k}", rule)
+                     for k, rule in get_type_hints(type(obj)).items())
+    return rules
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _finite(value, dotted: str) -> float:
-    """``value`` as a float; NaN, infinities and ints past the float range
-    are refused (Python's ``json`` accepts ``NaN`` and ``Infinity``)."""
+def finite_number(value, dotted: str) -> float:
+    """A JSON number (an int or float, not a bool) as a finite float; NaN
+    and infinities (``json`` reads them) and huge ints are refused."""
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ConfigError(dotted, "expected a number")
     try:
         out = float(value)
     except OverflowError:
@@ -107,62 +146,51 @@ def _finite(value, dotted: str) -> float:
     return out
 
 
-def _coerce(uval, dval, dotted: str):
-    if isinstance(dval, str):
-        if not isinstance(uval, str):
+def _coerce(value, rule, dotted: str):
+    """``value`` checked against the annotation ``rule`` (``None`` for an
+    unknown key).  A tuple is read from a list: ``tuple[int, int]`` of
+    exactly two integers, ``tuple[float, ...]`` of at least one number."""
+    if rule is None:
+        raise ConfigError(dotted, "unknown field")
+    if rule is str:
+        if not isinstance(value, str):
             raise ConfigError(dotted, "expected a string")
-        return uval
-    if _is_int(dval):
-        if not _is_int(uval):
+        return value
+    if rule is int:
+        if not _is_int(value):
             raise ConfigError(dotted, "expected an integer")
-        return uval
-    if isinstance(dval, float):
-        if not (_is_int(uval) or isinstance(uval, float)):
-            raise ConfigError(dotted, "expected a number")
-        return _finite(uval, dotted)
-    if isinstance(dval, list):
-        if not isinstance(uval, list):
-            raise ConfigError(dotted, "expected a list of numbers")
-        want = _FIXED_LEN.get(dotted)
-        if want is not None and len(uval) != want:
-            raise ConfigError(dotted, f"expected exactly {want} entries")
-        if want is None and not uval:
+        return value
+    if rule is float:
+        return finite_number(value, dotted)
+    if get_origin(rule) is not tuple:
+        raise ConfigError(dotted, "unsupported field type")   # pragma: no cover
+    if not isinstance(value, list):
+        raise ConfigError(dotted, "expected a list of numbers")
+    kinds = get_args(rule)
+    if kinds[-1] is Ellipsis:
+        if not value:
             raise ConfigError(dotted, "expected at least one entry")
-        out = []
-        for v in uval:
-            if dotted in _INT_LISTS:
-                if not _is_int(v):
-                    raise ConfigError(dotted, "entries must be integers")
-                out.append(v)
-            else:
-                if not (_is_int(v) or isinstance(v, float)):
-                    raise ConfigError(dotted, "entries must be numbers")
-                out.append(_finite(v, dotted))
-        return out
-    raise ConfigError(dotted, "unsupported field type")        # pragma: no cover
+        kinds = kinds[:1] * len(value)
+    elif len(value) != len(kinds):
+        raise ConfigError(dotted, f"expected exactly {len(kinds)} entries")
+    return [_coerce(v, kind, dotted) for v, kind in zip(value, kinds)]
 
 
-def merge_with_defaults(user: dict, base: dict | None = None,
-                        _path: str = "") -> dict:
-    """Recursively overlay ``user`` onto the defaults, rejecting unknowns."""
-    if base is None:
-        base = defaults()
+def merge_with_defaults(user: dict) -> dict:
+    """Overlay ``user`` onto the defaults; unknown keys and values that do
+    not fit their field's annotation are refused."""
     if not isinstance(user, dict):
-        raise ConfigError(_path.rstrip(".") or "config",
-                          "expected a JSON object")
-    merged = {}
-    for key, dval in base.items():
-        dotted = f"{_path}{key}"
-        if isinstance(dval, dict):
-            sub = user.get(key, {})
-            merged[key] = merge_with_defaults(sub, dval, dotted + ".")
-        elif key in user:
-            merged[key] = _coerce(user[key], dval, dotted)
+        raise ConfigError("config", "expected a JSON object")
+    merged, rules = defaults(), _rules()
+    for key, value in user.items():
+        if isinstance(merged.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(key, "expected a JSON object")
+            for sub, v in value.items():
+                dotted = f"{key}.{sub}"
+                merged[key][sub] = _coerce(v, rules.get(dotted), dotted)
         else:
-            merged[key] = copy.deepcopy(dval)
-    for key in user:
-        if key not in base:
-            raise ConfigError(f"{_path}{key}", "unknown field")
+            merged[key] = _coerce(value, rules.get(key), key)
     return merged
 
 
@@ -174,7 +202,8 @@ def config_hash(merged: dict) -> str:
 
 @dataclass
 class ScenarioConfig:
-    """A validated scenario plus builders for its runtime objects."""
+    """A validated scenario: the run keys, one object per section class
+    and the merged document, plus builders for its runtime objects."""
 
     name: str
     seed: int
@@ -182,22 +211,15 @@ class ScenarioConfig:
     duration_s: float
     goal_m: float
     road: RoadSpec
-    meters_per_pixel: float
-    x_min: float
-    y_half_extent: float
+    scene: SceneSpec
     camera: CameraConfig
     vehicle: VehicleParams
-    start_x: float
-    start_y: float
-    start_heading: float
+    start: StartPose
     detector: DetectorConfig
     controller: ControllerConfig
-    attack: AttackConfig
     placement: PatchPlacement
-    patch_grid_mpp: float
-    patch_v_min: float
-    patch_v_max: float
-    patch_init_value: float
+    patch: PatchSpec
+    attack: AttackConfig
     merged: dict = field(repr=False)
 
     @property
@@ -205,19 +227,23 @@ class ScenarioConfig:
         """Digest of ``merged``, so it follows any later edit of the document."""
         return config_hash(self.merged)
 
+    # The benchmark reads these two; its next change retires them.
+    patch_v_min = property(lambda self: self.patch.v_min)
+    patch_v_max = property(lambda self: self.patch.v_max)
+
     @property
     def extent(self) -> tuple[float, float, float, float]:
-        return (self.x_min, self.x_min + self.road.road_length,
-                -self.y_half_extent, self.y_half_extent)
+        x, y = self.scene.x_min, self.scene.y_half_extent
+        return (x, x + self.road.road_length, -y, y)
 
     @property
     def n_frames(self) -> int:
         return int(round(self.duration_s / self.vehicle.dt))
 
     def build_scene(self) -> tuple[BevImage, "np.ndarray"]:
-        scene = render_road_bev(self.road, self.extent, self.meters_per_pixel,
-                                self.seed)
-        mask = lane_line_mask(self.road, self.extent, self.meters_per_pixel)
+        mpp = self.scene.meters_per_pixel
+        scene = render_road_bev(self.road, self.extent, mpp, self.seed)
+        mask = lane_line_mask(self.road, self.extent, mpp)
         return scene, mask
 
     def pipeline(self) -> PipelineConfig:
@@ -225,24 +251,24 @@ class ScenarioConfig:
                               controller=self.controller, vehicle=self.vehicle)
 
     def initial_state(self) -> VehicleState:
-        return VehicleState(self.start_x, self.start_y, self.start_heading,
-                            self.speed_kmh / 3.6)
+        return VehicleState(self.start.start_x, self.start.start_y,
+                            self.start.start_heading, self.speed_kmh / 3.6)
 
     def initial_patch(self) -> PatchState:
-        return uniform_patch(self.placement, self.patch_grid_mpp,
-                             self.patch_init_value, v_min=self.patch_v_min,
-                             v_max=self.patch_v_max)
+        spec = self.patch
+        return uniform_patch(self.placement, spec.grid_mpp, spec.init_value,
+                             v_min=spec.v_min, v_max=spec.v_max)
 
     def identity_patch(self) -> PatchState:
-        return identity_patch(self.placement, self.patch_grid_mpp, self.road,
-                              v_min=self.patch_v_min, v_max=self.patch_v_max)
+        return identity_patch(self.placement, self.patch.grid_mpp, self.road,
+                              v_min=self.patch.v_min, v_max=self.patch.v_max)
 
-    def check_patch(self, patch: PatchState) -> None:
-        """Raise ``ConfigError`` unless ``patch`` fits this scenario: its
-        placement (plus its margin) stays off both lane lines and inside
-        the extent of the rendered raster (by the test compositing
-        applies), and its grays stay below the lane-line intensity."""
-        placement, road = patch.placement, self.road
+    def check_patch(self, placement: PatchPlacement, v_max: float) -> None:
+        """Raise ``ConfigError`` unless a patch at ``placement`` (plus its
+        margin) stays off both lane lines and inside the extent of the
+        rendered raster (by the test compositing applies), and its grays,
+        up to ``v_max``, stay below the lane-line intensity."""
+        road = self.road
         half_interior = 0.5 * (road.lane_width - road.lane_line_width)
         reach = (abs(placement.center_y) + 0.5 * placement.width
                  + placement.margin)
@@ -251,23 +277,22 @@ class ScenarioConfig:
                 "patch.placement",
                 f"patch reaches {reach:.3f} m from lane center but the "
                 f"line-free interior extends only {half_interior:.3f} m")
-        mpp = self.meters_per_pixel
+        mpp = self.scene.meters_per_pixel
         if _rect_leaves(placement.rect,
                         _raster_extent(*_grid(self.extent, mpp), mpp)):
             raise ConfigError("patch.start_x",
                               "patch placement leaves the rendered scene extent")
-        if patch.v_max >= road.line_intensity:
+        if v_max >= road.line_intensity:
             raise ConfigError("patch.v_max", "patch grays must stay below "
                                              "the lane-line intensity")
 
 
 def _build(section: str, cls, doc: dict):
-    """``cls`` from its fields in the merged ``doc`` (lists as tuples); a
-    refusal is reported against ``section``."""
-    values = {f.name: doc[f.name] for f in fields(cls)}
+    """``cls`` from its fields in the merged section ``doc`` (lists as
+    tuples); an ``InvalidArgumentError`` is reported against ``section``."""
     try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in values.items()})
+        return cls(**{f.name: tuple(v) if isinstance(v := doc[f.name], list)
+                      else v for f in fields(cls)})
     except InvalidArgumentError as exc:
         raise ConfigError(section, str(exc)) from exc
 
@@ -282,57 +307,26 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
 
     if seed_override is not None:
         merged["seed"] = int(seed_override)
-    if merged["seed"] < 0:
-        raise ConfigError("seed", "must be >= 0")
-    for fname, positive in (("speed_kmh", True), ("duration_s", True),
-                            ("goal_m", False)):
+    for fname, positive in (("seed", False), ("speed_kmh", True),
+                            ("duration_s", True), ("goal_m", False)):
         if merged[fname] < 0.0 or (positive and merged[fname] == 0.0):
             kind = "positive" if positive else ">= 0"
             raise ConfigError(fname, f"must be {kind}")
 
-    road = _build("road", RoadSpec, merged["road"])
-
-    sc = merged["scene"]
-    if sc["meters_per_pixel"] <= 0.0:
-        raise ConfigError("scene.meters_per_pixel", "must be positive")
-    if sc["y_half_extent"] < 0.5 * (road.lane_width + road.lane_line_width):
-        raise ConfigError("scene.y_half_extent",
-                          "scene must be wide enough to contain both lane lines")
-
-    camera = _build("camera", CameraConfig, merged["camera"])
-    veh = merged["vehicle"]
-    vehicle = _build("vehicle", VehicleParams, veh)
-    detector = _build("detector", DetectorConfig, merged["detector"])
-    controller = _build("controller", ControllerConfig, merged["controller"])
-    attack = _build("attack", AttackConfig, merged["attack"])
-
-    pk = merged["patch"]
-    placement = _build("patch", PatchPlacement, pk)
-    if not 0.0 <= pk["v_min"] < pk["v_max"] <= 1.0:
-        raise ConfigError("patch.v_min", "need 0 <= v_min < v_max <= 1")
-    if not pk["v_min"] <= pk["init_value"] <= pk["v_max"]:
-        raise ConfigError("patch.init_value", "must lie within the gray bounds")
-    if pk["grid_mpp"] <= 0.0:
-        raise ConfigError("patch.grid_mpp", "must be positive")
-
     cfg = ScenarioConfig(
-        name=merged["name"], seed=merged["seed"],
-        speed_kmh=merged["speed_kmh"], duration_s=merged["duration_s"],
-        goal_m=merged["goal_m"], road=road,
-        meters_per_pixel=sc["meters_per_pixel"], x_min=sc["x_min"],
-        y_half_extent=sc["y_half_extent"], camera=camera, vehicle=vehicle,
-        start_x=veh["start_x"], start_y=veh["start_y"],
-        start_heading=veh["start_heading"], detector=detector,
-        controller=controller, attack=attack, placement=placement,
-        patch_grid_mpp=pk["grid_mpp"], patch_v_min=pk["v_min"],
-        patch_v_max=pk["v_max"], patch_init_value=pk["init_value"],
+        **{key: merged[key] for key in _RUN},
+        **{attr: _build(section, type(obj), merged[section])
+           for section, attr, obj in _SECTIONS},
         merged=merged)
-
     _cross_validate(cfg)
     return cfg
 
 
 def _cross_validate(cfg: ScenarioConfig) -> None:
+    road, mpp = cfg.road, cfg.scene.meters_per_pixel
+    if cfg.scene.y_half_extent < 0.5 * (road.lane_width + road.lane_line_width):
+        raise ConfigError("scene.y_half_extent",
+                          "scene must be wide enough to contain both lane lines")
     if cfg.n_frames < 1:
         raise ConfigError("duration_s",
                           "rounds to zero control steps "
@@ -342,7 +336,6 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
     # Every model input needs ground; no pose passes speed times the longer
     # of the run and the attack horizon.  The raster is sourced up to its
     # last pixel centre, half a pixel short of the extent.
-    mpp = cfg.meters_per_pixel
     x_lo, x_hi, y_lo, y_hi = cfg.extent
     for fname, span in (("road.road_length", x_hi - x_lo),
                         ("scene.y_half_extent", y_hi - y_lo)):
@@ -350,13 +343,18 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
             raise ConfigError(fname, f"spans less than one {mpp} m pixel")
     reach = model_input_reach(cfg.camera)
     drive_s = max(cfg.duration_s, cfg.attack.horizon_frames * cfg.vehicle.dt)
-    need = cfg.start_x + cfg.speed_kmh / 3.6 * drive_s + reach
-    last = cfg.x_min + (round(cfg.road.road_length / mpp) - 0.5) * mpp
+    need = cfg.start.start_x + cfg.speed_kmh / 3.6 * drive_s + reach
+    last = x_lo + (round(road.road_length / mpp) - 0.5) * mpp
     if last < need:
         raise ConfigError("road.road_length", f"the road is sourced up to "
                           f"x = {last:.3f} m but the drive sees up to "
                           f"{need:.3f} m ({reach:.2f} m past its last pose)")
-    cfg.check_patch(cfg.initial_patch())   # sizes the raster: after the road rule
+    cfg.check_patch(cfg.placement, cfg.patch.v_max)
+    # Taps at most two cells apart leave no cell without a gradient.
+    if cfg.patch.grid_mpp < 0.5 * mpp:
+        raise ConfigError("patch.grid_mpp",
+                          f"cells below half the {mpp} m scene pixel are "
+                          f"skipped by the composite's taps")
 
     # The first frame's model input by the warp's own test; the rule above
     # covers its far end.

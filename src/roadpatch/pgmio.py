@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import finite_number
 from .errors import InvalidArgumentError
 from .scene import BevImage, PatchPlacement, PatchState
 
@@ -101,22 +102,21 @@ def save_patch(path, patch: PatchState, extra: dict | None = None) -> None:
 
 
 def load_patch(path) -> PatchState:
-    """Read a patch :func:`save_patch` wrote; out-of-bounds grays are refused."""
+    """Read a patch :func:`save_patch` wrote; out-of-bounds grays are
+    refused, and so is a sidecar number the scenario loader would refuse
+    (a ``ConfigError``)."""
     meta = json.loads(_sidecar_path(path).read_text())
     if not isinstance(meta, dict) or meta.get("kind") != "patch":
         raise InvalidArgumentError(f"{path} sidecar does not describe a patch")
-    pm = meta["placement"]
+    nums = {k: finite_number(meta[k], k)
+            for k in ("grid_mpp", "v_min", "v_max", "base_value")}
+    placement = PatchPlacement(**{
+        f.name: finite_number(meta["placement"][f.name], f"placement.{f.name}")
+        for f in fields(PatchPlacement)})
     values = read_pgm(path)
     # Quantization may overshoot the declared bounds by up to half a
     # quantum; snap those back and leave genuine violations to PatchState.
-    snapped = np.clip(values, float(meta["v_min"]), float(meta["v_max"]))
+    snapped = np.clip(values, nums["v_min"], nums["v_max"])
     values = np.where(np.abs(snapped - values) <= 0.5 / _MAXVAL,
                       snapped, values)
-    return PatchState(values=values,
-                      grid_mpp=float(meta["grid_mpp"]),
-                      v_min=float(meta["v_min"]),
-                      v_max=float(meta["v_max"]),
-                      base_value=float(meta["base_value"]),
-                      placement=PatchPlacement(
-                          **{f.name: float(pm[f.name])
-                             for f in fields(PatchPlacement)}))
+    return PatchState(values=values, placement=placement, **nums)

@@ -145,9 +145,9 @@ def test_ground_camera_geometry_is_self_consistent(record_check, scenario72):
 
     road = dataclasses.replace(scenario72.road, road_length=80.0)
     scene = render_road_bev(road, (0.0, 80.0, -48.0, 48.0),
-                            scenario72.meters_per_pixel, scenario72.seed)
+                            scenario72.scene.meters_per_pixel, scenario72.seed)
     mask = lane_line_mask(road, (0.0, 80.0, -48.0, 48.0),
-                          scenario72.meters_per_pixel)
+                          scenario72.scene.meters_per_pixel)
     patch = scenario72.initial_patch()
     base = warp_bev_to_camera(composite_patch(scene, patch, mask),
                               cam, pose).pixels
@@ -236,9 +236,9 @@ def test_single_gray_optimum_matches_brute_force(record_check, scenario72,
                               iterations=60)
     placement = scenario72.placement
     patch0 = uniform_patch(placement, placement.length,
-                           scenario72.patch_init_value,
-                           v_min=scenario72.patch_v_min,
-                           v_max=scenario72.patch_v_max)
+                           scenario72.patch.init_value,
+                           v_min=scenario72.patch.v_min,
+                           v_max=scenario72.patch.v_max)
     assert patch0.values.shape == (1, 1)
 
     def directed(v):

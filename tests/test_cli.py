@@ -239,6 +239,19 @@ def test_error_exit_codes(tiny, tmp_path, capsys):
         run_cli()
 
 
+def test_a_patch_sidecar_number_as_a_string_exits_2(tiny, tmp_path, capsys):
+    patch = tmp_path / "p.pgm"
+    save_patch(patch, load_config(tiny).initial_patch())
+    meta = json.loads(patch.with_suffix(".json").read_text())
+    meta["placement"]["width"] = "2.0"
+    patch.with_suffix(".json").write_text(json.dumps(meta))
+    assert run_cli("evaluate", tiny, "--out", tmp_path / "run",
+                   "--patch", patch) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["field"] == "patch"
+    assert "placement.width: expected a number" in err["message"]
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dump-frames"])
 def test_an_output_path_that_names_a_file_is_a_runtime_failure(
         flag, tiny, tmp_path, capsys, monkeypatch):

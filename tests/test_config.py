@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from reference import image_to_ground
 from roadpatch.attack import AttackConfig
 from roadpatch.camera import CameraConfig, warp_bev_to_camera
 from roadpatch.config import (
+    _SECTIONS,
     builtin_scenarios,
     config_from_dict,
     config_hash,
@@ -203,6 +205,59 @@ def test_non_finite_numbers_are_refused(field, value):
     assert _err({section: {key: value}} if section else {key: value}) == field
 
 
+_POOL = [0, -1, 1, 2, 7, 1000, 0.0, -0.0, -0.5, 1e-9, 1e9, 1e300, -1e300,
+         float("nan"), float("inf"), True, "x", None, {}, [], [1], [1, 2],
+         [1.5, 2.5], [1000, 1000], [0, 0, 0, 0], [1.5, 2.5, 3.5, 4.5]]
+
+
+def test_every_one_leaf_edit_loads_or_is_refused():
+    # Each pool value at each leaf of the defaults, one at a time: the
+    # document loads, or is refused on a document key.  No patch raster
+    # is built to decide it, so huge or fine patches are refused too.
+    base = defaults()
+    leaves = [(key, sub) for key, dval in base.items()
+              for sub in (dval if isinstance(dval, dict) else [None])]
+    named = ({"config", "patch.placement"} | set(base)
+             | {f"{key}.{sub}" for key, sub in leaves if sub})
+    for key, sub in leaves:
+        for value in _POOL:
+            doc = {key: {sub: value}} if sub else {key: value}
+            try:
+                config_from_dict(doc)
+            except ConfigError as exc:
+                assert exc.field in named, (doc, exc.field)
+
+
+def test_grid_finer_than_half_a_scene_pixel_is_refused():
+    assert config_from_dict({"patch": {"grid_mpp": 0.025}}).patch.grid_mpp \
+        == 0.025
+    assert _err({"patch": {"grid_mpp": 0.0249}}) == "patch.grid_mpp"
+    assert _err({"patch": {"grid_mpp": 1e-9}}) == "patch.grid_mpp"
+    assert _err({"patch": {"length": 1e9}}) == "patch.start_x"
+    assert _err({"patch": {"width": 1e9}}) == "patch.placement"
+
+
+def test_tuple_fields_are_checked_by_their_annotations():
+    # Length and entry type come from each tuple field's annotation.
+    seen = set()
+    for section, _, obj in _SECTIONS:
+        for key, rule in typing.get_type_hints(type(obj)).items():
+            if typing.get_origin(rule) is not tuple:
+                continue
+            kinds, good = typing.get_args(rule), list(getattr(obj, key))
+            bad = [[], [True] + good[1:]]
+            if kinds[-1] is not Ellipsis:
+                bad += [good + good[:1], good[:-1]]
+            if int in kinds:
+                bad.append([good[0] + 0.5] + good[1:])
+            for value in bad:
+                assert _err({section: {key: value}}) == f"{section}.{key}", \
+                    value
+            seen.add(f"{section}.{key}")
+    assert {"camera.principal_point", "camera.image_size",
+            "camera.model_input_rect", "controller.decision_points"} <= seen
+
+
 def test_scalar_range_checks():
     assert _err({"speed_kmh": 0}) == "speed_kmh"
     assert _err({"duration_s": 0}) == "duration_s"
@@ -348,7 +403,8 @@ def test_texture_seed_defaults_to_the_scenario_seed():
     # the scenario seed draws the texture; the road section has no seed
     cfg = config_from_dict({"seed": 5, **_TINY})
     scene, _ = cfg.build_scene()
-    want = render_road_bev(cfg.road, cfg.extent, cfg.meters_per_pixel, 5)
+    want = render_road_bev(cfg.road, cfg.extent, cfg.scene.meters_per_pixel,
+                           5)
     np.testing.assert_array_equal(scene.pixels, want.pixels)
 
 

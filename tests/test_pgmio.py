@@ -1,9 +1,11 @@
 """16-bit PGM persistence and the JSON sidecars."""
 
+import json
+
 import numpy as np
 import pytest
 
-from roadpatch.errors import InvalidArgumentError
+from roadpatch.errors import ConfigError, InvalidArgumentError
 from roadpatch.pgmio import (
     load_patch,
     read_pgm,
@@ -114,6 +116,23 @@ def test_load_patch_refuses_genuine_bound_violations(tmp_path):
     save_patch(p, patch)
     with pytest.raises(InvalidArgumentError, match="v_min, v_max"):
         load_patch(p)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid_mpp", "0.5"), ("v_min", "0.05"), ("v_max", True),
+    ("base_value", None), ("placement.width", "3.6"),
+    ("placement.margin", True), ("placement.start_x", float("nan"))])
+def test_sidecar_numbers_follow_the_loader_rule(key, value, tmp_path):
+    # what the scenario loader refuses as a number, a sidecar may not hold
+    p = tmp_path / "patch.pgm"
+    save_patch(p, uniform_patch(PatchPlacement(5.0, 0.0, 2.0, 10.0), 0.5, 0.3))
+    meta = json.loads(p.with_suffix(".json").read_text())
+    section, _, leaf = key.rpartition(".")
+    (meta[section] if section else meta)[leaf] = value
+    p.with_suffix(".json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError) as info:
+        load_patch(p)
+    assert info.value.field == key
 
 
 def test_sidecar_kind_is_checked(tmp_path):
