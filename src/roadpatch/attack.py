@@ -28,6 +28,7 @@ from .camera import (
     CameraConfig,
     patch_footprint,  # unused here; bench/spans.py rebinds it in this module
     patch_pixels,
+    run_pixels,
     splat_camera_to_bev,  # unused here; bench/spans.py rebinds it in this module
     splat_pixels,
     warp_bev_to_camera,
@@ -119,12 +120,18 @@ class AttackConfig:
 @dataclass
 class FrameTape:
     """What a gradient pass reads of one patched frame: the detector's
-    rectified responses, and the patch footprint's sorted flat pixel
-    indices and the frame's grays there."""
+    rectified responses, the patch footprint as row runs (each row's
+    ``(start, stop)`` flat pixel indices, in row order) and the frame's
+    grays on its pixels in that order, 8 bytes a pixel."""
 
     responses: np.ndarray
-    pixels: np.ndarray
+    runs: np.ndarray
     grays: np.ndarray
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The footprint's sorted flat pixel indices."""
+        return run_pixels(self.runs)
 
 
 @dataclass
@@ -263,13 +270,16 @@ def _stealth_gradient(tape: FrameTape, lambda_reg: float,
 
 
 def _mean(splats) -> np.ndarray:
-    """Mean of the frames' patch-grid gradients, summed in frame order."""
-    if not len(splats):
-        raise NoVisibilityError("no frame in the horizon ever saw the patch")
-    acc = np.zeros_like(splats[0])
-    for s in splats:
+    """Mean of the frames' patch-grid gradients, read one at a time and
+    summed in frame order."""
+    acc, n = None, 0
+    for n, s in enumerate(splats, start=1):
+        if acc is None:
+            acc = np.zeros_like(s)
         acc += s
-    return acc / len(splats)
+    if acc is None:
+        raise NoVisibilityError("no frame in the horizon ever saw the patch")
+    return acc / n
 
 
 def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
@@ -287,18 +297,17 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
     splatting the runs' sum through the warp/composite adjoint is
     bit-identical to splatting the whole image.  Every frame that saw the
     patch weighs 1; a record without tapes has none and raises
-    ``NoVisibilityError``.
+    ``NoVisibilityError``.  The frames stream through the splat one at a
+    time, so the pass holds one frame's pixel gradient and splat.
     """
     upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
     support = support_set(pipe.detector, pipe.camera).pixels
-    grads = []
-    for state, tape in zip(record.states, record.tapes):
-        if not tape.pixels.size:
-            continue
-        path = support_gradient(tape.responses, upstream, pipe.detector,
-                                pipe.camera)
-        stealth = _stealth_gradient(tape, cfg.lambda_reg, patch.base_value)
-        grads.append((state, [(support, path), (tape.pixels, stealth)]))
+    grads = ((state, [(support, support_gradient(tape.responses, upstream,
+                                                 pipe.detector, pipe.camera)),
+                      (tape.pixels, _stealth_gradient(tape, cfg.lambda_reg,
+                                                      patch.base_value))])
+             for state, tape in zip(record.states, record.tapes)
+             if tape.grays.size)
     return _mean(splat_pixels(grads, pipe.camera, scene, patch, line_mask))
 
 
@@ -391,6 +400,9 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
                     step_size = min(step_size * 1.25, cfg.step_size)
                     accepted = True
                     break
+                # A rejected candidate's tapes go before the next rollout,
+                # so at most the current record and one candidate are held.
+                del cand_record
             if accepted:
                 grad = None
                 break

@@ -43,6 +43,7 @@ from .scene import (
     PatchTile,
     _rect_index_ranges,
     composite_adjoint_local,
+    composite_taps,
 )
 
 _DEPTH_EPS = 1e-9
@@ -361,18 +362,39 @@ def _ground_hits(cfg: CameraConfig, pose: VehicleState, rect, rows,
 
 
 def _footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
-    """Sorted flat indices of the pixels whose ground point lies inside
-    ``rect``, found on the rows that can see it in blocks (``_blocks``),
-    and their ground points."""
+    """The pixels whose ground point lies inside ``rect``, as row runs,
+    and their ground points in row-major order, found on the rows that
+    can see it in blocks (``_blocks``).
+
+    A run is the ``(start, stop)`` flat indices of one row's hits.  In a
+    row, ``xf`` and ``front`` are constant and ``yf`` falls with the
+    column; :func:`_vehicle_to_world` and the four rect tests are
+    monotone under round-to-nearest, so a row's hits are one interval.
+    """
     rows = _rows_seeing(cfg, pose, rect)
     width = cfg.image_size[0]
-    parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0))]
+    first, count = (np.empty(rows.stop - rows.start, np.intp)
+                    for _ in range(2))
+    parts = [(np.empty(0), np.empty(0))]
     for block in _blocks(rows.stop - rows.start, width):
-        r0 = rows.start + block.start
         hit, gx, gy = _ground_hits(cfg, pose, rect,
-                                   slice(r0, rows.start + block.stop))
-        parts.append((np.flatnonzero(hit) + r0 * width, gx[hit], gy[hit]))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+                                   slice(rows.start + block.start,
+                                         rows.start + block.stop))
+        hit.argmax(axis=1, out=first[block])
+        np.add.reduce(hit, axis=1, dtype=np.intp, out=count[block])
+        parts.append((gx[hit], gy[hit]))
+    seen = np.flatnonzero(count)
+    start = (seen + rows.start) * width + first[seen]
+    gx, gy = (np.concatenate(p) for p in zip(*parts))
+    return np.stack([start, start + count[seen]], axis=1), gx, gy
+
+
+def run_pixels(runs: np.ndarray) -> np.ndarray:
+    """The sorted flat image indices that the row runs ``runs`` cover."""
+    lengths = runs[:, 1] - runs[:, 0]
+    ends = np.cumsum(lengths)
+    return (np.repeat(runs[:, 0] - (ends - lengths), lengths)
+            + np.arange(ends[-1] if ends.size else 0))
 
 
 def model_input_sees(cfg: CameraConfig, pose: VehicleState, rect) -> bool:
@@ -389,27 +411,30 @@ def patch_footprint(cfg: CameraConfig, pose: VehicleState,
                     patch: PatchState) -> np.ndarray:
     """Image mask of pixels whose ground point lies inside the patch rect."""
     mask = np.zeros(cfg.image_size[::-1], dtype=bool)
-    mask.ravel()[_footprint_band(cfg, pose, patch.placement.rect)[0]] = True
+    runs = _footprint_band(cfg, pose, patch.placement.rect)[0]
+    mask.ravel()[run_pixels(runs)] = True
     return mask
 
 
 def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
                  patch: PatchState) -> tuple[np.ndarray, np.ndarray]:
-    """The patch footprint as sorted flat image indices, and the warped
-    grays there.
+    """The patch footprint as row runs (``(start, stop)`` flat image
+    indices, one per row it covers, in row order), and the warped grays
+    of its pixels in that order.
 
-    Equals ``np.flatnonzero(patch_footprint(...))`` and the dense warp's
-    grays there, but builds no image-sized array.  ``bev`` carries the
-    patch as its tile, and the grays are read from the tile alone, in
-    blocks (``_blocks``): every footprint ground point lies inside the
-    patch rectangle, so all of its taps lie in the tile.
+    ``run_pixels`` of the runs equals ``np.flatnonzero(patch_footprint(...))``
+    and the grays are the dense warp's there, but no image-sized array is
+    built.  ``bev`` carries the patch as its tile, and the grays are read
+    from the tile alone, in blocks (``_blocks``): every footprint ground
+    point lies inside the patch rectangle, so all of its taps lie in the
+    tile.
     """
-    pixels, gx, gy = _footprint_band(cfg, pose, patch.placement.rect)
+    runs, gx, gy = _footprint_band(cfg, pose, patch.placement.rect)
     grays = np.empty(gx.shape)
     for block in _blocks(gx.size):
         fi, fj, valid = _ground_index(bev, gx[block], gy[block], True)
         grays[block] = np.where(valid, _tile_gather(bev.tile, fi, fj), 0.0)
-    return pixels, grays
+    return runs, grays
 
 
 def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
@@ -418,35 +443,41 @@ def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
     """Pull an image-space gradient back onto the patch grid.
 
     Exact adjoint of ``warp(composite(patch))`` as a linear map in the
-    patch values: :func:`splat_pixels` of one run over every pixel.
+    patch values: :func:`splat_pixels` of one frame with one run over
+    every pixel.
     """
     if grad_image.shape != tuple(reversed(cfg.image_size)):
         raise InvalidArgumentError("grad_image shape must match the camera image")
     run = (np.arange(grad_image.size), grad_image.ravel())
-    return splat_pixels([(pose, [run])], cfg, scene, patch, line_mask)[0]
+    return next(splat_pixels([(pose, [run])], cfg, scene, patch, line_mask))
 
 
 def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
-                 line_mask: np.ndarray) -> np.ndarray:
-    """Pull sparse image-space gradients back onto the patch grid.
+                 line_mask: np.ndarray):
+    """Pull sparse image-space gradients back onto the patch grid, one
+    frame at a time.
 
-    ``grads`` holds one ``(pose, runs)`` pair per frame.  Each run is a
-    ``(pixels, values)`` pair of sorted distinct flat image indices and
-    the gradient there; a frame's gradient is the sum of its runs, zero
-    at every other pixel.  Returns the stacked patch-grid gradients, one
-    per frame.
+    ``grads`` is an iterable of one ``(pose, runs)`` pair per frame.  Each
+    run is a ``(pixels, values)`` pair of sorted distinct flat image
+    indices and the gradient there; a frame's gradient is the sum of its
+    runs, zero at every other pixel.  Yields each frame's patch-grid
+    gradient as soon as the frame is read, so a pass holds one frame's
+    temporaries at a time.
 
     Only pixels on the rows that see the patch's scene rectangle grown by
     one scene pixel can have a tap inside it.  Each frame's runs are
-    summed, in run order, into a zero buffer over those rows, and the
-    buffer's nonzero pixels are splatted in row-major order: the warp
-    taps are transposed into scene space (only the rectangle is
-    materialized) and the composite resampling is transposed onto the
-    patch raster, once for the whole stack.  A pixel in two runs holds
-    ``(0 + a) + b``, which is ``a + b``.  A pixel left out holds ±0, which
-    adds nothing to a tap sum that starts at +0, and the rest keep their
-    row-major order, so the result is bit-identical to splatting the
-    whole image that holds the runs' sum.
+    summed, in run order, into a zero buffer over those rows.  The
+    buffer's nonzero pixels whose ground point lies within a scene pixel
+    of the rectangle are found in blocks (``_blocks``), their fractional
+    scene indices written in row-major order into the pass's workspace,
+    and splatted: the warp taps are transposed into a buffer over
+    the scene rectangle, with one ``bincount`` per tap over the frame, and
+    the composite resampling onto the patch raster, its taps
+    (:func:`~roadpatch.scene.composite_taps`) computed once for every
+    frame.  A pixel in two runs holds ``(0 + a) + b``, which is ``a + b``.
+    A pixel left out holds ±0, which adds nothing to a tap sum that starts
+    at +0, and the rest keep their row-major order, so the result is
+    bit-identical to splatting the whole image that holds the runs' sum.
     """
     width = cfg.image_size[0]
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
@@ -454,22 +485,38 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     grown = (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
              oy + (j_lo - 1) * mpp, oy + (j_hi + 1) * mpp)
     row0, col0 = i_lo - 2, j_lo - 2
-    local = np.zeros((len(grads), i_hi - i_lo + 5, j_hi - j_lo + 5))
+    local_shape = (i_hi - i_lo + 5, j_hi - j_lo + 5)
+    taps = composite_taps(scene, patch, line_mask, row0, col0, local_shape)
     xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
-    for k, (pose, runs) in enumerate(grads):
+    # One workspace for the pass, as long as every row below the horizon:
+    # each frame's band and its gathered points reuse it.  Frame-sized
+    # buffers allocated per frame let glibc malloc trim the heap between
+    # frames: a fresh 12-iteration highway-72 optimize took 144k minor
+    # page faults in its gradient passes that way, and 18k with this.
+    band_buf, fi, fj, grad = np.empty(
+        (4, front.size - _first_ground_row(cfg) * width))
+    for pose, runs in grads:
         rows = _rows_seeing(cfg, pose, grown)
         start, stop = rows.start * width, rows.stop * width
-        band = np.zeros(stop - start)
+        band = band_buf[:stop - start]
+        band[:] = 0.0
         for pixels, values in runs:
             a, b = np.searchsorted(pixels, (start, stop))
             band[pixels[a:b] - start] += values[a:b]
         kept = np.flatnonzero(band)
-        pix = kept + start
-        fi, fj = scene.fractional_index(*_vehicle_to_world(pose, xf[pix],
-                                                           yf[pix]))
-        near = (front[pix] & interp.inside(fi, fj, scene.pixels.shape)
-                & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
-                & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
-        local[k] = interp.scatter(local.shape[1:], fi[near] - row0,
-                                  fj[near] - col0, band[kept][near])
-    return composite_adjoint_local(local, row0, col0, scene, patch, line_mask)
+        n = 0
+        for block in _blocks(kept.size):
+            pix = kept[block] + start
+            bi, bj = scene.fractional_index(*_vehicle_to_world(
+                pose, xf[pix], yf[pix]))
+            near = (front[pix] & interp.inside(bi, bj, scene.pixels.shape)
+                    & (bi > i_lo - 1.0) & (bi < i_hi + 1.0)
+                    & (bj > j_lo - 1.0) & (bj < j_hi + 1.0))
+            m = n + np.count_nonzero(near)
+            np.subtract(bi[near], row0, out=fi[n:m])
+            np.subtract(bj[near], col0, out=fj[n:m])
+            grad[n:m] = band[kept[block][near]]
+            n = m
+        del kept            # before the scatter, the frame's largest step
+        local = interp.scatter(local_shape, fi[:n], fj[:n], grad[:n])
+        yield composite_adjoint_local(local, taps)

@@ -85,6 +85,13 @@ class PatchSpec:
             raise ConfigError("patch.grid_mpp", "must be positive")
 
 
+# What a scenario may ask of one process, refused at load.  The scene
+# raster is float64; the bundled ones take 83-129 MB (highway-126 the
+# most), so the cap leaves them over 8x room.  A rollout (the run, or the
+# attack horizon) of more frames is refused; the bundled ones run 200.
+MAX_SCENE_BYTES = 2 ** 30
+MAX_FRAMES = 100_000
+
 # The top-level run keys; their annotations are ``ScenarioConfig``'s.
 _RUN = {"name": "scenario", "seed": 0, "speed_kmh": 72.0, "duration_s": 10.0,
         "goal_m": 0.745}
@@ -322,7 +329,36 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
     return cfg
 
 
+def _check_caps(cfg: ScenarioConfig) -> None:
+    """Refuse a scene raster over ``MAX_SCENE_BYTES`` or a rollout over
+    ``MAX_FRAMES`` before anything is sized from them, on the field that
+    grows it most over the default scenario.  The counts round as the
+    raster and ``n_frames`` do, in floats, so no size overflows."""
+    road, scene, vehicle = RoadSpec(), SceneSpec(), VehicleParams()
+    mpp = cfg.scene.meters_per_pixel
+    x_lo, x_hi, y_lo, y_hi = cfg.extent
+    pixels = round((x_hi - x_lo) / mpp, 0) * round((y_hi - y_lo) / mpp, 0)
+    if not pixels * 8 <= MAX_SCENE_BYTES:
+        growth = {"road.road_length": cfg.road.road_length / road.road_length,
+                  "scene.y_half_extent":
+                      cfg.scene.y_half_extent / scene.y_half_extent,
+                  "scene.meters_per_pixel":
+                      (scene.meters_per_pixel / mpp) ** 2}
+        raise ConfigError(max(growth, key=growth.get),
+                          f"the scene raster would take {pixels * 8:.3g} "
+                          f"bytes, over the {MAX_SCENE_BYTES} byte cap")
+    if not round(cfg.duration_s / cfg.vehicle.dt, 0) <= MAX_FRAMES:
+        growth = {"duration_s": cfg.duration_s / _RUN["duration_s"],
+                  "vehicle.dt": vehicle.dt / cfg.vehicle.dt}
+        raise ConfigError(max(growth, key=growth.get),
+                          f"the run would take more than {MAX_FRAMES} frames")
+    if cfg.attack.horizon_frames > MAX_FRAMES:
+        raise ConfigError("attack.horizon_frames",
+                          f"must be at most {MAX_FRAMES} frames")
+
+
 def _cross_validate(cfg: ScenarioConfig) -> None:
+    _check_caps(cfg)
     road, mpp = cfg.road, cfg.scene.meters_per_pixel
     if cfg.scene.y_half_extent < 0.5 * (road.lane_width + road.lane_line_width):
         raise ConfigError("scene.y_half_extent",

@@ -29,13 +29,19 @@ _BLOCK = 8192
 
 
 def encode_gray16(values: np.ndarray) -> np.ndarray:
+    """Quantize grays to big-endian 16-bit codes; any value outside
+    [0, 1], NaN included, is refused.  Each block is checked while it is
+    quantized, so no pass over the whole array is added."""
     values = np.asarray(values, dtype=float)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise InvalidArgumentError("gray values must lie in [0, 1] to encode")
     raw = np.empty(values.shape, ">u2")
     flat, out = values.reshape(-1), raw.reshape(-1)
     for start in range(0, flat.size, _BLOCK):
-        scaled = flat[start:start + _BLOCK] * _MAXVAL
+        block = flat[start:start + _BLOCK]
+        # min and max carry a NaN through, and NaN fails both tests
+        if not (block.min() >= 0.0 and block.max() <= 1.0):
+            raise InvalidArgumentError(
+                "gray values must lie in [0, 1] to encode")
+        scaled = block * _MAXVAL
         np.round(scaled, out=scaled)
         out[start:start + _BLOCK] = scaled
     return raw

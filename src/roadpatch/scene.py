@@ -337,31 +337,41 @@ def composite_patch(scene: BevImage, patch: PatchState,
                     origin=scene.origin)
 
 
-def composite_adjoint_local(local_grad: np.ndarray, row0: int, col0: int,
-                            scene: BevImage, patch: PatchState,
-                            line_mask: np.ndarray) -> np.ndarray:
+def composite_taps(scene: BevImage, patch: PatchState,
+                   line_mask: np.ndarray, row0: int, col0: int,
+                   local_shape: tuple[int, int]):
+    """Where the composite's adjoint reads a scene-space gradient, and the
+    patch-grid taps it adds each read to.
+
+    The gradient covers ``local_shape`` scene pixels from ``(row0, col0)``
+    on, which must hold every pixel :func:`patch_tile` replaces.  Returns
+    the replaced pixels' flat indices into that buffer, their patch-grid
+    taps and weights, and the patch shape.  They depend only on the
+    placement, the patch grid, the line mask and the buffer, so a
+    gradient pass computes them once for all of its frames.
+    """
+    rows, cols = _composite_indices(scene, patch, line_mask)
+    at = (rows - row0) * local_shape[1] + (cols - col0)
+    idx, w = interp.taps(*_patch_fractional(scene, patch, rows, cols),
+                         patch.values.shape)
+    return at, idx, w, patch.values.shape
+
+
+def composite_adjoint_local(local_grad: np.ndarray, taps) -> np.ndarray:
     """Pull a scene-space gradient back onto the patch grid.
 
     Exact transpose of the resampling performed by :func:`patch_tile`:
     only the replaced pixels contribute, with the same bilinear weights.
-    ``local_grad`` may cover just the patch's scene rectangle; ``row0`` and
-    ``col0`` give the scene indices of its first cell.  A stack of such
-    gradients (leading axes) comes back as a stack of patch gradients; the
-    replaced pixels and their patch-grid taps depend only on the placement
-    and the line mask, so they are computed once for the whole stack.
+    ``local_grad`` covers the scene pixels that ``taps`` (its
+    :func:`composite_taps`) was made for, which may be just the patch's
+    scene rectangle.
     """
-    local_grad = np.asarray(local_grad)
-    lead, shape = local_grad.shape[:-2], patch.values.shape
-    stack = local_grad.reshape((-1,) + local_grad.shape[-2:])
-    out = np.zeros((stack.shape[0], shape[0] * shape[1]))
-    rows, cols = _composite_indices(scene, patch, line_mask)
-    if rows.size:
-        idx, w = interp.taps(*_patch_fractional(scene, patch, rows, cols),
-                             shape)
-        rows, cols = rows - row0, cols - col0
-        for k, g in enumerate(stack):
-            out[k] = interp.accumulate(out.shape[1], idx, w, g[rows, cols])
-    return out.reshape(lead + shape)
+    at, idx, w, shape = taps
+    if not at.size:
+        return np.zeros(shape)
+    values = np.asarray(local_grad).ravel()[at]
+    return interp.accumulate(shape[0] * shape[1], idx, w,
+                             values).reshape(shape)
 
 
 def identity_patch(placement: PatchPlacement, grid_mpp: float,

@@ -3,9 +3,12 @@
 Each is written from the package's own pieces, so a check built on one
 still exercises production code: the plant's ``step``, the camera model's
 constants, the detector's and the splat's gradients, the PGM reader, and
-the trajectory CSV's field list.  The exception is the bilinear kernel
-(``taps``, ``combine``, ``accumulate``): a plain, unfused form of
-``roadpatch.interp``'s, which production must match bit for bit.
+the trajectory CSV's field list.  The exceptions are the bilinear kernel
+(``taps``, ``combine``, ``accumulate``), a plain, unfused form of
+``roadpatch.interp``'s, and the footprint and gradient pass in the form
+that keeps one flat index per footprint pixel and stacks every frame's
+splat (``footprint_band`` to ``stacked_patch_gradient``); production
+must match both bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from roadpatch import interp
 from roadpatch.artifacts import TRAJECTORY_FIELDS
 from roadpatch.attack import (
     AttackConfig,
@@ -29,14 +33,26 @@ from roadpatch.attack import (
 from roadpatch.camera import (
     _DEPTH_EPS,
     CameraConfig,
+    _blocks,
+    _ground_hits,
+    _ground_index,
+    _rows_seeing,
+    _tile_gather,
+    _vehicle_ground_grid,
     _vehicle_to_world,
     splat_camera_to_bev,
 )
-from roadpatch.detector import detector_gradient
+from roadpatch.detector import detector_gradient, support_gradient, support_set
 from roadpatch.errors import InvalidArgumentError, NoGroundIntersectionError
 from roadpatch.motion import VehicleParams, VehicleState, clamp_steer, step
 from roadpatch.pgmio import _sidecar_path, read_pgm
-from roadpatch.scene import BevImage, PatchState
+from roadpatch.scene import (
+    BevImage,
+    PatchState,
+    _composite_indices,
+    _patch_fractional,
+    _rect_index_ranges,
+)
 
 
 def rect_slices(cfg: CameraConfig) -> tuple[slice, slice]:
@@ -180,3 +196,113 @@ def accumulate(size: int, idx, w, values: np.ndarray) -> np.ndarray:
                            weights=(values * w[k]).ravel(),
                            minlength=size)
     return out
+
+
+# The footprint with one flat index per pixel, and the gradient pass that
+# builds every frame's pixel gradient first and splats them as one stack.
+# The run-length tape and the streaming pass must match them bit for bit.
+
+def footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
+    """Sorted flat indices of the pixels whose ground point lies inside
+    ``rect``, and their ground points."""
+    rows = _rows_seeing(cfg, pose, rect)
+    width = cfg.image_size[0]
+    parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0))]
+    for block in _blocks(rows.stop - rows.start, width):
+        r0 = rows.start + block.start
+        hit, gx, gy = _ground_hits(cfg, pose, rect,
+                                   slice(r0, rows.start + block.stop))
+        parts.append((np.flatnonzero(hit) + r0 * width, gx[hit], gy[hit]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
+                 patch: PatchState):
+    """The footprint's sorted flat indices and the tile's grays there."""
+    pixels, gx, gy = footprint_band(cfg, pose, patch.placement.rect)
+    grays = np.empty(gx.shape)
+    for block in _blocks(gx.size):
+        fi, fj, valid = _ground_index(bev, gx[block], gy[block], True)
+        grays[block] = np.where(valid, _tile_gather(bev.tile, fi, fj), 0.0)
+    return pixels, grays
+
+
+def stacked_composite_adjoint(local_grad, row0, col0, scene, patch,
+                              line_mask):
+    """The composite adjoint of a stack of scene-rectangle gradients."""
+    shape = patch.values.shape
+    out = np.zeros((local_grad.shape[0], shape[0] * shape[1]))
+    rows, cols = _composite_indices(scene, patch, line_mask)
+    if rows.size:
+        idx, w = interp.taps(*_patch_fractional(scene, patch, rows, cols),
+                             shape)
+        rows, cols = rows - row0, cols - col0
+        for k, g in enumerate(local_grad):
+            out[k] = interp.accumulate(out.shape[1], idx, w, g[rows, cols])
+    return out.reshape((-1,) + shape)
+
+
+def stacked_splat(grads, cfg: CameraConfig, scene: BevImage,
+                  patch: PatchState, line_mask) -> np.ndarray:
+    """Every frame's ``(pose, runs)`` splatted into one stack of
+    scene-rectangle gradients, then composited back as one stack."""
+    width = cfg.image_size[0]
+    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
+    mpp, (ox, oy) = scene.meters_per_pixel, scene.origin
+    grown = (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
+             oy + (j_lo - 1) * mpp, oy + (j_hi + 1) * mpp)
+    row0, col0 = i_lo - 2, j_lo - 2
+    local = np.zeros((len(grads), i_hi - i_lo + 5, j_hi - j_lo + 5))
+    xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
+    for k, (pose, runs) in enumerate(grads):
+        rows = _rows_seeing(cfg, pose, grown)
+        start, stop = rows.start * width, rows.stop * width
+        band = np.zeros(stop - start)
+        for pixels, values in runs:
+            a, b = np.searchsorted(pixels, (start, stop))
+            band[pixels[a:b] - start] += values[a:b]
+        kept = np.flatnonzero(band)
+        pix = kept + start
+        fi, fj = scene.fractional_index(*_vehicle_to_world(pose, xf[pix],
+                                                           yf[pix]))
+        near = (front[pix] & interp.inside(fi, fj, scene.pixels.shape)
+                & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
+                & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
+        local[k] = interp.scatter(local.shape[1:], fi[near] - row0,
+                                  fj[near] - col0, band[kept][near])
+    return stacked_composite_adjoint(local, row0, col0, scene, patch,
+                                     line_mask)
+
+
+def stacked_patch_gradient(record: RolloutRecord, cfg: AttackConfig,
+                           pipe: PipelineConfig, scene: BevImage,
+                           patch: PatchState, line_mask) -> np.ndarray:
+    """The gradient pass over a list of every frame's pixel gradients and
+    their stacked splat, averaged over the stack."""
+    upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
+    support = support_set(pipe.detector, pipe.camera).pixels
+    grads = []
+    for state, tape in zip(record.states, record.tapes):
+        if not tape.grays.size:
+            continue
+        path = support_gradient(tape.responses, upstream, pipe.detector,
+                                pipe.camera)
+        stealth = _stealth_gradient(tape, cfg.lambda_reg, patch.base_value)
+        grads.append((state, [(support, path), (tape.pixels, stealth)]))
+    splats = stacked_splat(grads, pipe.camera, scene, patch, line_mask)
+    acc = np.zeros_like(splats[0])
+    for s in splats:
+        acc += s
+    return acc / len(splats)
+
+
+def row_runs(pixels: np.ndarray, width: int) -> np.ndarray:
+    """Sorted flat pixel indices as ``(start, stop)`` runs, one per stretch
+    of consecutive indices within an image row."""
+    if not pixels.size:
+        return np.empty((0, 2), np.intp)
+    breaks = np.flatnonzero((np.diff(pixels) != 1)
+                            | (pixels[1:] % width == 0)) + 1
+    starts = np.concatenate(([0], breaks))
+    stops = np.append(breaks, pixels.size)
+    return np.stack([pixels[starts], pixels[stops - 1] + 1], axis=1)

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import reference
 from roadpatch import attack
 from roadpatch.attack import (
     AttackConfig,
@@ -20,10 +22,20 @@ from roadpatch.attack import (
     patch_gradient,
     rollout_with_patch,
 )
-from roadpatch.camera import patch_footprint, splat_camera_to_bev, splat_pixels
+from roadpatch.camera import (
+    MAX_HEADING,
+    MAX_LATERAL,
+    patch_footprint,
+    patch_pixels,
+    run_pixels,
+    splat_camera_to_bev,
+    splat_pixels,
+)
 from roadpatch.config import config_from_dict
 from roadpatch.detector import desired_path, detect_lanes, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
+from roadpatch.motion import VehicleState
+from roadpatch.scene import patch_tile
 from roadpatch.sim import run_closed_loop
 
 from reference import (
@@ -31,13 +43,15 @@ from reference import (
     aggregate_gradients_bev,
     frame_gradient,
     rect_slices,
+    row_runs,
 )
 
 BASE = 0.45
 
 
 def _tape(n_pixels, value):
-    return FrameTape(responses=np.zeros((1, 1)), pixels=np.arange(n_pixels),
+    return FrameTape(responses=np.zeros((1, 1)),
+                     runs=np.array([[0, n_pixels]]),
                      grays=np.full(n_pixels, float(value)))
 
 
@@ -339,15 +353,20 @@ def test_optimize_steps_stay_clamped(scenario72, scene72, monkeypatch):
         assert np.max(np.abs(after - before)) <= cfg.step_size + 1e-12
 
 
-def test_a_stalled_iteration_reuses_its_gradient(monkeypatch):
-    # A stalled iteration keeps its iterate, so the next one has the
-    # gradient there already; every gradient pass sees a new iterate.
-    cfg = config_from_dict({
+def _stalling_config():
+    """A short scenario whose optimizer rejects candidates and stalls."""
+    return config_from_dict({
         "name": "tiny", "speed_kmh": 54.0, "duration_s": 1.0,
         "road": {"road_length": 90.0},
         "patch": {"start_x": 12.0, "width": 2.0, "length": 8.0},
         "attack": {"horizon_frames": 5, "iterations": 6, "step_size": 0.3,
                    "max_halvings": 0}})
+
+
+def test_a_stalled_iteration_reuses_its_gradient(monkeypatch):
+    # A stalled iteration keeps its iterate, so the next one has the
+    # gradient there already; every gradient pass sees a new iterate.
+    cfg = _stalling_config()
     seen = []
 
     def gradient_at(record, cfg, pipe, scene, patch, mask):
@@ -426,7 +445,8 @@ def _taped_from_frames(record, frames, patch, pipe):
         det = detect_lanes(frame.pixels.ravel()[support], pipe.detector,
                            pipe.camera)
         fp = patch_footprint(pipe.camera, frame.pose, patch)
-        tapes.append(FrameTape(det.responses, np.flatnonzero(fp),
+        tapes.append(FrameTape(det.responses,
+                               row_runs(np.flatnonzero(fp), fp.shape[1]),
                                frame.pixels[fp]))
     return dataclasses.replace(record, tapes=tapes)
 
@@ -484,6 +504,43 @@ def test_patch_gradient_is_the_same_with_and_without_frames(name, kind,
     want = patch_gradient(dense, cfg.attack, pipe, scene, patch, mask)
     assert np.any(got != 0.0)
     np.testing.assert_array_equal(got, want)
+    # and equals, byte for byte, the pass that stacks every frame's splat
+    stacked = reference.stacked_patch_gradient(support, cfg.attack, pipe,
+                                               scene, patch, mask)
+    assert got.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("name", ["scenario72", "scenario105", "scenario126"])
+def test_footprint_runs_expand_to_the_per_pixel_footprint(name, request):
+    # A row's footprint pixels are one interval, so one run a row holds
+    # them: at every pose of an initial-patch rollout, and at the corners
+    # of the pose envelope, the runs expand to the per-pixel indices and
+    # the grays are the per-pixel ones.
+    cfg = request.getfixturevalue(name)
+    scene, mask = cfg.build_scene()
+    pipe = cfg.pipeline()
+    width = pipe.camera.image_size[0]
+    patch = cfg.initial_patch()
+    record = rollout_with_patch(scene, mask, patch, cfg.initial_state(),
+                                cfg.attack.horizon_frames, pipe)
+    tiled = dataclasses.replace(scene, tile=patch_tile(scene, patch, mask))
+    x = cfg.placement.start_x - 10.0
+    corners = [VehicleState(x, y, heading, 20.0)
+               for y in (-MAX_LATERAL, MAX_LATERAL)
+               for heading in (-MAX_HEADING, MAX_HEADING)]
+    taped = list(zip(record.states, record.tapes))
+    assert len(taped) == cfg.attack.horizon_frames
+    for pose, tape in taped + [(pose, None) for pose in corners]:
+        runs, grays = patch_pixels(tiled, pipe.camera, pose, patch)
+        pixels, want = reference.patch_pixels(tiled, pipe.camera, pose, patch)
+        assert pixels.size
+        assert np.array_equal(run_pixels(runs), pixels)
+        assert grays.tobytes() == want.tobytes()
+        assert np.all(np.diff(runs[:, 0] // width) > 0)   # one run a row
+        if tape is not None:
+            assert np.array_equal(tape.runs, runs)
+            assert np.array_equal(tape.pixels, pixels)
+            assert tape.grays.tobytes() == want.tobytes()
 
 
 def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
@@ -511,12 +568,13 @@ def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
         image = np.zeros(pipe.camera.image_size[::-1])
         for pixels, values in runs:
             image.ravel()[pixels] += values
-        sparse = splat_pixels([(pose, runs)], pipe.camera, scene, patch, mask)
-        assert sparse.shape == (1,) + patch.values.shape
+        sparse, = splat_pixels([(pose, runs)], pipe.camera, scene, patch,
+                               mask)
+        assert sparse.shape == patch.values.shape
         assert np.any(sparse != 0.0)
         dense = splat_camera_to_bev(image, pipe.camera, pose, scene, patch,
                                     mask)
-        assert sparse[0].tobytes() == dense.tobytes()
+        assert sparse.tobytes() == dense.tobytes()
 
 
 def test_frame_gradient_of_a_frameless_record(scenario72, scene72):
@@ -566,7 +624,7 @@ from roadpatch.attack import (AttackConfig, FrameTape, RolloutRecord,
                              rollout_objective)
 rng = np.random.default_rng(3)
 path = np.array([0.0, 0.01, 0.001, 0.0])
-tapes = [FrameTape(responses=np.zeros((1, 1)), pixels=np.arange(38000),
+tapes = [FrameTape(responses=np.zeros((1, 1)), runs=np.array([[0, 38000]]),
                    grays=rng.uniform(0.05, 0.88, 38000))
          for _ in range(4)]
 record = RolloutRecord(states=[], steers=[], paths=[path] * 4, tapes=tapes,
@@ -611,3 +669,44 @@ def test_patched_runs_never_copy_the_scene(scenario72, scene72):
     assert all(tape.pixels.size for tape in record.tapes)
     assert result.patch_entry_frame == 1
     assert max(rollout_peak, loop_peak) < scene.pixels.nbytes / 2
+
+
+def test_a_gradient_pass_holds_one_frame_at_a_time(scenario72, scene72):
+    # The pass streams its frames through the splat.  On this full-horizon
+    # highway-72 rollout of a random in-bounds patch it traced 17.5 MB at
+    # its peak, and the stacked reference pass, which builds every frame's
+    # pixel gradient and splat first, 53.6 MB (numpy 2.4.6, Python 3.11.7).
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    patch = _patched(scenario72, "random")
+    record = rollout_with_patch(scene, mask, patch,
+                                scenario72.initial_state(),
+                                scenario72.attack.horizon_frames, pipe)
+    args = (record, scenario72.attack, pipe, scene, patch, mask)
+    got, peak = _traced_peak(lambda: patch_gradient(*args))
+    want, stacked = _traced_peak(
+        lambda: reference.stacked_patch_gradient(*args))
+    assert got.tobytes() == want.tobytes()
+    assert peak < 28e6 < stacked, (peak, stacked)
+
+
+def test_the_optimizer_holds_at_most_one_candidate(monkeypatch):
+    # While a candidate rolls out, the current record is the only earlier
+    # one alive: a rejected candidate's tapes are gone before the next.
+    cfg = _stalling_config()
+    alive, records = [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in records))
+        record = rollout(*args, **kwargs)
+        records.append(weakref.ref(record))
+        return record
+
+    rollout = attack.rollout_with_patch
+    monkeypatch.setattr(attack, "rollout_with_patch", tracked)
+    scene, mask = cfg.build_scene()
+    result = optimize_patch(scene, mask, cfg.initial_patch(),
+                            cfg.initial_state(), cfg.pipeline(), cfg.attack)
+    accepted = sum(h.accepted for h in result.history[1:])
+    assert len(records) - 1 > accepted > 0       # some candidates rejected
+    assert alive[0] == 0 and max(alive) == 1

@@ -20,6 +20,7 @@ from roadpatch.camera import (
     patch_footprint,
     patch_pixels,
     pixel_ground_points,
+    run_pixels,
     splat_camera_to_bev,
     warp_bev_to_camera,
     warp_bev_to_points,
@@ -37,6 +38,7 @@ from roadpatch.scene import (
     _rect_index_ranges,
     composite_adjoint_local,
     composite_patch,
+    composite_taps,
     lane_line_mask,
     patch_tile,
     render_road_bev,
@@ -327,8 +329,8 @@ def test_patch_footprint_matches_a_per_pixel_reference(pose):
     np.testing.assert_array_equal(patch_footprint(CAM, pose, patch), want)
     bev = composite_patch(scene, patch, mask)
     tiled = dataclasses.replace(scene, tile=patch_tile(scene, patch, mask))
-    pixels, values = patch_pixels(tiled, CAM, pose, patch)
-    np.testing.assert_array_equal(pixels, np.flatnonzero(want))
+    runs, values = patch_pixels(tiled, CAM, pose, patch)
+    np.testing.assert_array_equal(run_pixels(runs), np.flatnonzero(want))
     np.testing.assert_array_equal(values, _per_pixel_warp(bev, pose)[0][want])
     assert model_input_sees(CAM, pose, patch.placement.rect) == bool(
         want[rect_slices(CAM)].any())
@@ -352,7 +354,7 @@ def test_splat_matches_a_per_pixel_reference(pose):
     local = interp.scatter((i_hi - i_lo + 5, j_hi - j_lo + 5),
                            fi[near] - (i_lo - 2), fj[near] - (j_lo - 2),
                            g[near])
-    want = composite_adjoint_local(local, i_lo - 2, j_lo - 2, scene, patch,
-                                   mask)
+    want = composite_adjoint_local(local, composite_taps(
+        scene, patch, mask, i_lo - 2, j_lo - 2, local.shape))
     np.testing.assert_array_equal(
         splat_camera_to_bev(g, CAM, pose, scene, patch, mask), want)

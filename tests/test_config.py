@@ -12,6 +12,8 @@ from roadpatch.attack import AttackConfig
 from roadpatch.camera import CameraConfig, warp_bev_to_camera
 from roadpatch.config import (
     _SECTIONS,
+    MAX_FRAMES,
+    MAX_SCENE_BYTES,
     builtin_scenarios,
     config_from_dict,
     config_hash,
@@ -298,6 +300,34 @@ def test_cross_checks():
     assert _err({"patch": {"init_value": 0.7}}) == "patch.init_value"
     assert _err({"scene": {"y_half_extent": 1.0}}) == "scene.y_half_extent"
     assert _err({"detector": {"band_far": 200.0}}) == "detector"
+
+
+def test_scene_raster_and_frame_counts_are_capped():
+    # Refused at load, on the field that grows them most over the
+    # defaults, before anything is sized from them.
+    assert _err({"scene": {"y_half_extent": 1e9}}) == "scene.y_half_extent"
+    assert _err({"scene": {"y_half_extent": 1e308}}) == "scene.y_half_extent"
+    assert _err({"road": {"road_length": 1e9}}) == "road.road_length"
+    assert _err({"scene": {"meters_per_pixel": 1e-9}}) \
+        == "scene.meters_per_pixel"
+    assert _err({"vehicle": {"dt": 1e-9}}) == "vehicle.dt"
+    assert _err({"duration_s": 1e9}) == "duration_s"
+    assert _err({"duration_s": 1e300, "vehicle": {"dt": 1e-9}}) \
+        == "duration_s"
+    assert _err({"attack": {"horizon_frames": MAX_FRAMES + 1}}) \
+        == "attack.horizon_frames"
+    # A raster of 1920 columns is admitted up to the cap's row count, and
+    # a run up to the cap's frame count.
+    rows = MAX_SCENE_BYTES // (8 * 1920)
+    cfg = config_from_dict({"road": {"road_length": rows * 0.05}})
+    assert cfg.scene.y_half_extent * 2 / 0.05 == 1920
+    assert _err({"road": {"road_length": (rows + 1) * 0.05}}) \
+        == "road.road_length"
+    slow = {"speed_kmh": 0.01, "attack": {"horizon_frames": MAX_FRAMES}}
+    assert config_from_dict(dict(slow, duration_s=MAX_FRAMES * 0.05)) \
+        .n_frames == MAX_FRAMES
+    assert _err(dict(slow, duration_s=(MAX_FRAMES + 1) * 0.05)) \
+        == "duration_s"
 
 
 def test_patch_must_clear_the_lane_lines():

@@ -9,6 +9,7 @@ import numpy as np
 from roadpatch.camera import (
     CameraConfig,
     patch_pixels,
+    run_pixels,
     warp_bev_to_camera,
     warp_bev_to_points,
 )
@@ -48,7 +49,8 @@ def _assert_reads_agree(tiled, whole, patch, pose, support):
                            support.front),
         warp_bev_to_points(whole, CAM, pose, support.xf, support.yf,
                            support.front))
-    pixels, grays = patch_pixels(tiled, CAM, pose, patch)
+    runs, grays = patch_pixels(tiled, CAM, pose, patch)
+    pixels = run_pixels(runs)
     assert np.array_equal(grays, want.ravel()[pixels])
     return pixels, grays
 

@@ -7,6 +7,7 @@ import pytest
 
 from roadpatch.errors import ConfigError, InvalidArgumentError
 from roadpatch.pgmio import (
+    encode_gray16,
     load_patch,
     read_pgm,
     save_bev,
@@ -61,6 +62,19 @@ def test_write_rejects_bad_payloads(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.array([[-0.1]]))
     with pytest.raises(InvalidArgumentError):
         write_pgm(tmp_path / "x.pgm", np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 8191, 8192, 481 * 641 - 1])
+def test_non_finite_grays_are_refused(bad, where):
+    # in the first, the last and a middle quantization block, and at a
+    # block's last and first value
+    values = np.full((481, 641), 0.5)
+    values.ravel()[where] = bad
+    with pytest.raises(InvalidArgumentError):
+        encode_gray16(values)
+    with pytest.raises(InvalidArgumentError):
+        encode_gray16([[0.5, bad]])
 
 
 def test_read_rejects_malformed_files(tmp_path):

@@ -9,6 +9,7 @@ from roadpatch.scene import (
     RoadSpec,
     _rect_index_ranges,
     composite_adjoint_local,
+    composite_taps,
     composite_patch,
     identity_patch,
     lane_line_mask,
@@ -174,9 +175,26 @@ def test_composite_adjoint_matches_the_forward_inner_product():
     f1 = composite_patch(scene, patch.with_values(patch.values + dv),
                          mask).pixels
     lhs = float(np.sum(g * (f1 - f0)))
-    rhs = float(np.sum(composite_adjoint_local(g, 0, 0, scene, patch, mask)
-                       * dv))
+    rhs = float(np.sum(composite_adjoint_local(
+        g, composite_taps(scene, patch, mask, 0, 0, g.shape)) * dv))
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_a_patch_between_pixel_centres_replaces_nothing():
+    # Its rect holds no scene pixel centre: the composite leaves the scene
+    # as it is, and the adjoint is a float zero on the patch grid.
+    road = _road()
+    scene = render_road_bev(road, EXTENT, MPP, 0)
+    mask = lane_line_mask(road, EXTENT, MPP)
+    patch = uniform_patch(PatchPlacement(5.01, 0.01, 0.02, 0.02, margin=0.0),
+                          0.01, 0.45)
+    taps = composite_taps(scene, patch, mask, 0, 0, scene.pixels.shape)
+    assert taps[0].size == 0
+    np.testing.assert_array_equal(composite_patch(scene, patch, mask).pixels,
+                                  scene.pixels)
+    out = composite_adjoint_local(scene.pixels, taps)
+    assert out.dtype == np.float64 and out.shape == patch.values.shape
+    assert not np.any(out)
 
 
 def test_in_place_rendering_matches_the_two_step_formula():
