@@ -178,7 +178,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     Frame t is rendered at state t-1, detected, and steered on; the
     plant then advances.  A mid-run detection failure truncates the
     record (flagged) rather than raising; geometric failures such as an
-    unsourced model input propagate.
+    unsourced model input or detector support propagate.
 
     Each frame renders just the detector's pixel support.  A whole frame
     (the dense warp) is rendered only for ``frame_sink``, after its

@@ -195,8 +195,9 @@ def _tile_gather(tile: PatchTile, fi, fj):
     return interp.gather(tile.pixels, fi - tile.row0, fj - tile.col0)
 
 
-def _sample_ground(bev: BevImage, gx, gy, front, tile: PatchTile | None):
-    """Bilinear scene values at ground points, zero where unsourced.
+def _sample_ground(bev: BevImage, fi, fj, valid, tile: PatchTile | None):
+    """Bilinear scene values at the clamped scene indices ``fi``, ``fj``
+    (:func:`_ground_index`), zero where not ``valid``.
 
     The points whose clamped raster index lies within ``tile`` (so every
     tap with a nonzero weight does) are read from it, the rest from the
@@ -206,7 +207,6 @@ def _sample_ground(bev: BevImage, gx, gy, front, tile: PatchTile | None):
     lie in it.  Every step is elementwise, so any subset of pixels gets
     exactly the values the full-image warp gives them.
     """
-    fi, fj, valid = _ground_index(bev, gx, gy, front)
     if tile is None:
         values = interp.gather(bev.pixels, fi, fj)
     else:
@@ -232,31 +232,41 @@ def _rect_corners(cfg: CameraConfig):
                  for a in _vehicle_ground_grid(cfg))
 
 
-def model_input_gaps(cfg: CameraConfig, pose: VehicleState, origin,
-                     mpp: float, shape) -> tuple[bool, bool, bool]:
-    """Whether the model input at ``pose`` reads past the rows behind, past
-    the rows ahead, or past the columns of a raster of ``shape`` pixels of
-    pitch ``mpp`` whose pixel (0, 0) is centred at ``origin``.
+def model_input_gaps(cfg: CameraConfig, pose: VehicleState, x0: float,
+                     mpp: float, n_rows: int) -> tuple[bool, bool]:
+    """Whether the model input at ``pose`` reads past the rows behind, or
+    past the rows ahead, of a raster of ``n_rows`` rows of pitch ``mpp``
+    whose first row is centred at ground ``x = x0``.
 
     Decided from the rect's four corner pixels; one at or above the
     horizon reads past the rows ahead.  ``front`` is a per-row property,
     so the rect lies below the horizon iff its top corners do.  There the
     pixel-to-ground map is projective: it takes the rect onto the convex
     quadrilateral spanned by the corners' ground points, and the sourced
-    part of the ground (between the raster's pixel centres) is convex too.
-    The four points are tested in Python floats, with the IEEE double
-    operations of :func:`_vehicle_to_world` and ``fractional_index``.
+    rows (between the raster's first and last pixel centres) are convex
+    too.  The four points are tested in Python floats, with the IEEE
+    double operations of :func:`_vehicle_to_world` and
+    ``fractional_index``.  The columns a rollout reads are the detector
+    support's, tested where it is warped (:func:`warp_bev_to_points`).
     """
     c, s = math.cos(pose.heading), math.sin(pose.heading)
-    x, y = float(pose.x), float(pose.y)
-    behind = ahead = side = False
+    x = float(pose.x)
+    behind = ahead = False
     for xf, yf, front in zip(*_rect_corners(cfg)):
-        fi = (x + c * xf - s * yf - origin[0]) / mpp
-        fj = (y + s * xf + c * yf - origin[1]) / mpp
+        fi = (x + c * xf - s * yf - x0) / mpp
         behind |= front and not fi >= 0.0
-        ahead |= not front or not fi <= shape[0] - 1
-        side |= front and not (fj >= 0.0 and fj <= shape[1] - 1)
-    return behind, ahead, side
+        ahead |= not front or not fi <= n_rows - 1
+    return behind, ahead
+
+
+def lateral_reach(xf: np.ndarray, yf: np.ndarray) -> float:
+    """How far to either side of the lane centre the vehicle-frame ground
+    points ``(xf, yf)`` reach at any pose the warp accepts.  A point
+    ``r (cos a, sin a)`` lies ``r sin(a + heading)`` to the side of the
+    vehicle; over the headings that is at most ``r sin(|a| + MAX_HEADING)``
+    while that angle stays below a right angle, and ``r`` past it."""
+    turn = np.minimum(np.abs(np.arctan2(yf, xf)) + MAX_HEADING, 0.5 * math.pi)
+    return MAX_LATERAL + float(np.max(np.hypot(xf, yf) * np.sin(turn)))
 
 
 def model_input_reach(cfg: CameraConfig) -> float:
@@ -280,7 +290,8 @@ def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
                        *, index: int = 0) -> Frame:
     """Render the camera view of the BEV scene at ``pose``: the values
     :func:`warp_bev_to_points` gives every row below the horizon, with
-    the rows above it zero.
+    the rows above it zero, as is every pixel whose ground point lies
+    outside the raster (past the road's end, or beside a column window).
 
     The rows are warped in blocks (``_blocks``); only the blocks holding
     a row that can see the scene's patch tile are tested against it.
@@ -296,39 +307,52 @@ def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
         rows = slice(r0 + block.start, r0 + block.stop)
         near = rows.start < seeing.stop and seeing.start < rows.stop
         gx, gy = _vehicle_to_world(pose, xf[rows], yf[rows])
-        pixels[rows] = _sample_ground(bev, gx, gy, front[rows],
+        pixels[rows] = _sample_ground(bev, *_ground_index(bev, gx, gy,
+                                                          front[rows]),
                                       bev.tile if near else None)
     return Frame(pixels=pixels, pose=pose, index=index)
+
+
+def _pose_text(pose: VehicleState) -> str:
+    return f"(x={pose.x:.1f}, y={pose.y:.2f}, heading={pose.heading:.3f})"
 
 
 def _check_sourced(bev: BevImage, cfg: CameraConfig,
                    pose: VehicleState) -> None:
     """Refuse a pose outside the warp envelope, or one whose model input
-    has a pixel with no scene source (the detector contract requires a
-    fully sourced crop)."""
+    reads past the raster's rows (the detector contract requires a fully
+    sourced crop)."""
     check_pose_bounds(pose)
-    if any(model_input_gaps(cfg, pose, bev.origin, bev.meters_per_pixel,
-                            bev.pixels.shape)):
+    if any(model_input_gaps(cfg, pose, bev.origin[0], bev.meters_per_pixel,
+                            bev.pixels.shape[0])):
         raise IncompleteModelInputError(
             "some model-input pixels have no BEV source at pose "
-            f"(x={pose.x:.1f}, y={pose.y:.2f}, heading={pose.heading:.3f})")
+            + _pose_text(pose))
 
 
 def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
                        xf: np.ndarray, yf: np.ndarray,
                        front: np.ndarray) -> np.ndarray:
     """Warp the BEV scene onto the pixels whose vehicle-frame ground points
-    (``_vehicle_ground_grid`` entries) are given.
+    (``_vehicle_ground_grid`` entries) are given: in a rollout, the
+    detector's support.
 
     Each pixel's ray is intersected with the ground plane and the scene is
-    sampled bilinearly there.  Pixels at or above the horizon or looking
-    outside the scene are zero.  The pose must lie in the warp envelope,
-    and every model-input pixel must be sourced, whichever pixels are
-    asked for.
+    sampled bilinearly there; pixels at or above the horizon are zero.
+    The pose must lie in the warp envelope, the model input must read
+    inside the raster's rows, and every pixel asked for in front of the
+    camera must have a scene source; a pose at which one has none is
+    refused, so a raster narrower than the detector's reach (a column
+    window cut for another detector) cannot feed it zeros.
     """
     _check_sourced(bev, cfg, pose)
     gx, gy = _vehicle_to_world(pose, xf, yf)
-    return _sample_ground(bev, gx, gy, front, bev.tile)
+    fi, fj, valid = _ground_index(bev, gx, gy, front)
+    if np.count_nonzero(valid) != np.count_nonzero(front):
+        raise IncompleteModelInputError(
+            "some detector-support pixels have no BEV source at pose "
+            + _pose_text(pose))
+    return _sample_ground(bev, fi, fj, valid, bev.tile)
 
 
 def _rows_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
@@ -481,9 +505,9 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     """
     width = cfg.image_size[0]
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
-    mpp, (ox, oy) = scene.meters_per_pixel, scene.origin
+    mpp, ox = scene.meters_per_pixel, scene.origin[0]
     grown = (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
-             oy + (j_lo - 1) * mpp, oy + (j_hi + 1) * mpp)
+             scene.column_y(j_lo - 1), scene.column_y(j_hi + 1))
     row0, col0 = i_lo - 2, j_lo - 2
     local_shape = (i_hi - i_lo + 5, j_hi - j_lo + 5)
     taps = composite_taps(scene, patch, line_mask, row0, col0, local_shape)

@@ -9,9 +9,11 @@ Subcommands cover the full experiment loop:
 - ``report``    fold a run directory's JSON reports into one summary
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure
-(an ``OSError`` writing an output included), 4 the attack goal was not
-met under ``--require-success``.  Failures also emit a one-line JSON
-record on stderr so harnesses don't have to parse prose.
+(an ``OSError`` writing an output included, and a ``benign`` or
+``evaluate`` run whose first frame fails, after its report is written),
+4 the attack goal was not met under ``--require-success``.  Failures
+also emit a one-line JSON record on stderr so harnesses don't have to
+parse prose.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ from .config import (
     load_config,
     resolve_scenario,
 )
-from .errors import ConfigError, InvalidArgumentError, RoadPatchError
+from .errors import (
+    ConfigError,
+    DetectionFailedError,
+    InvalidArgumentError,
+    RoadPatchError,
+)
 from .sim import run_closed_loop
 
 log = logging.getLogger("roadpatch.cli")
@@ -88,8 +95,8 @@ def cmd_render(args) -> int:
                                                     "config_hash": cfg.hash})
     pgmio.write_pgm(out / "line_mask.pgm", mask.astype(float))
     rep = _base_report("render", cfg, args)
-    rep.update({"extent": list(cfg.extent),
-                "meters_per_pixel": cfg.scene.meters_per_pixel,
+    rep.update({"extent": list(scene.extent),
+                "meters_per_pixel": scene.meters_per_pixel,
                 "shape": list(scene.pixels.shape),
                 "scene_file": "scene.pgm"})
     artifacts.write_report(out / "render_report.json", rep)
@@ -125,6 +132,10 @@ def _run_and_report(kind: str, cfg: ScenarioConfig, args, patch,
         "trajectory_file": traj_name,
     })
     artifacts.write_report(out / f"{kind}_report.json", rep)
+    if not result.frames_evaluated:
+        raise DetectionFailedError(
+            f"the first frame's detection failed, so the {kind} run measured "
+            f"nothing; its report is in {out}")
     return rep
 
 

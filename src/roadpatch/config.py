@@ -17,15 +17,23 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .attack import AttackConfig, PipelineConfig
-from .camera import CameraConfig, model_input_gaps, model_input_reach
+from .camera import (
+    CameraConfig,
+    _vehicle_to_world,
+    lateral_reach,
+    model_input_gaps,
+    model_input_reach,
+)
 from .controller import ControllerConfig
-from .detector import DetectorConfig
+from .detector import DetectorConfig, support_set
 from .errors import ConfigError, InvalidArgumentError
 from .motion import VehicleParams, VehicleState
 from .scene import (
@@ -34,6 +42,7 @@ from .scene import (
     PatchState,
     RoadSpec,
     _EDGE_EPS,
+    _axis,
     _grid,
     _raster_extent,
     _rect_leaves,
@@ -46,7 +55,12 @@ from .scene import (
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """The rendered raster's pixel pitch, near edge and half width (m)."""
+    """The scene grid's pixel pitch, near edge and half width (m).
+
+    Only a window of the grid's columns is rendered, the columns a rollout
+    can read (``ScenarioConfig.columns``); ``y_half_extent`` bounds that
+    window from outside.
+    """
 
     meters_per_pixel: float = 0.05
     x_min: float = 0.0
@@ -86,10 +100,14 @@ class PatchSpec:
 
 
 # What a scenario may ask of one process, refused at load.  The scene
-# raster is float64; the bundled ones take 83-129 MB (highway-126 the
-# most), so the cap leaves them over 8x room.  A rollout (the run, or the
-# attack horizon) of more frames is refused; the bundled ones run 200.
+# raster is the float64 column window; the bundled ones take 23-36 MB
+# (highway-126 the most), so the cap leaves them about 30x room.  The
+# window's column index counts from the grid's first column, and a grid
+# of more than ``MAX_GRID_COLUMNS`` would leave a float64 index under 12
+# bits of fraction.  A rollout (the run, or the attack horizon) of more
+# frames is refused; the bundled ones run 200.
 MAX_SCENE_BYTES = 2 ** 30
+MAX_GRID_COLUMNS = 2 ** 40
 MAX_FRAMES = 100_000
 
 # The top-level run keys; their annotations are ``ScenarioConfig``'s.
@@ -247,10 +265,27 @@ class ScenarioConfig:
     def n_frames(self) -> int:
         return int(round(self.duration_s / self.vehicle.dt))
 
-    def build_scene(self) -> tuple[BevImage, "np.ndarray"]:
-        mpp = self.scene.meters_per_pixel
-        scene = render_road_bev(self.road, self.extent, mpp, self.seed)
-        mask = lane_line_mask(self.road, self.extent, mpp)
+    @property
+    def columns(self) -> tuple[int, int]:
+        """The columns ``[c0, c1)`` of the ``extent``'s grid that the scene
+        renders: every column a rollout can read.
+
+        A ground point at column index ``fj`` reads columns ``floor(fj)``
+        and ``floor(fj) + 1``.  The window holds them, with two more
+        columns on each side, for every point within ``_window_reach`` of
+        the lane centre, and it is clipped to the grid.
+        """
+        mpp, half = self.scene.meters_per_pixel, self.scene.y_half_extent
+        n_y, grid_y = _axis(-half, half, mpp)
+        reach = _window_reach(self.road, self.detector, self.camera)
+        return (max(math.floor((-reach - grid_y) / mpp) - 2, 0),
+                min(math.floor((reach - grid_y) / mpp) + 4, n_y))
+
+    def build_scene(self) -> tuple[BevImage, np.ndarray]:
+        """The scene raster and its line mask, over ``columns`` only."""
+        mpp, cols = self.scene.meters_per_pixel, self.columns
+        scene = render_road_bev(self.road, self.extent, mpp, self.seed, cols)
+        mask = lane_line_mask(self.road, self.extent, mpp, cols)
         return scene, mask
 
     def pipeline(self) -> PipelineConfig:
@@ -284,9 +319,10 @@ class ScenarioConfig:
                 "patch.placement",
                 f"patch reaches {reach:.3f} m from lane center but the "
                 f"line-free interior extends only {half_interior:.3f} m")
-        mpp = self.scene.meters_per_pixel
+        mpp, (c0, c1) = self.scene.meters_per_pixel, self.columns
+        n_x, _, origin = _grid(self.extent, mpp)
         if _rect_leaves(placement.rect,
-                        _raster_extent(*_grid(self.extent, mpp), mpp)):
+                        _raster_extent(n_x, c1 - c0, origin, mpp, c0)):
             raise ConfigError("patch.start_x",
                               "patch placement leaves the rendered scene extent")
         if v_max >= road.line_intensity:
@@ -329,21 +365,45 @@ def config_from_dict(user: dict, seed_override: int | None = None) -> ScenarioCo
     return cfg
 
 
+@lru_cache(maxsize=16)
+def _window_reach(road: RoadSpec, detector: DetectorConfig,
+                  camera: CameraConfig) -> float:
+    """How far from the lane centre the scene's column window reaches (m):
+    as far as any ground point of the detector's support at a pose in the
+    warp envelope (``camera.lateral_reach``), or the outer edge of either
+    lane line (the patch lies between them, by ``check_patch``), plus a
+    nanometre against round-off.  Computed once per (road, detector,
+    camera)."""
+    support = support_set(detector, camera)
+    return max(lateral_reach(support.xf, support.yf),
+               0.5 * (road.lane_width + road.lane_line_width)) + _EDGE_EPS
+
+
 def _check_caps(cfg: ScenarioConfig) -> None:
-    """Refuse a scene raster over ``MAX_SCENE_BYTES`` or a rollout over
+    """Refuse a scene grid over ``MAX_GRID_COLUMNS`` columns, a scene
+    raster (the column window) over ``MAX_SCENE_BYTES`` or a rollout over
     ``MAX_FRAMES`` before anything is sized from them, on the field that
     grows it most over the default scenario.  The counts round as the
-    raster and ``n_frames`` do, in floats, so no size overflows."""
+    grid and ``n_frames`` do, in floats, so no size overflows."""
     road, scene, vehicle = RoadSpec(), SceneSpec(), VehicleParams()
     mpp = cfg.scene.meters_per_pixel
     x_lo, x_hi, y_lo, y_hi = cfg.extent
-    pixels = round((x_hi - x_lo) / mpp, 0) * round((y_hi - y_lo) / mpp, 0)
+    grid_columns = round((y_hi - y_lo) / mpp, 0)
+    if not grid_columns <= MAX_GRID_COLUMNS:
+        growth = {"scene.y_half_extent":
+                      cfg.scene.y_half_extent / scene.y_half_extent,
+                  "scene.meters_per_pixel": scene.meters_per_pixel / mpp}
+        raise ConfigError(max(growth, key=growth.get),
+                          f"the scene grid would count {grid_columns:.3g} "
+                          f"columns, over {MAX_GRID_COLUMNS}")
+    c0, c1 = cfg.columns
+    pixels = round((x_hi - x_lo) / mpp, 0) * (c1 - c0)
     if not pixels * 8 <= MAX_SCENE_BYTES:
         growth = {"road.road_length": cfg.road.road_length / road.road_length,
-                  "scene.y_half_extent":
-                      cfg.scene.y_half_extent / scene.y_half_extent,
                   "scene.meters_per_pixel":
-                      (scene.meters_per_pixel / mpp) ** 2}
+                      (scene.meters_per_pixel / mpp) ** 2,
+                  "detector": _window_reach(cfg.road, cfg.detector, cfg.camera)
+                      / _window_reach(road, DetectorConfig(), CameraConfig())}
         raise ConfigError(max(growth, key=growth.get),
                           f"the scene raster would take {pixels * 8:.3g} "
                           f"bytes, over the {MAX_SCENE_BYTES} byte cap")
@@ -358,16 +418,16 @@ def _check_caps(cfg: ScenarioConfig) -> None:
 
 
 def _cross_validate(cfg: ScenarioConfig) -> None:
-    _check_caps(cfg)
     road, mpp = cfg.road, cfg.scene.meters_per_pixel
     if cfg.scene.y_half_extent < 0.5 * (road.lane_width + road.lane_line_width):
         raise ConfigError("scene.y_half_extent",
                           "scene must be wide enough to contain both lane lines")
+    cfg.pipeline()          # its detector support sizes the column window
+    _check_caps(cfg)
     if cfg.n_frames < 1:
         raise ConfigError("duration_s",
                           "rounds to zero control steps "
                           f"of vehicle.dt = {cfg.vehicle.dt} s")
-    cfg.pipeline()
 
     # Every model input needs ground; no pose passes speed times the longer
     # of the run and the attack horizon.  The raster is sourced up to its
@@ -392,16 +452,21 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
                           f"cells below half the {mpp} m scene pixel are "
                           f"skipped by the composite's taps")
 
-    # The first frame's model input by the warp's own test; the rule above
-    # covers its far end.
-    n_x, n_y, origin = _grid(cfg.extent, mpp)
-    behind, _, side = model_input_gaps(cfg.camera, cfg.initial_state(),
-                                       origin, mpp, (n_x, n_y))
-    for fname, gap, where in (("vehicle.start_x", behind, "behind"),
-                              ("scene.y_half_extent", side, "beside")):
-        if gap:
-            raise ConfigError(fname, f"the first frame's model input reads "
-                                     f"{where} the rendered scene")
+    # The first frame by the warp's own tests: the model input's rows (the
+    # rule above covers their far end), and the detector support's columns
+    # by the grid's column index, which the window offsets exactly.
+    n_x, _, origin = _grid(cfg.extent, mpp)
+    pose = cfg.initial_state()
+    if model_input_gaps(cfg.camera, pose, origin[0], mpp, n_x)[0]:
+        raise ConfigError("vehicle.start_x", "the first frame's model input "
+                                             "reads behind the rendered scene")
+    support = support_set(cfg.detector, cfg.camera)
+    c0, c1 = cfg.columns
+    fj = (_vehicle_to_world(pose, support.xf, support.yf)[1] - origin[1]) / mpp
+    if not np.all(~support.front | ((fj >= c0) & (fj <= c1 - 1))):
+        raise ConfigError("scene.y_half_extent",
+                          "the first frame's detector support reads beside "
+                          "the rendered scene")
 
 
 def load_config(path, seed_override: int | None = None) -> ScenarioConfig:

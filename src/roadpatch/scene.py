@@ -4,7 +4,8 @@ The scene is a gray-scale raster of a straight two-line lane viewed from
 above.  Geometry lives in road coordinates: x forward along the lane,
 y positive to the left, units in meters.  Raster rows follow x and
 columns follow y; ``origin`` is the ground position of the center of
-pixel (0, 0).
+pixel (0, 0).  A raster may hold only a window of its grid's columns,
+drawn bit for bit as the whole grid would draw them.
 
 A road patch is an independently rastered gray rectangle that is
 resampled onto the scene grid when composited.  Lane-line pixels are
@@ -77,24 +78,45 @@ class BevImage:
     and carries the composited patch as ``tile``: where the tile covers
     a pixel, the patched scene's gray is the tile's, so ``pixels`` alone
     is the scene without the patch.
+
+    The raster may be a window of a wider grid's columns: ``pixels[:, j]``
+    is the grid's column ``col0 + j``, centred at ground
+    ``y = grid_y + (col0 + j) * meters_per_pixel``.  Ground and column
+    index convert through the grid's index, with the integer ``col0``
+    taken off or put back, which is exact; so a window reads the bits
+    the whole grid reads there.  ``grid_y`` defaults to ``origin[1]``.
     """
 
     pixels: np.ndarray          # (n_x, n_y) float64 gray in [0, 1]
     meters_per_pixel: float
     origin: tuple[float, float]  # ground (x, y) of pixel (0, 0) center
     tile: PatchTile | None = None
+    col0: int = 0
+    grid_y: float | None = None
+
+    def __post_init__(self):
+        if self.grid_y is None:
+            if self.col0:
+                raise InvalidArgumentError("a column window needs its grid_y")
+            self.grid_y = self.origin[1]
 
     @property
     def extent(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the covered ground rectangle."""
-        return _raster_extent(*self.pixels.shape, self.origin,
-                              self.meters_per_pixel)
+        return _raster_extent(*self.pixels.shape,
+                              (self.origin[0], self.grid_y),
+                              self.meters_per_pixel, self.col0)
 
     def fractional_index(self, gx: np.ndarray, gy: np.ndarray):
         """Raster coordinates of ground points (no bounds handling)."""
         fi = (np.asarray(gx) - self.origin[0]) / self.meters_per_pixel
-        fj = (np.asarray(gy) - self.origin[1]) / self.meters_per_pixel
+        fj = (np.asarray(gy) - self.grid_y) / self.meters_per_pixel
+        fj -= self.col0
         return fi, fj
+
+    def column_y(self, cols):
+        """Ground ``y`` of the centres of raster columns ``cols``."""
+        return self.grid_y + (self.col0 + cols) * self.meters_per_pixel
 
 
 @dataclass(frozen=True)
@@ -188,27 +210,44 @@ def _line_columns(road: RoadSpec, ys: np.ndarray) -> np.ndarray:
     return dist <= 0.5 * road.lane_line_width + _EDGE_EPS
 
 
+def _axis(lo: float, hi: float, meters_per_pixel: float):
+    """Pixel count and first pixel centre of a grid axis over [lo, hi]."""
+    return (int(round((hi - lo) / meters_per_pixel)),
+            lo + 0.5 * meters_per_pixel)
+
+
 def _grid(extent, meters_per_pixel):
     x_min, x_max, y_min, y_max = extent
     if meters_per_pixel <= 0.0:
         raise InvalidArgumentError("meters_per_pixel must be positive")
     if x_max <= x_min or y_max <= y_min:
         raise InvalidArgumentError("extent must have positive area")
-    n_x = int(round((x_max - x_min) / meters_per_pixel))
-    n_y = int(round((y_max - y_min) / meters_per_pixel))
+    (n_x, x0), (n_y, y0) = (_axis(x_min, x_max, meters_per_pixel),
+                            _axis(y_min, y_max, meters_per_pixel))
     if n_x < 1 or n_y < 1:
         raise InvalidArgumentError("extent smaller than one pixel")
-    origin = (x_min + 0.5 * meters_per_pixel, y_min + 0.5 * meters_per_pixel)
-    return n_x, n_y, origin
+    return n_x, n_y, (x0, y0)
 
 
-def _raster_extent(n_x: int, n_y: int, origin, meters_per_pixel: float):
-    """Ground an ``n_x`` by ``n_y`` raster covers (its ``BevImage.extent``)."""
+def _columns(cols, n_y: int) -> tuple[int, int]:
+    """The grid columns ``[c0, c1)`` a raster holds: ``cols``, or all."""
+    c0, c1 = (0, n_y) if cols is None else cols
+    if not 0 <= c0 < c1 <= n_y:
+        raise InvalidArgumentError(
+            f"columns [{c0}, {c1}) leave the grid's {n_y} columns")
+    return c0, c1
+
+
+def _raster_extent(n_x: int, n_y: int, origin, meters_per_pixel: float,
+                   col0: int = 0):
+    """Ground an ``n_x`` by ``n_y`` raster covers (its ``BevImage.extent``)
+    when its first column is column ``col0`` of the grid whose pixel
+    (0, 0) is centred at ``origin``."""
     half = 0.5 * meters_per_pixel
     return (origin[0] - half,
             origin[0] + (n_x - 1) * meters_per_pixel + half,
-            origin[1] - half,
-            origin[1] + (n_y - 1) * meters_per_pixel + half)
+            origin[1] + col0 * meters_per_pixel - half,
+            origin[1] + (col0 + n_y - 1) * meters_per_pixel + half)
 
 
 def _rect_leaves(rect, extent) -> bool:
@@ -218,38 +257,62 @@ def _rect_leaves(rect, extent) -> bool:
             or y_lo < extent[2] - _EDGE_EPS or y_hi > extent[3] + _EDGE_EPS)
 
 
+def _texture(seed: int, amp: float, n_x: int, n_y: int, c0: int, c1: int):
+    """Columns ``[c0, c1)`` of the ``n_x`` by ``n_y`` uniform draw on
+    ``[-amp, amp)`` from ``default_rng(seed)``, bit for bit.
+
+    The draw fills the grid row-major, one 64-bit output of the PCG64
+    stream per value, so each row's window is drawn where it starts and
+    the stream is advanced past the columns outside it.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_x, c1 - c0))
+    rng.bit_generator.advance(c0)
+    for row in out:
+        row[:] = rng.uniform(-amp, amp, c1 - c0)
+        rng.bit_generator.advance(n_y - (c1 - c0))
+    return out
+
+
 def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
-                    seed: int) -> BevImage:
-    """Rasterize the road over ``extent`` = (x_min, x_max, y_min, y_max).
+                    seed: int,
+                    cols: tuple[int, int] | None = None) -> BevImage:
+    """Rasterize the road over ``extent`` = (x_min, x_max, y_min, y_max),
+    or only the columns ``cols`` = ``(c0, c1)`` of its grid.
 
     Lane lines are painted at exactly ``line_intensity`` wherever a pixel
     center falls on them; asphalt gets zero-mean texture noise drawn from
     ``seed`` and is clamped to [0, 1].  The same (road, extent, seed)
-    always renders a bit-identical raster.
+    always renders a bit-identical raster, and a window of columns holds
+    exactly those columns of it.
     """
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
-    ys = origin[1] + np.arange(n_y) * meters_per_pixel
+    c0, c1 = _columns(cols, n_y)
+    ys = origin[1] + np.arange(c0, c1) * meters_per_pixel
     line_cols = _line_columns(road, ys)
 
     if road.texture_noise_amp > 0.0:
         # noise + asphalt == asphalt + noise bit for bit, so the raster is
         # built in the noise buffer without a second full-size array.
-        rng = np.random.default_rng(seed)
-        pixels = rng.uniform(-road.texture_noise_amp, road.texture_noise_amp,
-                             size=(n_x, n_y))
+        pixels = _texture(seed, road.texture_noise_amp, n_x, n_y, c0, c1)
         pixels += road.asphalt_intensity
         np.clip(pixels, 0.0, 1.0, out=pixels)
     else:
-        pixels = np.full((n_x, n_y), road.asphalt_intensity)
+        pixels = np.full((n_x, c1 - c0), road.asphalt_intensity)
     pixels[:, line_cols] = road.line_intensity
-    return BevImage(pixels=pixels, meters_per_pixel=meters_per_pixel, origin=origin)
+    return BevImage(pixels=pixels, meters_per_pixel=meters_per_pixel,
+                    origin=(origin[0], origin[1] + c0 * meters_per_pixel),
+                    col0=c0, grid_y=origin[1])
 
 
-def lane_line_mask(road: RoadSpec, extent, meters_per_pixel: float) -> np.ndarray:
-    """Boolean raster that is True exactly where rendering paints a line."""
+def lane_line_mask(road: RoadSpec, extent, meters_per_pixel: float,
+                   cols: tuple[int, int] | None = None) -> np.ndarray:
+    """Boolean raster that is True exactly where rendering paints a line
+    (over the same ``cols`` of the grid)."""
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
-    ys = origin[1] + np.arange(n_y) * meters_per_pixel
-    return np.broadcast_to(_line_columns(road, ys), (n_x, n_y)).copy()
+    c0, c1 = _columns(cols, n_y)
+    ys = origin[1] + np.arange(c0, c1) * meters_per_pixel
+    return np.broadcast_to(_line_columns(road, ys), (n_x, c1 - c0)).copy()
 
 
 def _rect_index_ranges(scene: BevImage, placement: PatchPlacement):
@@ -260,20 +323,19 @@ def _rect_index_ranges(scene: BevImage, placement: PatchPlacement):
         raise OutOfExtentError(
             f"patch rect x[{x_lo:.2f},{x_hi:.2f}] y[{y_lo:.2f},{y_hi:.2f}] "
             f"exceeds scene extent {tuple(round(v, 2) for v in ex)}")
-    mpp = scene.meters_per_pixel
-    i_lo = int(np.ceil((x_lo - scene.origin[0]) / mpp - _EDGE_EPS))
-    i_hi = int(np.floor((x_hi - scene.origin[0]) / mpp + _EDGE_EPS))
-    j_lo = int(np.ceil((y_lo - scene.origin[1]) / mpp - _EDGE_EPS))
-    j_hi = int(np.floor((y_hi - scene.origin[1]) / mpp + _EDGE_EPS))
+    mpp, (ox, oy) = scene.meters_per_pixel, (scene.origin[0], scene.grid_y)
+    i_lo = int(np.ceil((x_lo - ox) / mpp - _EDGE_EPS))
+    i_hi = int(np.floor((x_hi - ox) / mpp + _EDGE_EPS))
+    j_lo = int(np.ceil((y_lo - oy) / mpp - _EDGE_EPS)) - scene.col0
+    j_hi = int(np.floor((y_hi - oy) / mpp + _EDGE_EPS)) - scene.col0
     return (max(i_lo, 0), min(i_hi, scene.pixels.shape[0] - 1),
             max(j_lo, 0), min(j_hi, scene.pixels.shape[1] - 1))
 
 
 def _patch_fractional(scene: BevImage, patch: PatchState, rows, cols):
     """Fractional patch-grid indices of the given scene pixel centers."""
-    mpp = scene.meters_per_pixel
-    gx = scene.origin[0] + rows * mpp
-    gy = scene.origin[1] + cols * mpp
+    gx = scene.origin[0] + rows * scene.meters_per_pixel
+    gy = scene.column_y(cols)
     rect = patch.placement.rect
     p_ox = rect[0] + 0.5 * patch.grid_mpp
     p_oy = rect[2] + 0.5 * patch.grid_mpp
@@ -315,10 +377,10 @@ def patch_tile(scene: BevImage, patch: PatchState,
     if rows.size:
         fi, fj = _patch_fractional(scene, patch, rows, cols)
         pixels[rows - row0, cols - col0] = interp.gather(patch.values, fi, fj)
-    mpp, (ox, oy) = scene.meters_per_pixel, scene.origin
+    mpp, ox = scene.meters_per_pixel, scene.origin[0]
     return PatchTile(row0, col0, pixels,
                      (ox + row0 * mpp, ox + (row1 - 1) * mpp,
-                      oy + col0 * mpp, oy + (col1 - 1) * mpp))
+                      scene.column_y(col0), scene.column_y(col1 - 1)))
 
 
 def composite_patch(scene: BevImage, patch: PatchState,
@@ -333,8 +395,7 @@ def composite_patch(scene: BevImage, patch: PatchState,
     out = scene.pixels.copy()
     n_i, n_j = tile.pixels.shape
     out[tile.row0:tile.row0 + n_i, tile.col0:tile.col0 + n_j] = tile.pixels
-    return BevImage(pixels=out, meters_per_pixel=scene.meters_per_pixel,
-                    origin=scene.origin)
+    return replace(scene, pixels=out, tile=None)
 
 
 def composite_taps(scene: BevImage, patch: PatchState,

@@ -5,10 +5,12 @@ still exercises production code: the plant's ``step``, the camera model's
 constants, the detector's and the splat's gradients, the PGM reader, and
 the trajectory CSV's field list.  The exceptions are the bilinear kernel
 (``taps``, ``combine``, ``accumulate``), a plain, unfused form of
-``roadpatch.interp``'s, and the footprint and gradient pass in the form
+``roadpatch.interp``'s, the footprint and gradient pass in the form
 that keeps one flat index per footprint pixel and stacks every frame's
-splat (``footprint_band`` to ``stacked_patch_gradient``); production
-must match both bit for bit.
+splat (``footprint_band`` to ``stacked_patch_gradient``), and the
+full-width scene (``render_road_bev``, ``lane_line_mask``) that the
+production scene is a column window of; production must match all three
+bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ from roadpatch.pgmio import _sidecar_path, read_pgm
 from roadpatch.scene import (
     BevImage,
     PatchState,
+    RoadSpec,
     _composite_indices,
+    _grid,
+    _line_columns,
     _patch_fractional,
     _rect_index_ranges,
 )
@@ -248,9 +253,9 @@ def stacked_splat(grads, cfg: CameraConfig, scene: BevImage,
     scene-rectangle gradients, then composited back as one stack."""
     width = cfg.image_size[0]
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
-    mpp, (ox, oy) = scene.meters_per_pixel, scene.origin
+    mpp, ox = scene.meters_per_pixel, scene.origin[0]
     grown = (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
-             oy + (j_lo - 1) * mpp, oy + (j_hi + 1) * mpp)
+             scene.column_y(j_lo - 1), scene.column_y(j_hi + 1))
     row0, col0 = i_lo - 2, j_lo - 2
     local = np.zeros((len(grads), i_hi - i_lo + 5, j_hi - j_lo + 5))
     xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
@@ -306,3 +311,34 @@ def row_runs(pixels: np.ndarray, width: int) -> np.ndarray:
     starts = np.concatenate(([0], breaks))
     stops = np.append(breaks, pixels.size)
     return np.stack([pixels[starts], pixels[stops - 1] + 1], axis=1)
+
+
+# The scene over the whole width of its grid, in one draw of the texture.
+# A production scene renders a window of these columns and must hold
+# exactly their bits.
+
+def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
+                    seed: int) -> BevImage:
+    """The road rasterized over all of ``extent``."""
+    n_x, n_y, origin = _grid(extent, meters_per_pixel)
+    ys = origin[1] + np.arange(n_y) * meters_per_pixel
+    line_cols = _line_columns(road, ys)
+    if road.texture_noise_amp > 0.0:
+        rng = np.random.default_rng(seed)
+        pixels = rng.uniform(-road.texture_noise_amp, road.texture_noise_amp,
+                             size=(n_x, n_y))
+        pixels += road.asphalt_intensity
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+    else:
+        pixels = np.full((n_x, n_y), road.asphalt_intensity)
+    pixels[:, line_cols] = road.line_intensity
+    return BevImage(pixels=pixels, meters_per_pixel=meters_per_pixel,
+                    origin=origin)
+
+
+def lane_line_mask(road: RoadSpec, extent,
+                   meters_per_pixel: float) -> np.ndarray:
+    """The line mask over all of ``extent``."""
+    n_x, n_y, origin = _grid(extent, meters_per_pixel)
+    ys = origin[1] + np.arange(n_y) * meters_per_pixel
+    return np.broadcast_to(_line_columns(road, ys), (n_x, n_y)).copy()

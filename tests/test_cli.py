@@ -35,11 +35,14 @@ def test_render(tiny, tmp_path):
     assert run_cli("render", tiny, "--out", tmp_path, "--deterministic") == 0
     rep = read_report(tmp_path / "render_report.json")
     assert rep["kind"] == "render" and rep["scenario"] == "tiny"
-    assert rep["shape"] == [1800, 1920]
+    # the 692 columns of the 1920-column grid its detector can read
+    assert rep["shape"] == [1800, 692]
+    np.testing.assert_allclose(rep["extent"], [0.0, 90.0, -17.3, 17.3],
+                               rtol=0, atol=1e-12)
     assert "created_at" not in rep
-    assert read_pgm(tmp_path / "scene.pgm").shape == (1800, 1920)
-    assert (tmp_path / "scene.json").exists()
-    assert read_pgm(tmp_path / "line_mask.pgm").shape == (1800, 1920)
+    assert read_pgm(tmp_path / "scene.pgm").shape == (1800, 692)
+    assert read_report(tmp_path / "scene.json")["origin"] == [0.025, -17.275]
+    assert read_pgm(tmp_path / "line_mask.pgm").shape == (1800, 692)
 
 
 def test_benign_run(tiny, tmp_path):
@@ -217,9 +220,9 @@ def test_error_exit_codes(tiny, tmp_path, capsys):
             # 10 s at 81 km/h outruns highway-72's 270 m road
             ([], {**highway72, "speed_kmh": 81.0}, "road.road_length"),
             # the first frame's model input reaches 2.2 m ahead, and its
-            # far corners 30.7 m to each side
+            # detector support 3.4 m to each side
             ([], {"vehicle": {"start_x": -3.0}}, "vehicle.start_x"),
-            ([], {"scene": {"y_half_extent": 25.0}}, "scene.y_half_extent"),
+            ([], {"scene": {"y_half_extent": 3.0}}, "scene.y_half_extent"),
             # the raster of a 300.01 m road ends at 300.0 m
             ([], {"road": {"road_length": 300.01},
                   "patch": {"start_x": 264.0, "length": 36.005}},
@@ -300,7 +303,9 @@ def test_road_length_rule_at_the_last_pixel_centre(slack, code, tmp_path,
     # A near-standstill drive at the worst envelope heading sees exactly
     # model_input_reach past its start.  The 0.05 m raster is sourced up to
     # its last pixel centre, so a road that ends less than half a pixel
-    # past that point is refused at load instead of failing mid-run.
+    # past that point is refused at load (``code`` 2) instead of failing
+    # mid-run.  A scenario that loads (``code`` 0) fails detection on its
+    # first frame at this heading, so the run exits 3 after its report.
     need = 0.01 / 3.6 + model_input_reach(CameraConfig())
     doc = {"speed_kmh": 0.01, "duration_s": 1.0,
            "vehicle": {"start_heading": -0.2},
@@ -310,13 +315,33 @@ def test_road_length_rule_at_the_last_pixel_centre(slack, code, tmp_path,
     path = tmp_path / "crawl.json"
     path.write_text(json.dumps(doc))
     assert run_cli("benign", path, "--out", tmp_path / "out",
-                   "--deterministic") == code
+                   "--deterministic") == (code or 3)
+    err = json.loads(capsys.readouterr().err)
     if code:
-        err = json.loads(capsys.readouterr().err)
         assert err["field"] == "road.road_length"
         assert not (tmp_path / "out").exists()
     else:
+        assert err["error"] == "DetectionFailedError"
         assert (tmp_path / "out" / "benign_report.json").exists()
+
+
+def test_a_run_that_evaluates_no_frame_exits_3(tmp_path, capsys):
+    # At this heading the first frame's detection fails: the run writes its
+    # report, then fails as a runtime error rather than report success.
+    blind = tmp_path / "blind.json"
+    blind.write_text(json.dumps({"vehicle": {"start_heading": 0.1}}))
+    for command, *extra in (["benign"], ["evaluate", "--identity-patch"]):
+        out = tmp_path / command
+        assert run_cli(command, blind, "--out", out, "--deterministic",
+                       *extra) == 3
+        captured = capsys.readouterr()
+        assert "over 0 frames" not in captured.out
+        err = json.loads(captured.err)
+        assert err["error"] == "DetectionFailedError"
+        assert "measured nothing" in err["message"]
+        rep = read_report(out / f"{command}_report.json")
+        assert rep["frames_evaluated"] == 0 and rep["truncated"] is True
+        assert len(read_trajectory_csv(out / f"{command}_trajectory.csv")) == 1
 
 
 def test_seed_override_chain(tiny, tmp_path, monkeypatch):

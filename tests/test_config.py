@@ -9,10 +9,11 @@ import pytest
 
 from reference import image_to_ground
 from roadpatch.attack import AttackConfig
-from roadpatch.camera import CameraConfig, warp_bev_to_camera
+from roadpatch.camera import CameraConfig, warp_bev_to_points
 from roadpatch.config import (
     _SECTIONS,
     MAX_FRAMES,
+    MAX_GRID_COLUMNS,
     MAX_SCENE_BYTES,
     builtin_scenarios,
     config_from_dict,
@@ -23,7 +24,7 @@ from roadpatch.config import (
     resolve_scenario,
 )
 from roadpatch.controller import ControllerConfig
-from roadpatch.detector import DetectorConfig
+from roadpatch.detector import DetectorConfig, support_set
 from roadpatch.errors import (
     ConfigError,
     IncompleteModelInputError,
@@ -225,9 +226,14 @@ def test_every_one_leaf_edit_loads_or_is_refused():
         for value in _POOL:
             doc = {key: {sub: value}} if sub else {key: value}
             try:
-                config_from_dict(doc)
+                cfg = config_from_dict(doc)
             except ConfigError as exc:
                 assert exc.field in named, (doc, exc.field)
+                continue
+            # what loads renders a window of at most the cap's size
+            c0, c1 = cfg.columns
+            rows = round(cfg.road.road_length / cfg.scene.meters_per_pixel)
+            assert 0 <= c0 < c1 and rows * (c1 - c0) * 8 <= MAX_SCENE_BYTES
 
 
 def test_grid_finer_than_half_a_scene_pixel_is_refused():
@@ -299,14 +305,26 @@ def test_cross_checks():
     assert _err({"patch": {"v_min": 0.7}}) == "patch.v_min"
     assert _err({"patch": {"init_value": 0.7}}) == "patch.init_value"
     assert _err({"scene": {"y_half_extent": 1.0}}) == "scene.y_half_extent"
+    # the default detector's support reads up to 17.1 m to the side in the
+    # pose envelope, and 3.4 m at the start pose
+    assert _err({"scene": {"y_half_extent": 3.0}}) == "scene.y_half_extent"
+    assert config_from_dict({"scene": {"y_half_extent": 25.0}}).columns \
+        == (154, 846)
     assert _err({"detector": {"band_far": 200.0}}) == "detector"
 
 
 def test_scene_raster_and_frame_counts_are_capped():
     # Refused at load, on the field that grows them most over the
-    # defaults, before anything is sized from them.
-    assert _err({"scene": {"y_half_extent": 1e9}}) == "scene.y_half_extent"
+    # defaults, before anything is sized from them.  The half extent only
+    # bounds the rendered column window, and the grid it counts columns
+    # on must keep its index exact.
+    assert config_from_dict({"scene": {"y_half_extent": 1e9}}).columns \
+        == (19999999654, 20000000346)
     assert _err({"scene": {"y_half_extent": 1e308}}) == "scene.y_half_extent"
+    half = MAX_GRID_COLUMNS * 0.025
+    assert config_from_dict({"scene": {"y_half_extent": half}})
+    assert _err({"scene": {"y_half_extent": half + 0.05}}) \
+        == "scene.y_half_extent"
     assert _err({"road": {"road_length": 1e9}}) == "road.road_length"
     assert _err({"scene": {"meters_per_pixel": 1e-9}}) \
         == "scene.meters_per_pixel"
@@ -316,11 +334,11 @@ def test_scene_raster_and_frame_counts_are_capped():
         == "duration_s"
     assert _err({"attack": {"horizon_frames": MAX_FRAMES + 1}}) \
         == "attack.horizon_frames"
-    # A raster of 1920 columns is admitted up to the cap's row count, and
-    # a run up to the cap's frame count.
-    rows = MAX_SCENE_BYTES // (8 * 1920)
+    # The default 692-column window is admitted up to the cap's row count,
+    # and a run up to the cap's frame count.
+    rows = MAX_SCENE_BYTES // (8 * 692)
     cfg = config_from_dict({"road": {"road_length": rows * 0.05}})
-    assert cfg.scene.y_half_extent * 2 / 0.05 == 1920
+    assert cfg.columns == (614, 1306)
     assert _err({"road": {"road_length": (rows + 1) * 0.05}}) \
         == "road.road_length"
     slow = {"speed_kmh": 0.01, "attack": {"horizon_frames": MAX_FRAMES}}
@@ -357,12 +375,16 @@ _EDGE_ROAD = 70.0
 
 
 def _first_frame_raises(start_x, heading, y_half_extent):
+    # Narrower than the window, the grid is the whole rendered raster; at
+    # 48 m only the rows matter, and the support stays inside it.
     scene = render_road_bev(RoadSpec(road_length=_EDGE_ROAD),
                             (0.0, _EDGE_ROAD, -y_half_extent, y_half_extent),
                             _EDGE_MPP, 0)
+    sup = support_set(DetectorConfig(), CameraConfig())
     try:
-        warp_bev_to_camera(scene, CameraConfig(),
-                           VehicleState(start_x, 0.0, heading, 1.0))
+        warp_bev_to_points(scene, CameraConfig(),
+                           VehicleState(start_x, 0.0, heading, 1.0),
+                           sup.xf, sup.yf, sup.front)
     except IncompleteModelInputError:
         return True
     return False
@@ -370,17 +392,20 @@ def _first_frame_raises(start_x, heading, y_half_extent):
 
 @pytest.mark.parametrize("heading", [-0.2, 0.0, 0.13])
 def test_start_pose_is_refused_exactly_when_frame_one_is_unsourced(heading):
-    # The model input's near corners lie about 2.2 m ahead and its far
-    # corners about 30.7 m to each side.  Sweep start_x and y_half_extent
-    # across the edges where the first frame loses its source; the loader
-    # must refuse exactly the poses whose first frame raises.
+    # The model input's near corners lie about 2.2 m ahead, and the
+    # detector support reaches 3.4-14.1 m to the sides at these headings.
+    # Sweep start_x and y_half_extent across the edges where the first
+    # frame loses its source; the loader must refuse exactly the poses
+    # whose first frame raises.
     cam = CameraConfig()
     rx, ry, rw, rh = cam.model_input_rect
     corners = image_to_ground(cam, VehicleState(0.0, 0.0, heading, 0.0),
                               [(rx, ry), (rx + rw - 1, ry), (rx, ry + rh - 1),
                                (rx + rw - 1, ry + rh - 1)])
+    sup = support_set(DetectorConfig(), cam)
+    c, s = np.cos(heading), np.sin(heading)
     x_edge = 0.5 * _EDGE_MPP - corners[:, 0].min()
-    y_edge = _EDGE_MPP * np.ceil((np.abs(corners[:, 1]).max()
+    y_edge = _EDGE_MPP * np.ceil((np.abs(s * sup.xf + c * sup.yf).max()
                                   + 0.5 * _EDGE_MPP) / _EDGE_MPP)
     cases = ([("vehicle.start_x", x_edge + d, 48.0)
               for d in (-0.01, -1e-9, 1e-9, 0.01)]
@@ -419,7 +444,8 @@ def test_builders(tmp_path):
     assert cfg.n_frames == 20
     assert cfg.initial_state() == VehicleState(0.0, 0.0, 0.0, 15.0)
     scene, mask = cfg.build_scene()
-    assert scene.pixels.shape == (1800, 1920)
+    assert cfg.columns == (614, 1306)
+    assert scene.pixels.shape == (1800, 692)
     assert mask.shape == scene.pixels.shape and mask.dtype == bool
     patch = cfg.initial_patch()
     assert patch.values.shape == (80, 20)
@@ -435,7 +461,8 @@ def test_texture_seed_defaults_to_the_scenario_seed():
     scene, _ = cfg.build_scene()
     want = render_road_bev(cfg.road, cfg.extent, cfg.scene.meters_per_pixel,
                            5)
-    np.testing.assert_array_equal(scene.pixels, want.pixels)
+    c0, c1 = cfg.columns
+    np.testing.assert_array_equal(scene.pixels, want.pixels[:, c0:c1])
 
 
 def test_load_config_file_errors(tmp_path):

@@ -5,6 +5,7 @@ composited raster (``composite_patch``), bit for bit."""
 import dataclasses
 
 import numpy as np
+import pytest
 
 from roadpatch.camera import (
     CameraConfig,
@@ -15,6 +16,7 @@ from roadpatch.camera import (
 )
 from roadpatch.config import config_from_dict
 from roadpatch.detector import DetectorConfig, support_set
+from roadpatch.errors import IncompleteModelInputError
 from roadpatch.motion import VehicleState
 from roadpatch.scene import (
     PatchPlacement,
@@ -111,6 +113,12 @@ def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
     front = np.ones(xf.shape, dtype=bool)
     fi, fj = scene.fractional_index(xf, yf)
     assert fi[-2, 0] == n_i - 1 and fj[0, -2] == n_j - 1
+    # the points one step past an edge have no source, so the warp
+    # refuses them; the rest reach exactly to the edges
+    inner = (slice(1, -1), slice(1, -1))
+    with pytest.raises(IncompleteModelInputError, match="detector-support"):
+        warp_bev_to_points(scene, CAM, origin, xf, yf, front)
+    xf, yf, front = xf[inner], yf[inner], front[inner]
     poses = [VehicleState(-2.0, 0.0, 0.0, 10.0),
              VehicleState(3.0, 1.0, 0.03, 10.0),
              VehicleState(3.0, -1.0, -0.03, 10.0)]
@@ -128,7 +136,7 @@ def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
         assert np.array_equal(
             got, warp_bev_to_points(whole, CAM, origin, xf, yf, front))
         # the corners of the raster read the composited grays there
-        corner = (-2, 1) if k == 0 else (-2, -2)
+        corner = (-1, 0) if k == 0 else (-1, -1)
         assert got[corner] == whole.pixels[-1, 0 if k == 0 else -1]
         assert got[corner] != scene.pixels[-1, 0 if k == 0 else -1]
         for pose in poses:
