@@ -178,7 +178,7 @@ def _ground_index(bev: BevImage, gx, gy, front):
     """Fractional scene indices of ground points, clamped into the raster,
     and whether each point is sourced: in front and inside the raster."""
     fi, fj = bev.fractional_index(gx, gy)
-    n_i, n_j = bev.pixels.shape
+    n_i, n_j = bev.shape
     valid = front & interp.inside(fi, fj, (n_i, n_j))
     return np.clip(fi, 0.0, n_i - 1), np.clip(fj, 0.0, n_j - 1), valid
 
@@ -197,7 +197,8 @@ def _tile_gather(tile: PatchTile, fi, fj):
 
 def _sample_ground(bev: BevImage, fi, fj, valid, tile: PatchTile | None):
     """Bilinear scene values at the clamped scene indices ``fi``, ``fj``
-    (:func:`_ground_index`), zero where not ``valid``.
+    (:func:`_ground_index`), zero where not ``valid``; a read of the
+    scene raster draws the columns it touches first.
 
     The points whose clamped raster index lies within ``tile`` (so every
     tap with a nonzero weight does) are read from it, the rest from the
@@ -208,7 +209,7 @@ def _sample_ground(bev: BevImage, fi, fj, valid, tile: PatchTile | None):
     exactly the values the full-image warp gives them.
     """
     if tile is None:
-        values = interp.gather(bev.pixels, fi, fj)
+        values = bev.gather(fi, fj)
     else:
         n_i, n_j = tile.pixels.shape
         hit = ((fi >= tile.row0) & (fi <= tile.row0 + n_i - 1)
@@ -216,7 +217,7 @@ def _sample_ground(bev: BevImage, fi, fj, valid, tile: PatchTile | None):
         values = np.empty(fi.shape)
         values[hit] = _tile_gather(tile, fi[hit], fj[hit])
         miss = ~hit
-        values[miss] = interp.gather(bev.pixels, fi[miss], fj[miss])
+        values[miss] = bev.gather(fi[miss], fj[miss])
     values[~valid] = 0.0
     return values
 
@@ -324,7 +325,7 @@ def _check_sourced(bev: BevImage, cfg: CameraConfig,
     sourced crop)."""
     check_pose_bounds(pose)
     if any(model_input_gaps(cfg, pose, bev.origin[0], bev.meters_per_pixel,
-                            bev.pixels.shape[0])):
+                            bev.shape[0])):
         raise IncompleteModelInputError(
             "some model-input pixels have no BEV source at pose "
             + _pose_text(pose))
@@ -492,11 +493,11 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     one scene pixel can have a tap inside it.  Each frame's runs are
     summed, in run order, into a zero buffer over those rows.  The
     buffer's nonzero pixels whose ground point lies within a scene pixel
-    of the rectangle are found in blocks (``_blocks``), their fractional
-    scene indices written in row-major order into the pass's workspace,
-    and splatted: the warp taps are transposed into a buffer over
-    the scene rectangle, with one ``bincount`` per tap over the frame, and
-    the composite resampling onto the patch raster, its taps
+    of the rectangle are found in blocks (``_blocks``) and splatted, the
+    warp taps transposed into four per-tap sums over the scene rectangle
+    (:func:`~roadpatch.interp.scatter`, one block at a time), which are
+    added in tap order at the frame's end; then the composite resampling
+    is transposed onto the patch raster, its taps
     (:func:`~roadpatch.scene.composite_taps`) computed once for every
     frame.  A pixel in two runs holds ``(0 + a) + b``, which is ``a + b``.
     A pixel left out holds ±0, which adds nothing to a tap sum that starts
@@ -512,13 +513,11 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     local_shape = (i_hi - i_lo + 5, j_hi - j_lo + 5)
     taps = composite_taps(scene, patch, line_mask, row0, col0, local_shape)
     xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
-    # One workspace for the pass, as long as every row below the horizon:
-    # each frame's band and its gathered points reuse it.  Frame-sized
-    # buffers allocated per frame let glibc malloc trim the heap between
-    # frames: a fresh 12-iteration highway-72 optimize took 144k minor
-    # page faults in its gradient passes that way, and 18k with this.
-    band_buf, fi, fj, grad = np.empty(
-        (4, front.size - _first_ground_row(cfg) * width))
+    # One band buffer for the pass, as long as every row below the
+    # horizon, and one set of tap sums: frame-sized buffers allocated per
+    # frame let glibc malloc trim the heap between frames.
+    band_buf = np.empty(front.size - _first_ground_row(cfg) * width)
+    sums = np.empty((4, *local_shape))
     for pose, runs in grads:
         rows = _rows_seeing(cfg, pose, grown)
         start, stop = rows.start * width, rows.stop * width
@@ -528,19 +527,17 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
             a, b = np.searchsorted(pixels, (start, stop))
             band[pixels[a:b] - start] += values[a:b]
         kept = np.flatnonzero(band)
-        n = 0
+        sums[:] = 0.0
         for block in _blocks(kept.size):
             pix = kept[block] + start
             bi, bj = scene.fractional_index(*_vehicle_to_world(
                 pose, xf[pix], yf[pix]))
-            near = (front[pix] & interp.inside(bi, bj, scene.pixels.shape)
+            near = (front[pix] & interp.inside(bi, bj, scene.shape)
                     & (bi > i_lo - 1.0) & (bi < i_hi + 1.0)
                     & (bj > j_lo - 1.0) & (bj < j_hi + 1.0))
-            m = n + np.count_nonzero(near)
-            np.subtract(bi[near], row0, out=fi[n:m])
-            np.subtract(bj[near], col0, out=fj[n:m])
-            grad[n:m] = band[kept[block][near]]
-            n = m
-        del kept            # before the scatter, the frame's largest step
-        local = interp.scatter(local_shape, fi[:n], fj[:n], grad[:n])
+            interp.scatter(sums, bi[near] - row0, bj[near] - col0,
+                           band[kept[block][near]])
+        local = sums[0] + sums[1]
+        local += sums[2]
+        local += sums[3]
         yield composite_adjoint_local(local, taps)

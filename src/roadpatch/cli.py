@@ -93,14 +93,14 @@ def cmd_render(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     pgmio.save_bev(out / "scene.pgm", scene, extra={"scenario": cfg.name,
                                                     "config_hash": cfg.hash})
-    pgmio.write_pgm(out / "line_mask.pgm", mask.astype(float))
+    pgmio.write_pgm(out / "line_mask.pgm", mask)
     rep = _base_report("render", cfg, args)
     rep.update({"extent": list(scene.extent),
                 "meters_per_pixel": scene.meters_per_pixel,
-                "shape": list(scene.pixels.shape),
+                "shape": list(scene.shape),
                 "scene_file": "scene.pgm"})
     artifacts.write_report(out / "render_report.json", rep)
-    print(f"rendered {scene.pixels.shape[0]}x{scene.pixels.shape[1]} scene "
+    print(f"rendered {scene.shape[0]}x{scene.shape[1]} scene "
           f"for '{cfg.name}' -> {out / 'scene.pgm'}")
     return EXIT_OK
 

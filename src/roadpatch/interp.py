@@ -6,10 +6,12 @@ round-off by construction rather than by tolerance tuning.
 
 Each value is one fixed sequence of float64 operations, whatever the
 input's size: a read sums its four tap products left to right in tap
-order, and a write adds one ``bincount`` per tap in tap order.  So any
-subset of points, or the same taps remapped into a subset of a raster,
-gets bit-identical values.  Buffers are reused in place only where that
-leaves every operation, and the order of every sum, as it is.
+order, and a write adds each tap's products into that tap's own sums in
+point order, then adds the four sums in tap order.  So any subset of
+points, the same points in consecutive blocks, or the same taps
+remapped into a subset of a raster, gets bit-identical values.  Buffers
+are reused in place only where that leaves every operation, and the
+order of every sum, as it is.
 """
 
 from __future__ import annotations
@@ -73,21 +75,31 @@ def combine(flat: np.ndarray, idx, w) -> np.ndarray:
     return out
 
 
-def scatter(shape: tuple[int, int], fi: np.ndarray, fj: np.ndarray,
-            values: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`gather`: accumulate ``values`` into a raster."""
-    idx, w = taps(fi, fj, shape)
-    return accumulate(shape[0] * shape[1], idx, w, values).reshape(shape)
+def scatter(sums: np.ndarray, fi: np.ndarray, fj: np.ndarray,
+            values: np.ndarray) -> None:
+    """Adjoint of :func:`gather`, one block of points at a time: add
+    ``values * w[k]`` at tap ``k`` into ``sums[k]``, a row-major raster
+    of zeros or of earlier blocks' sums.
+
+    ``np.add.at`` adds in point order, so the tap sums are those one
+    ``bincount`` a tap over every block's points in order gives (each
+    starts at +0.0, so a -0.0 term reads +0.0 in both), whatever the
+    blocks; the raster is ``sums[0] + sums[1] + sums[2] + sums[3]``.
+    """
+    idx, w = taps(fi, fj, sums.shape[1:])
+    values = np.asarray(values)
+    for k in range(4):
+        np.add.at(sums[k].reshape(-1), idx[k], values * w[k])
 
 
 def accumulate(size: int, idx, w, values: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`combine`: add ``values * w[k]`` at ``idx[k]``.
 
-    Every bilinear scatter goes through these four ``bincount`` calls in
-    tap order, so scattering the same taps into a subset of a raster
-    (with remapped indices) gives the bit-identical sums.  A ``bincount``
-    sum starts at +0.0 and is never -0.0, so the first one stands for
-    itself added to zeros.
+    A write of precomputed taps goes through these four ``bincount``
+    calls in tap order, so scattering the same taps into a subset of a
+    raster (with remapped indices), or through :func:`scatter`, gives
+    the bit-identical sums.  A ``bincount`` sum starts at +0.0 and is
+    never -0.0, so the first one stands for itself added to zeros.
     """
     values = np.asarray(values).ravel()
     part = values * w[0].ravel()

@@ -29,21 +29,26 @@ _BLOCK = 8192
 
 
 def encode_gray16(values: np.ndarray) -> np.ndarray:
-    """Quantize grays to big-endian 16-bit codes; any value outside
-    [0, 1], NaN included, is refused.  Each block is checked while it is
-    quantized, so no pass over the whole array is added."""
-    values = np.asarray(values, dtype=float)
+    """Quantize grays (or booleans) to big-endian 16-bit codes; any value
+    outside [0, 1], NaN included, is refused.  Blocks of rows are
+    converted, checked and quantized one at a time, whatever the array's
+    layout, so neither a pass over the whole array nor a float copy of
+    it (of a bool mask, or of a raster that is not row-major) is made."""
+    values = np.asarray(values)
     raw = np.empty(values.shape, ">u2")
-    flat, out = values.reshape(-1), raw.reshape(-1)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
+    rows = (values.reshape(-1, values.shape[-1]) if values.ndim > 1
+            else values.reshape(1, -1))
+    out = raw.reshape(rows.shape)
+    step = max(_BLOCK // max(rows.shape[1], 1), 1)
+    for start in range(0, rows.shape[0], step):
+        block = np.asarray(rows[start:start + step], dtype=float)
         # min and max carry a NaN through, and NaN fails both tests
-        if not (block.min() >= 0.0 and block.max() <= 1.0):
+        if block.size and not (block.min() >= 0.0 and block.max() <= 1.0):
             raise InvalidArgumentError(
                 "gray values must lie in [0, 1] to encode")
         scaled = block * _MAXVAL
         np.round(scaled, out=scaled)
-        out[start:start + _BLOCK] = scaled
+        out[start:start + step] = scaled
     return raw
 
 

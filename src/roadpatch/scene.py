@@ -5,7 +5,9 @@ above.  Geometry lives in road coordinates: x forward along the lane,
 y positive to the left, units in meters.  Raster rows follow x and
 columns follow y; ``origin`` is the ground position of the center of
 pixel (0, 0).  A raster may hold only a window of its grid's columns,
-drawn bit for bit as the whole grid would draw them.
+drawn bit for bit as the whole grid would draw them.  A rendered raster
+draws its columns on first read and holds only those, so a run takes
+memory only for the columns it reads.
 
 A road patch is an independently rastered gray rectangle that is
 resampled onto the scene grid when composited.  Lane-line pixels are
@@ -27,6 +29,10 @@ from .errors import InvalidArgumentError, OutOfExtentError
 # Nudge applied when mapping rectangle edges to pixel-center ranges so that
 # edges falling exactly on a center are treated deterministically.
 _EDGE_EPS = 1e-9
+
+# A read draws the columns it touches rounded out to whole strips of this
+# many columns, so a run that drifts sideways draws a strip at a time.
+_STRIP = 32
 
 
 @dataclass(frozen=True)
@@ -70,14 +76,83 @@ class PatchTile:
     rect: tuple[float, float, float, float]
 
 
+class ColumnDraw:
+    """The columns of a rendered raster drawn so far: ``block`` holds its
+    columns ``[lo, hi)``, row-major, and the others are not held at all.
+
+    Drawing columns ``[a, b)`` gives exactly the grays
+    :func:`render_road_bev` of the whole grid gives them: the grid's
+    row-major uniform draw from ``default_rng(seed)``, advanced to each
+    row's first column, plus the asphalt gray, clamped, with the lane
+    lines painted over.  Every step is elementwise, so a column comes out
+    the same whatever the columns drawn with it.
+    """
+
+    def __init__(self, road: RoadSpec, seed: int, n_x: int, n_y: int,
+                 c0: int, lines: np.ndarray):
+        self.road, self.seed, self.n_x, self.n_y = road, seed, n_x, n_y
+        self.c0, self.lines = c0, lines
+        self.block = np.empty((n_x, 0))
+        self.lo = self.hi = 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_x, self.lines.size
+
+    @property
+    def done(self) -> bool:
+        return self.hi - self.lo == self.lines.size
+
+    def cover(self, a: int, b: int) -> None:
+        """Hold at least columns ``[a, b)``.  The held columns grow as one
+        span, in whole strips (``_STRIP``), drawn anew into one block:
+        drawing costs a few microseconds a row and call, so one pass over
+        the span beats one for each side of it, and a column drawn twice
+        holds the same bits."""
+        if self.lo <= a and b <= self.hi:
+            return
+        a = a // _STRIP * _STRIP
+        b = min(-(-b // _STRIP) * _STRIP, self.lines.size)
+        if self.lo < self.hi:
+            a, b = min(a, self.lo), max(b, self.hi)
+        # let the old block go before the new one is drawn
+        self.block, self.lo, self.hi = np.empty((self.n_x, 0)), 0, 0
+        self.block, self.lo, self.hi = self.draw(a, b), a, b
+
+    def draw(self, a: int, b: int) -> np.ndarray:
+        """Columns ``[a, b)``, drawn into a new row-major block."""
+        road, block = self.road, np.empty((self.n_x, b - a))
+        amp = road.texture_noise_amp
+        if amp > 0.0:
+            # noise + asphalt == asphalt + noise bit for bit, so the block
+            # is built in place; ``advance`` takes Python ints only.
+            rng = np.random.default_rng(self.seed)
+            rng.bit_generator.advance(int(self.c0 + a))
+            skip = int(self.n_y - (b - a))
+            for row in block:
+                row[:] = rng.uniform(-amp, amp, b - a)
+                rng.bit_generator.advance(skip)
+            block += road.asphalt_intensity
+            np.clip(block, 0.0, 1.0, out=block)
+        else:
+            block[:] = road.asphalt_intensity
+        block[:, self.lines[a:b]] = road.line_intensity
+        return block
+
+
 @dataclass
 class BevImage:
     """Ground-plane raster with its resolution and placement metadata.
 
-    A patched scene shares the ``pixels`` of the scene it was made from
-    and carries the composited patch as ``tile``: where the tile covers
-    a pixel, the patched scene's gray is the tile's, so ``pixels`` alone
-    is the scene without the patch.
+    The grays are ``raster``, or, for a rendered scene, the columns
+    ``draw`` has drawn so far; every read draws the columns it touches
+    first (:meth:`gather`, :meth:`columns`), ``pixels`` is the whole
+    raster with every column drawn, and ``shape`` draws nothing.
+
+    A patched scene shares the grays of the scene it was made from and
+    carries the composited patch as ``tile``: where the tile covers a
+    pixel, the patched scene's gray is the tile's, so ``pixels`` alone is
+    the scene without the patch.
 
     The raster may be a window of a wider grid's columns: ``pixels[:, j]``
     is the grid's column ``col0 + j``, centred at ground
@@ -87,12 +162,13 @@ class BevImage:
     the whole grid reads there.  ``grid_y`` defaults to ``origin[1]``.
     """
 
-    pixels: np.ndarray          # (n_x, n_y) float64 gray in [0, 1]
+    raster: np.ndarray | None   # (n_x, n_y) float64 gray in [0, 1]
     meters_per_pixel: float
     origin: tuple[float, float]  # ground (x, y) of pixel (0, 0) center
     tile: PatchTile | None = None
     col0: int = 0
     grid_y: float | None = None
+    draw: ColumnDraw | None = None   # draws the grays when raster is None
 
     def __post_init__(self):
         if self.grid_y is None:
@@ -101,9 +177,42 @@ class BevImage:
             self.grid_y = self.origin[1]
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self.raster.shape if self.draw is None else self.draw.shape
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The whole raster, every column drawn: the array itself, so a
+        write to it is a write to the scene."""
+        return self.columns(0, self.shape[1])[0]
+
+    def columns(self, a: int, b: int) -> tuple[np.ndarray, int]:
+        """A row-major array that holds at least raster columns ``[a, b)``
+        (drawn first), and the raster column its first column is."""
+        if self.draw is None:
+            return self.raster, 0
+        self.draw.cover(a, b)
+        return self.draw.block, self.draw.lo
+
+    def gather(self, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
+        """Bilinear grays at raster indices ``fi``, ``fj`` (clamped by the
+        caller).  The columns the taps read are drawn first, and read at
+        indices shifted by the first held column, which is exact: each
+        point reads the taps and weights it reads in the whole raster,
+        summed in the same order."""
+        draw = self.draw
+        if draw is None:
+            return interp.gather(self.raster, fi, fj)
+        if not draw.done and fj.size:
+            # a point's first tap column is floor(fj), clipped as taps does
+            last = max(draw.shape[1] - 2, 0)
+            draw.cover(min(int(fj.min()), last), min(int(fj.max()), last) + 2)
+        return interp.gather(draw.block, fi, fj - draw.lo if draw.lo else fj)
+
+    @property
     def extent(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the covered ground rectangle."""
-        return _raster_extent(*self.pixels.shape,
+        return _raster_extent(*self.shape,
                               (self.origin[0], self.grid_y),
                               self.meters_per_pixel, self.col0)
 
@@ -257,23 +366,6 @@ def _rect_leaves(rect, extent) -> bool:
             or y_lo < extent[2] - _EDGE_EPS or y_hi > extent[3] + _EDGE_EPS)
 
 
-def _texture(seed: int, amp: float, n_x: int, n_y: int, c0: int, c1: int):
-    """Columns ``[c0, c1)`` of the ``n_x`` by ``n_y`` uniform draw on
-    ``[-amp, amp)`` from ``default_rng(seed)``, bit for bit.
-
-    The draw fills the grid row-major, one 64-bit output of the PCG64
-    stream per value, so each row's window is drawn where it starts and
-    the stream is advanced past the columns outside it.
-    """
-    rng = np.random.default_rng(seed)
-    out = np.empty((n_x, c1 - c0))
-    rng.bit_generator.advance(c0)
-    for row in out:
-        row[:] = rng.uniform(-amp, amp, c1 - c0)
-        rng.bit_generator.advance(n_y - (c1 - c0))
-    return out
-
-
 def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
                     seed: int,
                     cols: tuple[int, int] | None = None) -> BevImage:
@@ -284,35 +376,28 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
     center falls on them; asphalt gets zero-mean texture noise drawn from
     ``seed`` and is clamped to [0, 1].  The same (road, extent, seed)
     always renders a bit-identical raster, and a window of columns holds
-    exactly those columns of it.
+    exactly those columns of it.  No column is drawn here: each is drawn
+    on its first read (:class:`ColumnDraw`).
     """
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
     c0, c1 = _columns(cols, n_y)
     ys = origin[1] + np.arange(c0, c1) * meters_per_pixel
-    line_cols = _line_columns(road, ys)
-
-    if road.texture_noise_amp > 0.0:
-        # noise + asphalt == asphalt + noise bit for bit, so the raster is
-        # built in the noise buffer without a second full-size array.
-        pixels = _texture(seed, road.texture_noise_amp, n_x, n_y, c0, c1)
-        pixels += road.asphalt_intensity
-        np.clip(pixels, 0.0, 1.0, out=pixels)
-    else:
-        pixels = np.full((n_x, c1 - c0), road.asphalt_intensity)
-    pixels[:, line_cols] = road.line_intensity
-    return BevImage(pixels=pixels, meters_per_pixel=meters_per_pixel,
+    return BevImage(raster=None, meters_per_pixel=meters_per_pixel,
                     origin=(origin[0], origin[1] + c0 * meters_per_pixel),
-                    col0=c0, grid_y=origin[1])
+                    col0=c0, grid_y=origin[1],
+                    draw=ColumnDraw(road, seed, n_x, n_y, c0,
+                                    _line_columns(road, ys)))
 
 
 def lane_line_mask(road: RoadSpec, extent, meters_per_pixel: float,
                    cols: tuple[int, int] | None = None) -> np.ndarray:
     """Boolean raster that is True exactly where rendering paints a line
-    (over the same ``cols`` of the grid)."""
+    (over the same ``cols`` of the grid): a read-only view of one row,
+    since every row is the same."""
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
     c0, c1 = _columns(cols, n_y)
     ys = origin[1] + np.arange(c0, c1) * meters_per_pixel
-    return np.broadcast_to(_line_columns(road, ys), (n_x, c1 - c0)).copy()
+    return np.broadcast_to(_line_columns(road, ys), (n_x, c1 - c0))
 
 
 def _rect_index_ranges(scene: BevImage, placement: PatchPlacement):
@@ -328,8 +413,8 @@ def _rect_index_ranges(scene: BevImage, placement: PatchPlacement):
     i_hi = int(np.floor((x_hi - ox) / mpp + _EDGE_EPS))
     j_lo = int(np.ceil((y_lo - oy) / mpp - _EDGE_EPS)) - scene.col0
     j_hi = int(np.floor((y_hi - oy) / mpp + _EDGE_EPS)) - scene.col0
-    return (max(i_lo, 0), min(i_hi, scene.pixels.shape[0] - 1),
-            max(j_lo, 0), min(j_hi, scene.pixels.shape[1] - 1))
+    return (max(i_lo, 0), min(i_hi, scene.shape[0] - 1),
+            max(j_lo, 0), min(j_hi, scene.shape[1] - 1))
 
 
 def _patch_fractional(scene: BevImage, patch: PatchState, rows, cols):
@@ -366,13 +451,14 @@ def patch_tile(scene: BevImage, patch: PatchState,
     in the patch values, which is what makes the camera-side gradient
     splat an exact adjoint.
     """
-    if line_mask.shape != scene.pixels.shape:
+    if line_mask.shape != scene.shape:
         raise InvalidArgumentError("line_mask shape must match the scene")
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
-    n_i, n_j = scene.pixels.shape
+    n_i, n_j = scene.shape
     row0, col0 = max(i_lo - 2, 0), max(j_lo - 2, 0)
     row1, col1 = min(i_hi + 3, n_i), min(j_hi + 3, n_j)
-    pixels = scene.pixels[row0:row1, col0:col1].copy()
+    block, lo = scene.columns(col0, col1)
+    pixels = block[row0:row1, col0 - lo:col1 - lo].copy()
     rows, cols = _composite_indices(scene, patch, line_mask)
     if rows.size:
         fi, fj = _patch_fractional(scene, patch, rows, cols)
@@ -395,7 +481,7 @@ def composite_patch(scene: BevImage, patch: PatchState,
     out = scene.pixels.copy()
     n_i, n_j = tile.pixels.shape
     out[tile.row0:tile.row0 + n_i, tile.col0:tile.col0 + n_j] = tile.pixels
-    return replace(scene, pixels=out, tile=None)
+    return replace(scene, raster=out, tile=None, draw=None)
 
 
 def composite_taps(scene: BevImage, patch: PatchState,

@@ -149,7 +149,7 @@ def load_bev(path) -> BevImage:
     meta = json.loads(_sidecar_path(path).read_text())
     if meta.get("kind") != "bev":
         raise InvalidArgumentError(f"{path} sidecar does not describe a scene")
-    return BevImage(pixels=read_pgm(path),
+    return BevImage(raster=read_pgm(path),
                     meters_per_pixel=float(meta["meters_per_pixel"]),
                     origin=(float(meta["origin"][0]), float(meta["origin"][1])))
 
@@ -201,6 +201,16 @@ def accumulate(size: int, idx, w, values: np.ndarray) -> np.ndarray:
                            weights=(values * w[k]).ravel(),
                            minlength=size)
     return out
+
+
+def scatter(shape: tuple[int, int], fi: np.ndarray, fj: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """The adjoint of ``interp.gather`` over every point at once, as one
+    ``bincount`` a tap: what the splat's per-block ``interp.scatter``
+    sums must equal bit for bit."""
+    idx, w = interp.taps(fi, fj, shape)
+    return interp.accumulate(shape[0] * shape[1], idx, w,
+                             values).reshape(shape)
 
 
 # The footprint with one flat index per pixel, and the gradient pass that
@@ -270,11 +280,11 @@ def stacked_splat(grads, cfg: CameraConfig, scene: BevImage,
         pix = kept + start
         fi, fj = scene.fractional_index(*_vehicle_to_world(pose, xf[pix],
                                                            yf[pix]))
-        near = (front[pix] & interp.inside(fi, fj, scene.pixels.shape)
+        near = (front[pix] & interp.inside(fi, fj, scene.shape)
                 & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
                 & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
-        local[k] = interp.scatter(local.shape[1:], fi[near] - row0,
-                                  fj[near] - col0, band[kept][near])
+        local[k] = scatter(local.shape[1:], fi[near] - row0,
+                           fj[near] - col0, band[kept][near])
     return stacked_composite_adjoint(local, row0, col0, scene, patch,
                                      line_mask)
 
@@ -332,7 +342,7 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
     else:
         pixels = np.full((n_x, n_y), road.asphalt_intensity)
     pixels[:, line_cols] = road.line_intensity
-    return BevImage(pixels=pixels, meters_per_pixel=meters_per_pixel,
+    return BevImage(raster=pixels, meters_per_pixel=meters_per_pixel,
                     origin=origin)
 
 

@@ -45,7 +45,7 @@ from roadpatch.scene import (
     uniform_patch,
 )
 
-from reference import image_to_ground, rect_slices
+from reference import image_to_ground, rect_slices, scatter
 
 CAM = CameraConfig()
 ORIGIN = VehicleState(0.0, 0.0, 0.0, 10.0)
@@ -354,9 +354,8 @@ def test_splat_matches_a_per_pixel_reference(pose):
             & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
             & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
     assert near.any()
-    local = interp.scatter((i_hi - i_lo + 5, j_hi - j_lo + 5),
-                           fi[near] - (i_lo - 2), fj[near] - (j_lo - 2),
-                           g[near])
+    local = scatter((i_hi - i_lo + 5, j_hi - j_lo + 5),
+                    fi[near] - (i_lo - 2), fj[near] - (j_lo - 2), g[near])
     want = composite_adjoint_local(local, composite_taps(
         scene, patch, mask, i_lo - 2, j_lo - 2, local.shape))
     np.testing.assert_array_equal(

@@ -14,6 +14,20 @@ from roadpatch.scene import patch_tile
 import reference
 
 
+def _scatter(shape, fi, fj, values, block=7):
+    """``interp.scatter`` over the points in blocks of ``block``, its tap
+    sums added in tap order as the splat adds them."""
+    sums = np.zeros((4, *shape))
+    fi, fj, values = (np.ravel(a) for a in (fi, fj, values))
+    for s in range(0, fi.size, block):
+        interp.scatter(sums, fi[s:s + block], fj[s:s + block],
+                       values[s:s + block])
+    out = sums[0] + sums[1]
+    out += sums[2]
+    out += sums[3]
+    return out
+
+
 def test_gather_at_integer_indices_returns_exact_values():
     arr = np.arange(12, dtype=float).reshape(3, 4)
     fi, fj = np.meshgrid(np.arange(3.0), np.arange(4.0), indexing="ij")
@@ -33,8 +47,7 @@ def test_degenerate_rasters_are_supported():
     out = interp.gather(np.array([[1.0, 2.0, 4.0]]),
                         np.zeros(2), np.array([0.5, 1.5]))
     np.testing.assert_allclose(out, [1.5, 3.0])
-    back = interp.scatter((1, 1), np.zeros(2), np.zeros(2),
-                          np.array([2.0, 3.0]))
+    back = _scatter((1, 1), np.zeros(2), np.zeros(2), np.array([2.0, 3.0]))
     assert back[0, 0] == 5.0
 
 
@@ -45,7 +58,7 @@ def test_scatter_is_the_exact_adjoint_of_gather():
     fj = rng.uniform(0.0, 6.0, size=40)
     vals = rng.standard_normal(40)
     lhs = float(np.dot(interp.gather(arr, fi, fj), vals))
-    rhs = float(np.sum(interp.scatter(arr.shape, fi, fj, vals) * arr))
+    rhs = float(np.sum(_scatter(arr.shape, fi, fj, vals) * arr))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -98,16 +111,36 @@ def test_kernel_is_bit_identical_to_the_reference(name, shape, fi, fj):
     assert all(_same(a, b) for a, b in zip(idx + w, ref_idx + ref_w))
     assert _same(interp.gather(arr, fi, fj),
                  reference.combine(arr.ravel(), ref_idx, ref_w))
-    assert _same(interp.scatter(shape, fi, fj, values),
+    assert _same(_scatter(shape, fi, fj, values),
                  reference.accumulate(arr.size, ref_idx, ref_w,
                                       values).reshape(shape))
     # A zero raster and zero values make every sum a signed zero.
     zero = np.full(shape, -0.0)
     assert _same(interp.gather(zero, fi, fj),
                  reference.combine(zero.ravel(), ref_idx, ref_w))
-    assert _same(interp.scatter(shape, fi, fj, -0.0 * values),
+    assert _same(_scatter(shape, fi, fj, -0.0 * values),
                  reference.accumulate(arr.size, ref_idx, ref_w,
                                       -0.0 * values).reshape(shape))
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 10_000])
+def test_blockwise_scatter_equals_one_bincount_a_tap(block):
+    # Repeated cells, both signed zeros and a clamped border, in blocks
+    # of any size: np.add.at adds in point order, as bincount does.
+    rng = np.random.default_rng(block)
+    shape = (6, 5)
+    fi = np.concatenate([rng.uniform(0.0, 5.0, 300), np.full(20, 5.0),
+                         np.full(20, 2.0)])
+    fj = np.concatenate([rng.uniform(0.0, 4.0, 300), np.linspace(0, 4, 20),
+                         np.full(20, 3.0)])
+    values = rng.standard_normal(fi.size)
+    values[::7] = -0.0
+    values[300:] *= 1e300
+    idx, w = interp.taps(fi, fj, shape)
+    want = interp.accumulate(shape[0] * shape[1], idx, w, values)
+    assert _same(_scatter(shape, fi, fj, values, block), want.reshape(shape))
+    assert _same(_scatter(shape, fi, fj, -0.0 * values, block),
+                 np.zeros(shape))
 
 
 def _patched_run(scenario, scene, mask):

@@ -53,6 +53,13 @@ def test_a_frame_encodes_like_one_rounding_of_the_whole(tmp_path):
     write_pgm(p, values)
     body = p.read_bytes()[len(b"P5\n641 481\n65535\n"):]
     assert body == np.round(values * 65535).astype(">u2").tobytes()
+    # a column-major raster, a single row and a row-broadcast bool mask
+    # encode to the same bytes, block by block
+    assert encode_gray16(np.asfortranarray(values)).tobytes() == body
+    assert encode_gray16(values[:1]).tobytes() == body[:2 * 641]
+    mask = np.broadcast_to(np.arange(641) % 3 == 0, (481, 641))
+    assert (encode_gray16(mask).tobytes()
+            == encode_gray16(mask.astype(float)).tobytes())
 
 
 def test_write_rejects_bad_payloads(tmp_path):
@@ -94,7 +101,7 @@ def test_read_rejects_malformed_files(tmp_path):
 
 def test_bev_sidecar_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    bev = BevImage(pixels=rng.uniform(size=(4, 6)), meters_per_pixel=0.5,
+    bev = BevImage(raster=rng.uniform(size=(4, 6)), meters_per_pixel=0.5,
                    origin=(0.25, -1.25))
     p = tmp_path / "scene.pgm"
     save_bev(p, bev, extra={"note": "test"})
@@ -154,7 +161,7 @@ def test_sidecar_kind_is_checked(tmp_path):
     save_patch(tmp_path / "p.pgm", patch)
     with pytest.raises(InvalidArgumentError):
         load_bev(tmp_path / "p.pgm")
-    bev = BevImage(pixels=np.full((2, 2), 0.5), meters_per_pixel=0.1,
+    bev = BevImage(raster=np.full((2, 2), 0.5), meters_per_pixel=0.1,
                    origin=(0.05, 0.05))
     save_bev(tmp_path / "s.pgm", bev)
     with pytest.raises(InvalidArgumentError):

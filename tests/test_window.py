@@ -1,5 +1,7 @@
 """The scene renders a window of its grid's columns: the columns every
-rollout can read, drawn and read bit for bit as the full-width grid."""
+rollout can read, drawn and read bit for bit as the full-width grid.  A
+column is drawn on its first read, so a run draws only the columns it
+reads, in whatever order, and they are the same bits."""
 
 import dataclasses
 
@@ -22,6 +24,7 @@ from roadpatch.detector import support_set
 from roadpatch.errors import IncompleteModelInputError
 from roadpatch.motion import VehicleState
 from roadpatch.scene import (
+    ColumnDraw,
     RoadSpec,
     lane_line_mask,
     patch_tile,
@@ -207,3 +210,98 @@ def test_a_detector_reading_past_the_window_is_refused(scenario72, scene72):
     # at the lane centre the wider support still reads inside the window
     rollout_with_patch(scene, mask, None, VehicleState(20.0, 0.0, 0.0, 20.0),
                        1, wide)
+
+
+def test_building_a_scene_draws_no_column(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(ColumnDraw, "draw",
+                        lambda self, a, b: drawn.append((a, b)))
+    for name in SCENARIOS:
+        cfg = load_config(resolve_scenario(name))
+        scene, mask = cfg.build_scene()
+        c0, c1 = cfg.columns
+        assert scene.shape == mask.shape == (scene.draw.n_x, c1 - c0)
+        assert scene.extent and scene.draw.block.size == 0
+    assert drawn == []
+
+
+def test_the_line_mask_is_one_read_only_row(scenario72):
+    mask = scenario72.build_scene()[1]
+    assert mask.strides[0] == 0 and not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = True
+    with pytest.raises(ValueError):
+        mask[:] = False
+
+
+@pytest.mark.parametrize("noise", [0.02, 0.0], ids=["textured", "noise-free"])
+@pytest.mark.parametrize("cols", [(0, 37), (3, 40), (200, 272), (0, 272)],
+                         ids=["first-column", "inner", "last-column",
+                              "whole-grid"])
+def test_columns_drawn_in_any_order_are_the_same_bits(cols, noise):
+    road, extent = RoadSpec(road_length=30.0, texture_noise_amp=noise), \
+        (0.0, 30.0, -34.0, 34.0)
+    full = reference.render_road_bev(road, extent, 0.25,
+                                     11).pixels[:, cols[0]:cols[1]]
+    n = cols[1] - cols[0]
+    rng = np.random.default_rng(n)
+    draw = render_road_bev(road, extent, 0.25, 11, cols).draw
+    # strips drawn in shuffled order, and overlapping spans
+    for a in rng.permutation(np.arange(0, n, 5)):
+        b = min(a + 5, n)
+        assert np.array_equal(draw.draw(a, b), full[:, a:b])
+    for a, b in ((n // 3, n), (0, n // 2 + 3), (1, 4), (n - 2, n)):
+        assert np.array_equal(draw.draw(a, b), full[:, a:b])
+    # reads in any order grow one held span, which holds those columns
+    window = render_road_bev(road, extent, 0.25, 11, cols)
+    for a in rng.permutation(n - 1):
+        block, lo = window.columns(a, a + 2)
+        hi = lo + block.shape[1]
+        assert lo <= a and a + 2 <= hi and block.flags.c_contiguous
+        assert np.array_equal(block, full[:, lo:hi])
+    assert window.draw.done
+    assert window.pixels is window.draw.block
+    assert np.array_equal(window.pixels, full)
+
+
+def test_a_read_of_held_columns_is_the_whole_window_read():
+    # Points at and between pixel centres, on the window's first and
+    # last rows and columns, read through every partly held span.
+    road, extent = RoadSpec(road_length=30.0), (0.0, 30.0, -34.0, 34.0)
+    whole = reference.render_road_bev(road, extent, 0.25, 11)
+    n_i, n_j = whole.shape
+    fi = np.concatenate([np.linspace(0.0, n_i - 1, 41), [0.0, n_i - 1.0]])
+    for a in (0, 5, 64, 100, n_j - 3, n_j - 2):
+        for fj in (np.full(fi.size, float(a)), np.full(fi.size, a + 0.5),
+                   np.linspace(a, min(a + 40.0, n_j - 1.0), fi.size)):
+            window = render_road_bev(road, extent, 0.25, 11)
+            fj = np.clip(fj, 0.0, n_j - 1.0)
+            got = window.gather(fi, fj)
+            assert not window.draw.done
+            want = interp.gather(whole.pixels, fi, fj)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_benign_run_draws_only_the_columns_it_reads(name):
+    cfg = load_config(resolve_scenario(name))
+    scene, mask = cfg.build_scene()
+    pipe, state0 = cfg.pipeline(), cfg.initial_state()
+    run = run_closed_loop(scene, mask, None, state0, cfg.duration_s, pipe,
+                          cfg.goal_m)
+    assert run.frames_evaluated == 200 and not run.truncated
+    lo, hi = scene.draw.lo, scene.draw.hi
+    assert 0 < hi - lo <= 0.4 * scene.shape[1]
+    assert scene.draw.block.shape == (scene.shape[0], hi - lo)
+    support = support_set(pipe.detector, pipe.camera)
+    for pose in _warped_states(run.states, run.steers, run.truncated):
+        fj = scene.fractional_index(*_vehicle_to_world(pose, support.xf,
+                                                        support.yf))[1]
+        assert lo <= np.floor(fj).min() and np.floor(fj).max() + 1 < hi
+    # the run read drawn grays only: every column drawn, it runs the same
+    scene.pixels
+    again = run_closed_loop(scene, mask, None, state0, cfg.duration_s, pipe,
+                            cfg.goal_m)
+    assert [dataclasses.astuple(s) for s in again.states] \
+        == [dataclasses.astuple(s) for s in run.states]
+    assert again.steers == run.steers
