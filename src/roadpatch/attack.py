@@ -368,10 +368,15 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
     gradient gives no direction: the step halves through every trial size
     and the run stops converged.  The history gains one entry per
     iteration plus one for the initial patch, so ``iterations=0`` still
-    yields a single scored entry.
+    yields a single scored entry.  A start whose first frame fails
+    detection has nothing to optimize and raises ``DetectionFailedError``.
     """
     current = patch0
     record, bd = _evaluate(scene, line_mask, current, state0, pipe, cfg)
+    if not record.frames_evaluated:
+        raise DetectionFailedError(
+            "the first frame's detection failed, so the start patch's "
+            "rollout measured nothing to optimize")
     step_size = cfg.step_size
     history = [HistoryEntry(0, bd, step_size, record.max_lateral_deviation(),
                             True)]

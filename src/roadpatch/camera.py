@@ -495,9 +495,9 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     buffer's nonzero pixels whose ground point lies within a scene pixel
     of the rectangle are found in blocks (``_blocks``) and splatted, the
     warp taps transposed into four per-tap sums over the scene rectangle
-    (:func:`~roadpatch.interp.scatter`, one block at a time), which are
-    added in tap order at the frame's end; then the composite resampling
-    is transposed onto the patch raster, its taps
+    (:func:`~roadpatch.interp.scatter`, one block at a time), whose
+    :func:`~roadpatch.interp.total` is taken at the frame's end; then the
+    composite resampling is transposed onto the patch raster, its taps
     (:func:`~roadpatch.scene.composite_taps`) computed once for every
     frame.  A pixel in two runs holds ``(0 + a) + b``, which is ``a + b``.
     A pixel left out holds ±0, which adds nothing to a tap sum that starts
@@ -537,7 +537,4 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
                     & (bj > j_lo - 1.0) & (bj < j_hi + 1.0))
             interp.scatter(sums, bi[near] - row0, bj[near] - col0,
                            band[kept[block][near]])
-        local = sums[0] + sums[1]
-        local += sums[2]
-        local += sums[3]
-        yield composite_adjoint_local(local, taps)
+        yield composite_adjoint_local(interp.total(sums), taps)

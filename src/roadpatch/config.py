@@ -26,6 +26,8 @@ import numpy as np
 
 from .attack import AttackConfig, PipelineConfig
 from .camera import (
+    MAX_HEADING,
+    MAX_LATERAL,
     CameraConfig,
     _vehicle_to_world,
     lateral_reach,
@@ -452,11 +454,20 @@ def _cross_validate(cfg: ScenarioConfig) -> None:
                           f"cells below half the {mpp} m scene pixel are "
                           f"skipped by the composite's taps")
 
-    # The first frame by the warp's own tests: the model input's rows (the
-    # rule above covers their far end), and the detector support's columns
-    # by the grid's column index, which the window offsets exactly.
-    n_x, _, origin = _grid(cfg.extent, mpp)
+    # The first frame by the warp's own tests: its pose inside the envelope
+    # that ``check_pose_bounds`` holds every frame to, the model input's
+    # rows (the rule above covers their far end), and the detector
+    # support's columns by the grid's column index, which the window
+    # offsets exactly.
     pose = cfg.initial_state()
+    if abs(pose.y) > MAX_LATERAL:
+        raise ConfigError("vehicle.start_y", f"{pose.y} m is outside the "
+                          f"warp's envelope, |y| <= {MAX_LATERAL} m")
+    if abs(pose.heading) > MAX_HEADING:
+        raise ConfigError("vehicle.start_heading", f"{pose.heading} rad is "
+                          f"outside the warp's envelope, |heading| <= "
+                          f"{MAX_HEADING} rad")
+    n_x, _, origin = _grid(cfg.extent, mpp)
     if model_input_gaps(cfg.camera, pose, origin[0], mpp, n_x)[0]:
         raise ConfigError("vehicle.start_x", "the first frame's model input "
                                              "reads behind the rendered scene")

@@ -248,9 +248,9 @@ def support_gradient(responses: np.ndarray, upstream: np.ndarray,
     weights, weighted fit) are differentiated; they are recomputed from
     ``responses`` by the same :func:`_fit_lines` the forward pass ran,
     so they are bit-identical to its values.  The sample gradients are
-    scattered through the support's taps with the same sums as a
-    full-image :func:`interp.scatter`, so the values are bit-identical to
-    that image's values on the support.
+    added through the support's taps by :func:`interp.accumulate`, on the
+    transpose kernel a full-image :func:`interp.scatter` runs, so the
+    values are bit-identical to that image's values on the support.
     """
     plan = support_set(det, cam)
     g_t = plan.M.T @ (0.5 * np.asarray(upstream, dtype=float))  # line mean

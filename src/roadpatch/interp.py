@@ -1,17 +1,18 @@
 """Bilinear interpolation primitives shared by every raster operation.
 
-The forward gather and the scatter (adjoint) are built on one tap/weight
+The read and the write (its adjoint) are built on one tap/weight
 computation, so ``<g, J d> == <J^T g, d>`` holds to floating-point
 round-off by construction rather than by tolerance tuning.
 
 Each value is one fixed sequence of float64 operations, whatever the
-input's size: a read sums its four tap products left to right in tap
-order, and a write adds each tap's products into that tap's own sums in
-point order, then adds the four sums in tap order.  So any subset of
-points, the same points in consecutive blocks, or the same taps
-remapped into a subset of a raster, gets bit-identical values.  Buffers
-are reused in place only where that leaves every operation, and the
-order of every sum, as it is.
+input's size: a read (:func:`combine`) sums its four tap products left
+to right in tap order, and every write goes through one transpose
+kernel, which adds each tap's products into that tap's own sum with
+``np.add.at``, in point order from +0.0, after which :func:`total` adds
+the four sums in tap order.  So any subset of points, the same points in
+consecutive blocks, or the same taps remapped into a subset of a raster,
+gets bit-identical values.  Buffers are reused in place only where that
+leaves every operation, and the order of every sum, as it is.
 """
 
 from __future__ import annotations
@@ -75,39 +76,37 @@ def combine(flat: np.ndarray, idx, w) -> np.ndarray:
     return out
 
 
+def _add_taps(sums: np.ndarray, idx, w, values: np.ndarray) -> None:
+    """The transpose kernel: add ``values * w[k]`` at flat ``idx[k]``
+    into ``sums[k]``, in point order (``np.add.at``)."""
+    for k in range(4):
+        np.add.at(sums[k], idx[k], values * w[k])
+
+
+def total(sums: np.ndarray) -> np.ndarray:
+    """The raster that four per-tap sums stand for, added in tap order."""
+    out = sums[0] + sums[1]
+    out += sums[2]
+    out += sums[3]
+    return out
+
+
 def scatter(sums: np.ndarray, fi: np.ndarray, fj: np.ndarray,
             values: np.ndarray) -> None:
-    """Adjoint of :func:`gather`, one block of points at a time: add
-    ``values * w[k]`` at tap ``k`` into ``sums[k]``, a row-major raster
-    of zeros or of earlier blocks' sums.
-
-    ``np.add.at`` adds in point order, so the tap sums are those one
-    ``bincount`` a tap over every block's points in order gives (each
-    starts at +0.0, so a -0.0 term reads +0.0 in both), whatever the
-    blocks; the raster is ``sums[0] + sums[1] + sums[2] + sums[3]``.
-    """
+    """Adjoint of :func:`gather`, one block of points at a time: add the
+    block into ``sums``, four per-tap rasters of zeros or of earlier
+    blocks' sums, whose :func:`total` is the raster."""
     idx, w = taps(fi, fj, sums.shape[1:])
-    values = np.asarray(values)
-    for k in range(4):
-        np.add.at(sums[k].reshape(-1), idx[k], values * w[k])
+    _add_taps(sums.reshape(4, -1), idx, w, np.asarray(values))
 
 
 def accumulate(size: int, idx, w, values: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`combine`: add ``values * w[k]`` at ``idx[k]``.
-
-    A write of precomputed taps goes through these four ``bincount``
-    calls in tap order, so scattering the same taps into a subset of a
-    raster (with remapped indices), or through :func:`scatter`, gives
-    the bit-identical sums.  A ``bincount`` sum starts at +0.0 and is
-    never -0.0, so the first one stands for itself added to zeros.
-    """
-    values = np.asarray(values).ravel()
-    part = values * w[0].ravel()
-    out = np.bincount(idx[0].ravel(), weights=part, minlength=size)
-    for k in (1, 2, 3):
-        np.multiply(values, w[k].ravel(), out=part)
-        out += np.bincount(idx[k].ravel(), weights=part, minlength=size)
-    return out
+    """Adjoint of :func:`combine`: the flat raster of ``size`` cells that
+    adds ``values * w[k]`` at ``idx[k]``, all points at once."""
+    sums = np.zeros((4, size))
+    _add_taps(sums, [i.ravel() for i in idx], [x.ravel() for x in w],
+              np.asarray(values).ravel())
+    return total(sums)
 
 
 def inside(fi: np.ndarray, fj: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -459,10 +459,9 @@ def patch_tile(scene: BevImage, patch: PatchState,
     row1, col1 = min(i_hi + 3, n_i), min(j_hi + 3, n_j)
     block, lo = scene.columns(col0, col1)
     pixels = block[row0:row1, col0 - lo:col1 - lo].copy()
-    rows, cols = _composite_indices(scene, patch, line_mask)
-    if rows.size:
-        fi, fj = _patch_fractional(scene, patch, rows, cols)
-        pixels[rows - row0, cols - col0] = interp.gather(patch.values, fi, fj)
+    at, idx, w, _ = composite_taps(scene, patch, line_mask, row0, col0,
+                                   pixels.shape)
+    pixels.reshape(-1)[at] = interp.combine(patch.values.ravel(), idx, w)
     mpp, ox = scene.meters_per_pixel, scene.origin[0]
     return PatchTile(row0, col0, pixels,
                      (ox + row0 * mpp, ox + (row1 - 1) * mpp,
@@ -487,15 +486,17 @@ def composite_patch(scene: BevImage, patch: PatchState,
 def composite_taps(scene: BevImage, patch: PatchState,
                    line_mask: np.ndarray, row0: int, col0: int,
                    local_shape: tuple[int, int]):
-    """Where the composite's adjoint reads a scene-space gradient, and the
-    patch-grid taps it adds each read to.
+    """The composite's taps: which pixels of a buffer of ``local_shape``
+    scene pixels from ``(row0, col0)`` on the patch replaces, and the
+    patch-grid taps each one reads.
 
-    The gradient covers ``local_shape`` scene pixels from ``(row0, col0)``
-    on, which must hold every pixel :func:`patch_tile` replaces.  Returns
+    The buffer must hold every pixel :func:`patch_tile` replaces.  Returns
     the replaced pixels' flat indices into that buffer, their patch-grid
-    taps and weights, and the patch shape.  They depend only on the
-    placement, the patch grid, the line mask and the buffer, so a
-    gradient pass computes them once for all of its frames.
+    taps and weights, and the patch shape.  :func:`patch_tile` writes
+    its grays through them and :func:`composite_adjoint_local` reads a
+    gradient back through them.  They depend only on the placement, the
+    patch grid, the line mask and the buffer, so a gradient pass computes
+    them once for all of its frames.
     """
     rows, cols = _composite_indices(scene, patch, line_mask)
     at = (rows - row0) * local_shape[1] + (cols - col0)
@@ -514,8 +515,6 @@ def composite_adjoint_local(local_grad: np.ndarray, taps) -> np.ndarray:
     scene rectangle.
     """
     at, idx, w, shape = taps
-    if not at.size:
-        return np.zeros(shape)
     values = np.asarray(local_grad).ravel()[at]
     return interp.accumulate(shape[0] * shape[1], idx, w,
                              values).reshape(shape)

@@ -85,7 +85,9 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
     The patch is laid over the scene once, here, as a small tile of
     composited grays (the scene is not copied), and the rollout runs on
     that tiled scene without a patch, so it keeps no gradient tape.  The
-    patch's entry frame is found afterwards from the recorded poses.  A
+    patch's entry frame is found afterwards from the recorded poses.  With
+    a ``frame_sink``, every column of the scene is drawn before the first
+    frame, once, since each whole frame reads them all.  A
     detection failure mid-run truncates the rollout; everything driven
     up to that point is still scored (a runaway that blinds the detector
     has usually already crossed the goal).
@@ -95,6 +97,8 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
     horizon = int(round(duration_s / pipe.vehicle.dt))
     bev = (scene if patch is None
            else replace(scene, tile=patch_tile(scene, patch, line_mask)))
+    if frame_sink is not None:
+        bev.columns(0, bev.shape[1])    # whole frames read every column
     record = rollout_with_patch(bev, line_mask, None, state0, horizon, pipe,
                                 frame_sink=frame_sink)
     lateral = np.array([abs(s.y) for s in record.states])

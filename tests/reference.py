@@ -4,8 +4,9 @@ Each is written from the package's own pieces, so a check built on one
 still exercises production code: the plant's ``step``, the camera model's
 constants, the detector's and the splat's gradients, the PGM reader, and
 the trajectory CSV's field list.  The exceptions are the bilinear kernel
-(``taps``, ``combine``, ``accumulate``), a plain, unfused form of
-``roadpatch.interp``'s, the footprint and gradient pass in the form
+(``taps``, ``combine``, ``accumulate``, ``scatter``), a plain, unfused
+form of ``roadpatch.interp``'s whose writes are one ``bincount`` a tap,
+not ``interp``'s ``np.add.at``, the footprint and gradient pass in the form
 that keeps one flat index per footprint pixel and stacks every frame's
 splat (``footprint_band`` to ``stacked_patch_gradient``), and the
 full-width scene (``render_road_bev``, ``lane_line_mask``) that the
@@ -208,9 +209,8 @@ def scatter(shape: tuple[int, int], fi: np.ndarray, fj: np.ndarray,
     """The adjoint of ``interp.gather`` over every point at once, as one
     ``bincount`` a tap: what the splat's per-block ``interp.scatter``
     sums must equal bit for bit."""
-    idx, w = interp.taps(fi, fj, shape)
-    return interp.accumulate(shape[0] * shape[1], idx, w,
-                             values).reshape(shape)
+    idx, w = taps(fi, fj, shape)
+    return accumulate(shape[0] * shape[1], idx, w, values).reshape(shape)
 
 
 # The footprint with one flat index per pixel, and the gradient pass that
@@ -249,11 +249,10 @@ def stacked_composite_adjoint(local_grad, row0, col0, scene, patch,
     out = np.zeros((local_grad.shape[0], shape[0] * shape[1]))
     rows, cols = _composite_indices(scene, patch, line_mask)
     if rows.size:
-        idx, w = interp.taps(*_patch_fractional(scene, patch, rows, cols),
-                             shape)
+        idx, w = taps(*_patch_fractional(scene, patch, rows, cols), shape)
         rows, cols = rows - row0, cols - col0
         for k, g in enumerate(local_grad):
-            out[k] = interp.accumulate(out.shape[1], idx, w, g[rows, cols])
+            out[k] = accumulate(out.shape[1], idx, w, g[rows, cols])
     return out.reshape((-1,) + shape)
 
 

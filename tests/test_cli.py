@@ -326,11 +326,13 @@ def test_road_length_rule_at_the_last_pixel_centre(slack, code, tmp_path,
 
 
 def test_a_run_that_evaluates_no_frame_exits_3(tmp_path, capsys):
-    # At this heading the first frame's detection fails: the run writes its
-    # report, then fails as a runtime error rather than report success.
+    # At this heading the first frame's detection fails: a run writes its
+    # report, then fails as a runtime error rather than report success;
+    # the optimizer has no start to optimize and writes nothing.
     blind = tmp_path / "blind.json"
     blind.write_text(json.dumps({"vehicle": {"start_heading": 0.1}}))
-    for command, *extra in (["benign"], ["evaluate", "--identity-patch"]):
+    for command, *extra in (["benign"], ["evaluate", "--identity-patch"],
+                            ["optimize", "--iterations", "1"]):
         out = tmp_path / command
         assert run_cli(command, blind, "--out", out, "--deterministic",
                        *extra) == 3
@@ -339,9 +341,26 @@ def test_a_run_that_evaluates_no_frame_exits_3(tmp_path, capsys):
         err = json.loads(captured.err)
         assert err["error"] == "DetectionFailedError"
         assert "measured nothing" in err["message"]
+        if command == "optimize":
+            assert not out.exists()
+            continue
         rep = read_report(out / f"{command}_report.json")
         assert rep["frames_evaluated"] == 0 and rep["truncated"] is True
         assert len(read_trajectory_csv(out / f"{command}_trajectory.csv")) == 1
+
+
+@pytest.mark.parametrize("vehicle, field", [
+    ({"start_y": 3.5}, "vehicle.start_y"),
+    ({"start_heading": 0.3}, "vehicle.start_heading")])
+def test_a_start_outside_the_warp_envelope_exits_2(tmp_path, capsys,
+                                                    vehicle, field):
+    # Refused at load, before the warp would refuse the first frame.
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps({"vehicle": vehicle}))
+    assert run_cli("benign", path, "--out", tmp_path / "out",
+                   "--deterministic") == 2
+    assert json.loads(capsys.readouterr().err)["field"] == field
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_chain(tiny, tmp_path, monkeypatch):

@@ -9,7 +9,12 @@ import pytest
 
 from reference import image_to_ground
 from roadpatch.attack import AttackConfig
-from roadpatch.camera import CameraConfig, warp_bev_to_points
+from roadpatch.camera import (
+    MAX_HEADING,
+    MAX_LATERAL,
+    CameraConfig,
+    warp_bev_to_points,
+)
 from roadpatch.config import (
     _SECTIONS,
     MAX_FRAMES,
@@ -311,6 +316,23 @@ def test_cross_checks():
     assert config_from_dict({"scene": {"y_half_extent": 25.0}}).columns \
         == (154, 846)
     assert _err({"detector": {"band_far": 200.0}}) == "detector"
+
+
+def test_a_start_outside_the_warp_envelope_is_refused_on_its_field():
+    # The warp would refuse the pose at frame 1; the loader refuses it on
+    # the field that leaves the envelope, the lateral offset first, and
+    # loads the envelope's corners.
+    assert _err({"vehicle": {"start_y": 3.5}}) == "vehicle.start_y"
+    assert _err({"vehicle": {"start_y": -3.01, "start_heading": 0.3}}) \
+        == "vehicle.start_y"
+    assert _err({"vehicle": {"start_heading": 0.3}}) == "vehicle.start_heading"
+    assert _err({"vehicle": {"start_y": 3.0, "start_heading": -0.21}}) \
+        == "vehicle.start_heading"
+    for y in (-MAX_LATERAL, MAX_LATERAL):
+        for heading in (-MAX_HEADING, MAX_HEADING):
+            pose = config_from_dict({"vehicle": {
+                "start_y": y, "start_heading": heading}}).initial_state()
+            assert (pose.y, pose.heading) == (y, heading)
 
 
 def test_scene_raster_and_frame_counts_are_capped():

@@ -1,6 +1,8 @@
 """Bilinear gather/scatter primitives."""
 
 import dataclasses
+import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,17 +17,14 @@ import reference
 
 
 def _scatter(shape, fi, fj, values, block=7):
-    """``interp.scatter`` over the points in blocks of ``block``, its tap
-    sums added in tap order as the splat adds them."""
+    """``interp.scatter`` over the points in blocks of ``block``, then
+    the splat's ``interp.total`` of the tap sums."""
     sums = np.zeros((4, *shape))
     fi, fj, values = (np.ravel(a) for a in (fi, fj, values))
     for s in range(0, fi.size, block):
         interp.scatter(sums, fi[s:s + block], fj[s:s + block],
                        values[s:s + block])
-    out = sums[0] + sums[1]
-    out += sums[2]
-    out += sums[3]
-    return out
+    return interp.total(sums)
 
 
 def test_gather_at_integer_indices_returns_exact_values():
@@ -97,6 +96,10 @@ def _kernel_cases():
     yield "1xN", (1, 6), np.zeros(11), np.linspace(0.0, 5.0, 11)
     yield "Nx1", (6, 1), np.linspace(0.0, 5.0, 11), np.zeros(11)
     yield "0-d-1x1", (1, 1), np.array(0.0), np.array(0.0)
+    yield "empty", shape, np.empty(0), np.empty(0)
+    yield "empty-1x1", (1, 1), np.empty(0), np.empty(0)
+    yield "1xN-repeats", (1, 4), np.zeros(9), np.array(
+        [3.0, 3.0, 0.5, -0.0, 2.25, 3.0, 0.0, 1.0, 2.25])
 
 
 @pytest.mark.parametrize("name, shape, fi, fj", list(_kernel_cases()),
@@ -111,16 +114,23 @@ def test_kernel_is_bit_identical_to_the_reference(name, shape, fi, fj):
     assert all(_same(a, b) for a, b in zip(idx + w, ref_idx + ref_w))
     assert _same(interp.gather(arr, fi, fj),
                  reference.combine(arr.ravel(), ref_idx, ref_w))
-    assert _same(_scatter(shape, fi, fj, values),
-                 reference.accumulate(arr.size, ref_idx, ref_w,
-                                      values).reshape(shape))
     # A zero raster and zero values make every sum a signed zero.
     zero = np.full(shape, -0.0)
     assert _same(interp.gather(zero, fi, fj),
                  reference.combine(zero.ravel(), ref_idx, ref_w))
-    assert _same(_scatter(shape, fi, fj, -0.0 * values),
-                 reference.accumulate(arr.size, ref_idx, ref_w,
-                                      -0.0 * values).reshape(shape))
+    # Every point again with a -0.0 term before and after its value, so
+    # that -0.0 terms land in empty and in nonzero sums alike.
+    fi3, fj3 = (np.repeat(np.ravel(a), 3) for a in (fi, fj))
+    with_zeros = np.repeat(np.ravel(values), 3)
+    with_zeros[0::3] = with_zeros[2::3] = -0.0
+    for pfi, pfj, vals in ((fi, fj, values), (fi, fj, -0.0 * values),
+                           (fi3, fj3, with_zeros)):
+        pidx, pw = interp.taps(pfi, pfj, shape)
+        assert _same(interp.accumulate(arr.size, pidx, pw, vals),
+                     reference.accumulate(arr.size, *reference.taps(
+                         pfi, pfj, shape), vals))
+        assert _same(_scatter(shape, pfi, pfj, vals),
+                     reference.scatter(shape, pfi, pfj, vals))
 
 
 @pytest.mark.parametrize("block", [1, 3, 64, 10_000])
@@ -136,11 +146,24 @@ def test_blockwise_scatter_equals_one_bincount_a_tap(block):
     values = rng.standard_normal(fi.size)
     values[::7] = -0.0
     values[300:] *= 1e300
-    idx, w = interp.taps(fi, fj, shape)
-    want = interp.accumulate(shape[0] * shape[1], idx, w, values)
-    assert _same(_scatter(shape, fi, fj, values, block), want.reshape(shape))
+    want = reference.scatter(shape, fi, fj, values)
+    assert _same(_scatter(shape, fi, fj, values, block), want)
     assert _same(_scatter(shape, fi, fj, -0.0 * values, block),
                  np.zeros(shape))
+
+
+def test_every_bilinear_write_goes_through_one_kernel():
+    # One transpose kernel: np.add.at only in interp, no bincount at all,
+    # and the tile's composite reads the taps its adjoint reads.
+    src = pathlib.Path(interp.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "bincount" not in text, path.name
+        assert ("add.at" in text) == (path.name == "interp.py"), path.name
+    tile = inspect.getsource(patch_tile)
+    assert "composite_taps(" in tile and "interp.combine(" in tile
+    assert "interp.taps" not in tile and "interp.gather" not in tile
+    assert "_patch_fractional" not in tile
 
 
 def _patched_run(scenario, scene, mask):

@@ -305,3 +305,28 @@ def test_a_benign_run_draws_only_the_columns_it_reads(name):
     assert [dataclasses.astuple(s) for s in again.states] \
         == [dataclasses.astuple(s) for s in run.states]
     assert again.steers == run.steers
+
+
+def test_a_run_with_a_frame_sink_draws_its_window_once(monkeypatch,
+                                                       scenario126):
+    # The tile draws the patch's strip; a frame sink's whole frames read
+    # every column, which are drawn once, before the first frame, with no
+    # support-sized draw between.
+    drawn = []
+    draw = ColumnDraw.draw
+
+    def record(self, a, b):
+        drawn.append((a, b))
+        return draw(self, a, b)
+
+    monkeypatch.setattr(ColumnDraw, "draw", record)
+    scene, mask = scenario126.build_scene()
+    frames = []
+    run = run_closed_loop(scene, mask, scenario126.identity_patch(),
+                          scenario126.initial_state(), 0.1,
+                          scenario126.pipeline(), scenario126.goal_m,
+                          frame_sink=frames.append)
+    assert run.frames_evaluated == len(frames) > 0
+    assert len(drawn) == 2 and drawn[1] == (0, scene.shape[1])
+    a, b = drawn[0]
+    assert 0 < a < b < scene.shape[1]
