@@ -13,14 +13,15 @@ rollout as fixed (no differentiation through the controller or plant);
 closing the loop again after each update is what feeds the state
 dependence back in.
 
-Every candidate patch is rolled out on the shared scene with the patch
-laid over it as a small tile of composited grays; no rollout copies the
-scene.
+Every candidate patch is rolled out on the shared scene with a small
+tile of composited grays written into it for the rollout's length; no
+rollout copies the scene.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .scene import (
     BevImage,
     PatchState,
     composite_patch,  # unused here; bench/spans.py rebinds it in this module
+    overlay,
     patch_tile,
 )
 
@@ -182,18 +184,19 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
 
     Each frame renders just the detector's pixel support.  A whole frame
     (the dense warp) is rendered only for ``frame_sink``, after its
-    detection succeeded, and is not kept.  A patch is laid over ``scene``
-    here as a :func:`~roadpatch.scene.patch_tile`, which every read of
-    the scene then sees (the scene itself is not copied), and each frame
-    keeps a :class:`FrameTape` for the gradient pass, its footprint found
-    without an image-sized mask and its grays read from the tile.  Only
-    the optimizer passes a patch; a rollout without one (the closed loop
-    brings its own tiled scene) keeps no tape.
+    detection succeeded, and is not kept.  A patch's
+    :func:`~roadpatch.scene.patch_tile` is written into ``scene``'s grays
+    for the rollout's length and taken out again when it ends, however it
+    ends (:func:`~roadpatch.scene.overlay`), so every read of the scene
+    sees the patch and the scene is not copied.  Each frame then keeps a
+    :class:`FrameTape` for the gradient pass, its footprint found without
+    an image-sized mask and its grays read from the tile.  Only the
+    optimizer passes a patch; a rollout without one (the closed loop lays
+    its own) keeps no tape.
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
-    bev = (scene if patch is None
-           else replace(scene, tile=patch_tile(scene, patch, line_mask)))
+    tile = None if patch is None else patch_tile(scene, patch, line_mask)
     cam = pipe.camera
     support = support_set(pipe.detector, cam)
 
@@ -204,25 +207,26 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     truncated = False
 
     s = state0
-    for t in range(1, horizon + 1):
-        values = warp_bev_to_points(bev, cam, s, support.xf, support.yf,
-                                    support.front)
-        try:
-            det = detect_lanes(values, pipe.detector, cam)
-        except DetectionFailedError:
-            truncated = True
-            break
-        path = desired_path(det)
-        steer = steer_from_path(path, pipe.controller, pipe.vehicle)
-        if frame_sink is not None:
-            frame_sink(warp_bev_to_camera(bev, cam, s, index=t))
-        if patch is not None:
-            tapes.append(FrameTape(det.responses,
-                                   *patch_pixels(bev, cam, s, patch)))
-        paths.append(path)
-        steers.append(steer)
-        s = step(s, steer, pipe.vehicle)
-        states.append(s)
+    with nullcontext() if tile is None else overlay(scene, tile):
+        for t in range(1, horizon + 1):
+            values = warp_bev_to_points(scene, cam, s, support.xf, support.yf,
+                                        support.front)
+            try:
+                det = detect_lanes(values, pipe.detector, cam)
+            except DetectionFailedError:
+                truncated = True
+                break
+            path = desired_path(det)
+            steer = steer_from_path(path, pipe.controller, pipe.vehicle)
+            if frame_sink is not None:
+                frame_sink(warp_bev_to_camera(scene, cam, s, index=t))
+            if tile is not None:
+                tapes.append(FrameTape(det.responses, *patch_pixels(
+                    scene, cam, s, patch, tile)))
+            paths.append(path)
+            steers.append(steer)
+            s = step(s, steer, pipe.vehicle)
+            states.append(s)
 
     return RolloutRecord(states=states, steers=steers, paths=paths,
                          tapes=tapes, truncated=truncated)

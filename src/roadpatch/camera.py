@@ -195,29 +195,16 @@ def _tile_gather(tile: PatchTile, fi, fj):
     return interp.gather(tile.pixels, fi - tile.row0, fj - tile.col0)
 
 
-def _sample_ground(bev: BevImage, fi, fj, valid, tile: PatchTile | None):
+def _sample_ground(bev: BevImage, fi, fj, valid):
     """Bilinear scene values at the clamped scene indices ``fi``, ``fj``
-    (:func:`_ground_index`), zero where not ``valid``; a read of the
-    scene raster draws the columns it touches first.
-
-    The points whose clamped raster index lies within ``tile`` (so every
-    tap with a nonzero weight does) are read from it, the rest from the
-    scene raster.  The tile reaches two pixels past every composited
-    pixel, so each point with a composited tap is read from the tile.  A
-    caller passes the scene's tile, or None only for points that cannot
-    lie in it.  Every step is elementwise, so any subset of pixels gets
-    exactly the values the full-image warp gives them.
+    (:func:`_ground_index`), zero where not ``valid``: one read of the
+    scene's grays, which draws the columns it touches first.  During a
+    patched run the patch's tile is written into those grays
+    (:func:`~roadpatch.scene.overlay`), so the read sees the patch.
+    Every step is elementwise, so any subset of pixels gets exactly the
+    values the full-image warp gives them.
     """
-    if tile is None:
-        values = bev.gather(fi, fj)
-    else:
-        n_i, n_j = tile.pixels.shape
-        hit = ((fi >= tile.row0) & (fi <= tile.row0 + n_i - 1)
-               & (fj >= tile.col0) & (fj <= tile.col0 + n_j - 1))
-        values = np.empty(fi.shape)
-        values[hit] = _tile_gather(tile, fi[hit], fj[hit])
-        miss = ~hit
-        values[miss] = bev.gather(fi[miss], fj[miss])
+    values = bev.gather(fi, fj)
     values[~valid] = 0.0
     return values
 
@@ -294,23 +281,19 @@ def warp_bev_to_camera(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     the rows above it zero, as is every pixel whose ground point lies
     outside the raster (past the road's end, or beside a column window).
 
-    The rows are warped in blocks (``_blocks``); only the blocks holding
-    a row that can see the scene's patch tile are tested against it.
+    The rows are warped in blocks (``_blocks``), each one read of the
+    scene's grays, which during a patched run hold the patch's tile.
     """
     _check_sourced(bev, cfg, pose)
     xf, yf, front = _vehicle_ground_grid(cfg)
     h, w = front.shape
     r0 = _first_ground_row(cfg)
-    seeing = (slice(0, 0) if bev.tile is None
-              else _rows_seeing(cfg, pose, bev.tile.rect))
     pixels = np.zeros((h, w))
     for block in _blocks(h - r0, w):
         rows = slice(r0 + block.start, r0 + block.stop)
-        near = rows.start < seeing.stop and seeing.start < rows.stop
         gx, gy = _vehicle_to_world(pose, xf[rows], yf[rows])
         pixels[rows] = _sample_ground(bev, *_ground_index(bev, gx, gy,
-                                                          front[rows]),
-                                      bev.tile if near else None)
+                                                          front[rows]))
     return Frame(pixels=pixels, pose=pose, index=index)
 
 
@@ -353,7 +336,7 @@ def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
         raise IncompleteModelInputError(
             "some detector-support pixels have no BEV source at pose "
             + _pose_text(pose))
-    return _sample_ground(bev, fi, fj, valid, bev.tile)
+    return _sample_ground(bev, fi, fj, valid)
 
 
 def _rows_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
@@ -374,6 +357,29 @@ def _rows_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
     return slice(r0 + max(a - 1, 0), r0 + min(b + 1, back.size))
 
 
+def _columns_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
+    """The image columns whose ground points can fall inside ``rect``,
+    clipped to the image (possibly none).
+
+    When the rect's four corners lie in front of the camera, the rect
+    projects onto the convex hull of theirs, so only columns between
+    their projections' smallest and largest ``u`` can see it; one column
+    of margin before and two past absorb round-off.  Otherwise the rect
+    reaches behind the camera, its projection is unbounded, and every
+    column is kept.
+    """
+    x_lo, x_hi, y_lo, y_hi = rect
+    ahead, left = _world_to_vehicle(pose, np.array([x_lo, x_lo, x_hi, x_hi]),
+                                    np.array([y_lo, y_hi, y_lo, y_hi]))
+    width = cfg.image_size[0]
+    depth = ahead * math.cos(cfg.pitch) + cfg.height * math.sin(cfg.pitch)
+    if not np.all(depth > _DEPTH_EPS):
+        return slice(0, width)
+    u = cfg.principal_point[0] - cfg.focal * left / depth
+    start = min(max(math.floor(u.min()) - 1, 0), width)
+    return slice(start, min(max(math.ceil(u.max()) + 2, start), width))
+
+
 def _ground_hits(cfg: CameraConfig, pose: VehicleState, rect, rows,
                  cols=slice(None)):
     """Which pixels of the block ``rows`` x ``cols`` have their ground point
@@ -388,28 +394,34 @@ def _ground_hits(cfg: CameraConfig, pose: VehicleState, rect, rows,
 
 def _footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
     """The pixels whose ground point lies inside ``rect``, as row runs,
-    and their ground points in row-major order, found on the rows that
-    can see it in blocks (``_blocks``).
+    and their ground points in row-major order, found on the rows and
+    columns that can see it (:func:`_rows_seeing`,
+    :func:`_columns_seeing`) in blocks (``_blocks``).
 
     A run is the ``(start, stop)`` flat indices of one row's hits.  In a
     row, ``xf`` and ``front`` are constant and ``yf`` falls with the
     column; :func:`_vehicle_to_world` and the four rect tests are
     monotone under round-to-nearest, so a row's hits are one interval.
+    Each tested pixel's test and ground point are the whole row's, so
+    the columns left out change no run and no bit.
     """
     rows = _rows_seeing(cfg, pose, rect)
+    cols = _columns_seeing(cfg, pose, rect)
     width = cfg.image_size[0]
+    if cols.start == cols.stop:
+        return np.empty((0, 2), np.intp), np.empty(0), np.empty(0)
     first, count = (np.empty(rows.stop - rows.start, np.intp)
                     for _ in range(2))
     parts = [(np.empty(0), np.empty(0))]
-    for block in _blocks(rows.stop - rows.start, width):
+    for block in _blocks(rows.stop - rows.start, cols.stop - cols.start):
         hit, gx, gy = _ground_hits(cfg, pose, rect,
                                    slice(rows.start + block.start,
-                                         rows.start + block.stop))
+                                         rows.start + block.stop), cols)
         hit.argmax(axis=1, out=first[block])
         np.add.reduce(hit, axis=1, dtype=np.intp, out=count[block])
         parts.append((gx[hit], gy[hit]))
     seen = np.flatnonzero(count)
-    start = (seen + rows.start) * width + first[seen]
+    start = (seen + rows.start) * width + cols.start + first[seen]
     gx, gy = (np.concatenate(p) for p in zip(*parts))
     return np.stack([start, start + count[seen]], axis=1), gx, gy
 
@@ -442,23 +454,27 @@ def patch_footprint(cfg: CameraConfig, pose: VehicleState,
 
 
 def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                 patch: PatchState) -> tuple[np.ndarray, np.ndarray]:
+                 patch: PatchState,
+                 tile: PatchTile) -> tuple[np.ndarray, np.ndarray]:
     """The patch footprint as row runs (``(start, stop)`` flat image
     indices, one per row it covers, in row order), and the warped grays
     of its pixels in that order.
 
     ``run_pixels`` of the runs equals ``np.flatnonzero(patch_footprint(...))``
-    and the grays are the dense warp's there, but no image-sized array is
-    built.  ``bev`` carries the patch as its tile, and the grays are read
-    from the tile alone, in blocks (``_blocks``): every footprint ground
-    point lies inside the patch rectangle, so all of its taps lie in the
-    tile.
+    and the grays are the dense warp's of ``bev`` with ``tile``, the
+    patch's :func:`~roadpatch.scene.patch_tile`, laid in, but no
+    image-sized array is built.  The grays are read from the tile alone,
+    in blocks (``_blocks``): every footprint ground point lies inside the
+    patch rectangle, so all of its taps lie in the tile.  The rectangle
+    may reach half a pixel past the raster's outer pixel centres; such a
+    point is clamped into the raster, and zero where the raster has no
+    source, as the dense warp does.
     """
     runs, gx, gy = _footprint_band(cfg, pose, patch.placement.rect)
     grays = np.empty(gx.shape)
     for block in _blocks(gx.size):
         fi, fj, valid = _ground_index(bev, gx[block], gy[block], True)
-        grays[block] = np.where(valid, _tile_gather(bev.tile, fi, fj), 0.0)
+        grays[block] = np.where(valid, _tile_gather(tile, fi, fj), 0.0)
     return runs, grays
 
 

@@ -13,12 +13,14 @@ A road patch is an independently rastered gray rectangle that is
 resampled onto the scene grid when composited.  Lane-line pixels are
 never overwritten, so a patch can darken or brighten pavement but cannot
 repaint the markings themselves.  The composited grays live in a small
-:class:`PatchTile` laid over the unchanged scene raster, so a patched
-scene costs the patch's area, not a copy of the scene.
+:class:`PatchTile`, which a patched run writes into the scene's own grays
+for its length and takes out again (:func:`overlay`), so a patched scene
+costs the patch's area, not a copy of the scene.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -67,13 +69,26 @@ class RoadSpec:
 class PatchTile:
     """The composited scene over a patch's index rectangle grown by two
     pixels on each side, clipped at the raster's edge: ``pixels[k, l]``
-    is scene pixel ``(row0 + k, col0 + l)``.  ``rect`` is the ground
-    rectangle its pixel centers span."""
+    is scene pixel ``(row0 + k, col0 + l)``."""
 
     row0: int
     col0: int
     pixels: np.ndarray
-    rect: tuple[float, float, float, float]
+
+    def _view(self, block: np.ndarray, lo: int) -> np.ndarray:
+        """The tile's pixels in ``block``, a row-major array whose first
+        column is raster column ``lo`` and which holds the tile's."""
+        n_i, n_j = self.pixels.shape
+        return block[self.row0:self.row0 + n_i,
+                     self.col0 - lo:self.col0 - lo + n_j]
+
+    def lay(self, block: np.ndarray, lo: int) -> None:
+        """Write the tile's grays into ``block`` (see :meth:`_view`)."""
+        self._view(block, lo)[:] = self.pixels
+
+    def cut(self, block: np.ndarray, lo: int) -> "PatchTile":
+        """A tile over the same pixels holding ``block``'s grays there."""
+        return PatchTile(self.row0, self.col0, self._view(block, lo).copy())
 
 
 class ColumnDraw:
@@ -94,6 +109,9 @@ class ColumnDraw:
         self.c0, self.lines = c0, lines
         self.block = np.empty((n_x, 0))
         self.lo = self.hi = 0
+        # While an overlay holds a tile in the block: the scene's own
+        # grays under it, whose pixels a redraw keeps
+        self.under: PatchTile | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,16 +126,21 @@ class ColumnDraw:
         span, in whole strips (``_STRIP``), drawn anew into one block:
         drawing costs a few microseconds a row and call, so one pass over
         the span beats one for each side of it, and a column drawn twice
-        holds the same bits."""
+        holds the same bits.  The grays :func:`overlay` has laid, if any,
+        are cut from the old block and laid again over the new one."""
         if self.lo <= a and b <= self.hi:
             return
         a = a // _STRIP * _STRIP
         b = min(-(-b // _STRIP) * _STRIP, self.lines.size)
         if self.lo < self.hi:
             a, b = min(a, self.lo), max(b, self.hi)
+        laid = (None if self.under is None
+                else self.under.cut(self.block, self.lo))
         # let the old block go before the new one is drawn
         self.block, self.lo, self.hi = np.empty((self.n_x, 0)), 0, 0
         self.block, self.lo, self.hi = self.draw(a, b), a, b
+        if laid is not None:
+            laid.lay(self.block, self.lo)
 
     def draw(self, a: int, b: int) -> np.ndarray:
         """Columns ``[a, b)``, drawn into a new row-major block."""
@@ -149,10 +172,10 @@ class BevImage:
     first (:meth:`gather`, :meth:`columns`), ``pixels`` is the whole
     raster with every column drawn, and ``shape`` draws nothing.
 
-    A patched scene shares the grays of the scene it was made from and
-    carries the composited patch as ``tile``: where the tile covers a
-    pixel, the patched scene's gray is the tile's, so ``pixels`` alone is
-    the scene without the patch.
+    There is one raster, patched or not: for the length of a patched run
+    :func:`overlay` writes the composited patch's tile into these grays,
+    so every read then sees the patch, and writes the scene's own grays
+    back when the run ends.
 
     The raster may be a window of a wider grid's columns: ``pixels[:, j]``
     is the grid's column ``col0 + j``, centred at ground
@@ -165,7 +188,6 @@ class BevImage:
     raster: np.ndarray | None   # (n_x, n_y) float64 gray in [0, 1]
     meters_per_pixel: float
     origin: tuple[float, float]  # ground (x, y) of pixel (0, 0) center
-    tile: PatchTile | None = None
     col0: int = 0
     grid_y: float | None = None
     draw: ColumnDraw | None = None   # draws the grays when raster is None
@@ -462,25 +484,51 @@ def patch_tile(scene: BevImage, patch: PatchState,
     at, idx, w, _ = composite_taps(scene, patch, line_mask, row0, col0,
                                    pixels.shape)
     pixels.reshape(-1)[at] = interp.combine(patch.values.ravel(), idx, w)
-    mpp, ox = scene.meters_per_pixel, scene.origin[0]
-    return PatchTile(row0, col0, pixels,
-                     (ox + row0 * mpp, ox + (row1 - 1) * mpp,
-                      scene.column_y(col0), scene.column_y(col1 - 1)))
+    return PatchTile(row0, col0, pixels)
+
+
+@contextmanager
+def overlay(scene: BevImage, tile: PatchTile):
+    """Write ``tile`` into the scene's grays for the length of the block,
+    and the grays it replaced back when the block ends, however it ends.
+
+    The grays written over are the scene's own, kept aside (the tile's
+    size), so the scene afterwards holds the bits it held before.  A
+    rendered scene draws the tile's columns first; when a read grows its
+    span while the tile is laid, the tile's grays are laid again over the
+    new block (:meth:`ColumnDraw.cover`).  Neither a block nor the tile
+    is held here across the yield: a redraw lets the old block go, and a
+    caller that keeps no other reference to the tile lets it go too, so
+    a run holds one tile-sized array beside the scene.  Overlays do not
+    nest, so a scene serves one patched run at a time.
+    """
+    span = (tile.col0, tile.col0 + tile.pixels.shape[1])
+    under = tile.cut(*scene.columns(*span))
+    tile.lay(*scene.columns(*span))
+    del tile
+    if scene.draw is not None:
+        scene.draw.under = under
+    try:
+        yield scene
+    finally:
+        if scene.draw is not None:
+            scene.draw.under = None
+        under.lay(*scene.columns(*span))
 
 
 def composite_patch(scene: BevImage, patch: PatchState,
                     line_mask: np.ndarray) -> BevImage:
     """The scene with :func:`patch_tile` pasted into a copy of its raster.
 
-    Production code reads the tile over the shared scene instead; this
-    whole-raster form serves checks and tests.  Compositing the same
-    patch twice is a no-op by construction (pure replacement).
+    Production code lays the tile into the shared scene for a run
+    instead (:func:`overlay`); this whole-raster form serves checks and
+    tests.  Compositing the same patch twice is a no-op by construction
+    (pure replacement).
     """
     tile = patch_tile(scene, patch, line_mask)
     out = scene.pixels.copy()
-    n_i, n_j = tile.pixels.shape
-    out[tile.row0:tile.row0 + n_i, tile.col0:tile.col0 + n_j] = tile.pixels
-    return replace(scene, raster=out, tile=None, draw=None)
+    tile.lay(out, 0)
+    return replace(scene, raster=out, draw=None)
 
 
 def composite_taps(scene: BevImage, patch: PatchState,

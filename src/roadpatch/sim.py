@@ -9,7 +9,8 @@ linearly between the bracketing control steps.  Runs without a patch
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .attack import PipelineConfig, rollout_with_patch
 from .camera import CameraConfig, model_input_sees
 from .errors import InvalidArgumentError
 from .motion import VehicleState
-from .scene import BevImage, PatchState, patch_tile
+from .scene import BevImage, PatchState, overlay, patch_tile
 
 
 @dataclass
@@ -82,25 +83,28 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
                     frame_sink=None) -> SimResult:
     """Drive for ``duration_s`` seconds and score the excursion.
 
-    The patch is laid over the scene once, here, as a small tile of
-    composited grays (the scene is not copied), and the rollout runs on
-    that tiled scene without a patch, so it keeps no gradient tape.  The
-    patch's entry frame is found afterwards from the recorded poses.  With
-    a ``frame_sink``, every column of the scene is drawn before the first
-    frame, once, since each whole frame reads them all.  A
-    detection failure mid-run truncates the rollout; everything driven
-    up to that point is still scored (a runaway that blinds the detector
-    has usually already crossed the goal).
+    The patch's small tile of composited grays is written into the
+    scene's grays once, here, for the run's length, and taken out again
+    when it ends, however it ends (:func:`~roadpatch.scene.overlay`; the
+    scene is not copied).  The rollout runs on that scene without a
+    patch, so it keeps no gradient tape.  The patch's entry frame is
+    found afterwards from the recorded poses.  With a ``frame_sink``,
+    every column of the scene is drawn before the first frame, once,
+    since each whole frame reads them all; the tile is laid first and
+    laid again over the drawn columns.  A detection failure mid-run
+    truncates the rollout; everything driven up to that point is still
+    scored (a runaway that blinds the detector has usually already
+    crossed the goal).
     """
     if duration_s <= 0.0:
         raise InvalidArgumentError("duration_s must be positive")
     horizon = int(round(duration_s / pipe.vehicle.dt))
-    bev = (scene if patch is None
-           else replace(scene, tile=patch_tile(scene, patch, line_mask)))
-    if frame_sink is not None:
-        bev.columns(0, bev.shape[1])    # whole frames read every column
-    record = rollout_with_patch(bev, line_mask, None, state0, horizon, pipe,
-                                frame_sink=frame_sink)
+    with (nullcontext() if patch is None
+          else overlay(scene, patch_tile(scene, patch, line_mask))):
+        if frame_sink is not None:
+            scene.columns(0, scene.shape[1])   # whole frames read every column
+        record = rollout_with_patch(scene, line_mask, None, state0, horizon,
+                                    pipe, frame_sink=frame_sink)
     lateral = np.array([abs(s.y) for s in record.states])
     entry = (None if patch is None else
              patch_entry_frame(pipe.camera, record.states,

@@ -232,13 +232,14 @@ def footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
 
 
 def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                 patch: PatchState):
-    """The footprint's sorted flat indices and the tile's grays there."""
+                 patch: PatchState, tile):
+    """The footprint's sorted flat indices, every column of the rows that
+    see the patch tested, and the tile's grays there."""
     pixels, gx, gy = footprint_band(cfg, pose, patch.placement.rect)
     grays = np.empty(gx.shape)
     for block in _blocks(gx.size):
         fi, fj, valid = _ground_index(bev, gx[block], gy[block], True)
-        grays[block] = np.where(valid, _tile_gather(bev.tile, fi, fj), 0.0)
+        grays[block] = np.where(valid, _tile_gather(tile, fi, fj), 0.0)
     return pixels, grays
 
 

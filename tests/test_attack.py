@@ -523,7 +523,7 @@ def test_footprint_runs_expand_to_the_per_pixel_footprint(name, request):
     patch = cfg.initial_patch()
     record = rollout_with_patch(scene, mask, patch, cfg.initial_state(),
                                 cfg.attack.horizon_frames, pipe)
-    tiled = dataclasses.replace(scene, tile=patch_tile(scene, patch, mask))
+    tile = patch_tile(scene, patch, mask)
     x = cfg.placement.start_x - 10.0
     corners = [VehicleState(x, y, heading, 20.0)
                for y in (-MAX_LATERAL, MAX_LATERAL)
@@ -531,8 +531,9 @@ def test_footprint_runs_expand_to_the_per_pixel_footprint(name, request):
     taped = list(zip(record.states, record.tapes))
     assert len(taped) == cfg.attack.horizon_frames
     for pose, tape in taped + [(pose, None) for pose in corners]:
-        runs, grays = patch_pixels(tiled, pipe.camera, pose, patch)
-        pixels, want = reference.patch_pixels(tiled, pipe.camera, pose, patch)
+        runs, grays = patch_pixels(scene, pipe.camera, pose, patch, tile)
+        pixels, want = reference.patch_pixels(scene, pipe.camera, pose, patch,
+                                              tile)
         assert pixels.size
         assert np.array_equal(run_pixels(runs), pixels)
         assert grays.tobytes() == want.tobytes()

@@ -10,6 +10,7 @@ from roadpatch.camera import (
     MAX_HEADING,
     MAX_LATERAL,
     CameraConfig,
+    _columns_seeing,
     _vehicle_ground_grid,
     _vehicle_to_world,
     check_pose_bounds,
@@ -311,14 +312,25 @@ def test_model_input_gaps_match_the_numpy_corner_rule():
 
 
 _BEHIND = VehicleState(40.0, 0.0, 0.0, 10.0)
+# the camera stands over the patch, two corners behind it
+_OVER = VehicleState(30.0, -2.5, -0.15, 10.0)
 # the patch lies 58-68 m ahead: across the model input's top row
 _RECT_TOP = VehicleState(-33.0, 0.5, 0.05, 10.0)
+# the patch's near end runs off the image's left or right edge
+_LEFT_EDGE = VehicleState(22.0, -1.0, 0.0, 10.0)
+_RIGHT_EDGE = VehicleState(22.0, 2.0, 0.0, 10.0)
+# one corner of the patch lies behind the camera, three in front
+_ONE_BEHIND = VehicleState(25.3, -0.5, 0.6, 10.0)
+# every corner in front, all of the patch far to the left of the image
+_OUTSIDE = VehicleState(20.0, -15.0, 0.0, 10.0)
 
 
 @pytest.mark.parametrize("pose", [ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),
-                                  VehicleState(30.0, -2.5, -0.15, 10.0),
-                                  _BEHIND, _RECT_TOP],
-                         ids=["pose0", "pose1", "pose2", "behind", "rect-top"])
+                                  _OVER, _BEHIND, _RECT_TOP, _LEFT_EDGE, _RIGHT_EDGE,
+                                  _ONE_BEHIND, _OUTSIDE],
+                         ids=["pose0", "pose1", "pose2", "behind", "rect-top",
+                              "left-edge", "right-edge", "one-behind",
+                              "outside"])
 def test_patch_footprint_matches_a_per_pixel_reference(pose):
     scene, mask = _scene()
     patch = uniform_patch(PatchPlacement(25.0, 0.3, 2.4, 10.0), 0.1, 0.45)
@@ -326,13 +338,32 @@ def test_patch_footprint_matches_a_per_pixel_reference(pose):
     x_lo, x_hi, y_lo, y_hi = patch.placement.rect
     want = front & (gx >= x_lo) & (gx <= x_hi) & (gy >= y_lo) & (gy <= y_hi)
     rows = np.flatnonzero(want.any(axis=1))
-    assert (rows.size == 0) == (pose == _BEHIND)
+    cols = np.flatnonzero(want.any(axis=0))
+    assert (rows.size == 0) == (pose in (_BEHIND, _OUTSIDE))
     if pose == _RECT_TOP:
         assert rows[0] < CAM.model_input_rect[1] <= rows[-1]
+    # the footprint is hit-tested only on the columns that can see it:
+    # all of them when a corner lies behind the camera, none when the
+    # patch projects beside the image
+    width = CAM.image_size[0]
+    tested = _columns_seeing(CAM, pose, patch.placement.rect)
+    assert tested.start <= tested.stop
+    assert (tested == slice(0, width)) == (pose in (_OVER, _BEHIND,
+                                                    _ONE_BEHIND))
+    assert (tested.start == tested.stop) == (pose == _OUTSIDE)
+    if pose == ORIGIN:
+        assert tested.stop - tested.start < width // 8
+    if pose == _LEFT_EDGE:
+        assert cols[0] == tested.start == 0 and tested.stop < width
+    if pose == _RIGHT_EDGE:
+        assert tested.start > 0 and cols[-1] == tested.stop - 1 == width - 1
+    if cols.size:
+        assert tested.start <= cols[0] and cols[-1] < tested.stop
     np.testing.assert_array_equal(patch_footprint(CAM, pose, patch), want)
     bev = composite_patch(scene, patch, mask)
-    tiled = dataclasses.replace(scene, tile=patch_tile(scene, patch, mask))
-    runs, values = patch_pixels(tiled, CAM, pose, patch)
+    runs, values = patch_pixels(scene, CAM, pose, patch,
+                                patch_tile(scene, patch, mask))
+    assert runs.shape == (rows.size, 2)
     np.testing.assert_array_equal(run_pixels(runs), np.flatnonzero(want))
     np.testing.assert_array_equal(values, _per_pixel_warp(bev, pose)[0][want])
     assert model_input_sees(CAM, pose, patch.placement.rect) == bool(

@@ -1,6 +1,5 @@
 """Bilinear gather/scatter primitives."""
 
-import dataclasses
 import inspect
 import pathlib
 
@@ -11,7 +10,7 @@ from roadpatch import interp
 from roadpatch.attack import patch_gradient, rollout_with_patch
 from roadpatch.camera import warp_bev_to_camera
 from roadpatch.detector import support_set
-from roadpatch.scene import patch_tile
+from roadpatch.scene import overlay, patch_tile
 
 import reference
 
@@ -174,8 +173,8 @@ def _patched_run(scenario, scene, mask):
     record = rollout_with_patch(scene, mask, patch, scenario.initial_state(),
                                 5, pipe)
     grad = patch_gradient(record, scenario.attack, pipe, scene, patch, mask)
-    tiled = dataclasses.replace(scene, tile=patch_tile(scene, patch, mask))
-    frame = warp_bev_to_camera(tiled, pipe.camera, record.states[2])
+    with overlay(scene, patch_tile(scene, patch, mask)):
+        frame = warp_bev_to_camera(scene, pipe.camera, record.states[2])
     return record, grad, frame.pixels
 
 

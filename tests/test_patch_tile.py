@@ -1,12 +1,14 @@
-"""A patched scene is the shared scene raster plus a small tile of
-composited grays; every read of it must equal the same read of the whole
-composited raster (``composite_patch``), bit for bit."""
+"""A patched run writes a small tile of composited grays into the shared
+scene raster for its length; every read of it must equal the same read
+of the whole composited raster (``composite_patch``), bit for bit."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
+from roadpatch.attack import rollout_with_patch
 from roadpatch.camera import (
     CameraConfig,
     patch_pixels,
@@ -23,6 +25,7 @@ from roadpatch.scene import (
     RoadSpec,
     composite_patch,
     lane_line_mask,
+    overlay,
     patch_tile,
     render_road_bev,
     uniform_patch,
@@ -32,37 +35,39 @@ from roadpatch.sim import run_closed_loop
 CAM = CameraConfig()
 
 
-def _tiled(scene, patch, mask):
-    return dataclasses.replace(scene, tile=patch_tile(scene, patch, mask))
-
-
 def _random_grays(patch, seed):
     rng = np.random.default_rng(seed)
     return patch.with_values(rng.uniform(patch.v_min, patch.v_max,
                                          patch.values.shape))
 
 
-def _assert_reads_agree(tiled, whole, patch, pose, support):
-    frame = warp_bev_to_camera(tiled, CAM, pose).pixels
+def _assert_reads_agree(scene, tile, whole, patch, pose, support):
+    """Reads of ``scene`` with ``tile`` laid in equal those of ``whole``."""
     want = warp_bev_to_camera(whole, CAM, pose).pixels
-    assert np.array_equal(frame, want)
-    assert np.array_equal(
-        warp_bev_to_points(tiled, CAM, pose, support.xf, support.yf,
-                           support.front),
-        warp_bev_to_points(whole, CAM, pose, support.xf, support.yf,
-                           support.front))
-    runs, grays = patch_pixels(tiled, CAM, pose, patch)
+    with overlay(scene, tile):
+        frame = warp_bev_to_camera(scene, CAM, pose).pixels
+        assert np.array_equal(frame, want)
+        assert np.array_equal(
+            warp_bev_to_points(scene, CAM, pose, support.xf, support.yf,
+                               support.front),
+            warp_bev_to_points(whole, CAM, pose, support.xf, support.yf,
+                               support.front))
+        runs, grays = patch_pixels(scene, CAM, pose, patch, tile)
     pixels = run_pixels(runs)
     assert np.array_equal(grays, want.ravel()[pixels])
     return pixels, grays
 
 
+def _short_road():
+    return config_from_dict({"speed_kmh": 54.0, "duration_s": 1.0,
+                             "road": {"road_length": 90.0},
+                             "patch": {"start_x": 12.0, "width": 2.0,
+                                       "length": 8.0},
+                             "attack": {"horizon_frames": 5}})
+
+
 def test_tile_reads_equal_the_composited_scene_along_a_closed_loop():
-    cfg = config_from_dict({"speed_kmh": 54.0, "duration_s": 1.0,
-                            "road": {"road_length": 90.0},
-                            "patch": {"start_x": 12.0, "width": 2.0,
-                                      "length": 8.0},
-                            "attack": {"horizon_frames": 5}})
+    cfg = _short_road()
     scene, mask = cfg.build_scene()
     patch = _random_grays(cfg.initial_patch(), 1)
     frames = []
@@ -71,14 +76,14 @@ def test_tile_reads_equal_the_composited_scene_along_a_closed_loop():
                              frame_sink=frames.append)
     assert len(frames) == result.frames_evaluated == 20
     whole = composite_patch(scene, patch, mask)
-    tiled = _tiled(scene, patch, mask)
+    tile = patch_tile(scene, patch, mask)
     support = support_set(cfg.detector, cfg.camera)
     seen = 0
     for frame, pose in zip(frames, result.states):
         assert frame.pose == pose
         assert np.array_equal(
             frame.pixels, warp_bev_to_camera(whole, CAM, pose).pixels)
-        pixels, grays = _assert_reads_agree(tiled, whole, patch, pose,
+        pixels, grays = _assert_reads_agree(scene, tile, whole, patch, pose,
                                             support)
         # the tile is read: the base scene gives other grays there
         base = warp_bev_to_camera(scene, CAM, pose).pixels.ravel()[pixels]
@@ -131,8 +136,8 @@ def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
         assert tile.row0 == 0 and tile.row0 + rows == n_i
         assert (tile.col0 == 0) if k == 0 else (tile.col0 + cols == n_j)
         whole = composite_patch(scene, patch, mask)
-        tiled = dataclasses.replace(scene, tile=tile)
-        got = warp_bev_to_points(tiled, CAM, origin, xf, yf, front)
+        with overlay(scene, tile):
+            got = warp_bev_to_points(scene, CAM, origin, xf, yf, front)
         assert np.array_equal(
             got, warp_bev_to_points(whole, CAM, origin, xf, yf, front))
         # the corners of the raster read the composited grays there
@@ -140,4 +145,100 @@ def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
         assert got[corner] == whole.pixels[-1, 0 if k == 0 else -1]
         assert got[corner] != scene.pixels[-1, 0 if k == 0 else -1]
         for pose in poses:
-            _assert_reads_agree(tiled, whole, patch, pose, support)
+            _assert_reads_agree(scene, tile, whole, patch, pose, support)
+
+
+# A patched run writes its tile into the scene's grays and must write the
+# scene's own grays back, however it ends; a rendered scene that draws
+# more columns during the run must lay the tile over them again.
+
+class _Stop(Exception):
+    pass
+
+
+def _stop_at(k):
+    def sink(frame):
+        if frame.index == k:
+            raise _Stop
+    return sink
+
+
+def _runs(cfg, patch):
+    """The patched runs, each of which takes a scene and its mask."""
+    pipe, state0 = cfg.pipeline(), cfg.initial_state()
+
+    def rollout(scene, mask):
+        rollout_with_patch(scene, mask, patch, state0, 5, pipe)
+
+    def closed_loop(scene, mask):
+        frames = []
+        run_closed_loop(scene, mask, patch, state0, cfg.duration_s, pipe,
+                        cfg.goal_m, frame_sink=frames.append)
+        assert len(frames) == 20
+
+    def raising(scene, mask):
+        with pytest.raises(_Stop):
+            rollout_with_patch(scene, mask, patch, state0, 5, pipe,
+                               frame_sink=_stop_at(3))
+
+    return {"rollout": rollout, "closed-loop": closed_loop,
+            "raises": raising}
+
+
+def _unchanged(scene, fresh):
+    """Whether every gray ``scene`` holds is ``fresh``'s, bit for bit."""
+    if scene.draw is None:
+        return scene.raster.tobytes() == fresh.pixels.tobytes()
+    draw = scene.draw
+    return (draw.under is None and draw.hi > draw.lo
+            and draw.block.tobytes() == fresh.draw.draw(draw.lo,
+                                                        draw.hi).tobytes())
+
+
+@pytest.mark.parametrize("run", ["rollout", "closed-loop", "raises"])
+@pytest.mark.parametrize("kind", ["rendered", "raster"])
+def test_a_patched_run_leaves_the_scene_grays_as_they_were(run, kind):
+    cfg = _short_road()
+    scene, mask = cfg.build_scene()
+    if kind == "raster":
+        scene = dataclasses.replace(scene, raster=scene.pixels.copy(),
+                                    draw=None)
+    patch = _random_grays(cfg.initial_patch(), 4)
+    _runs(cfg, patch)[run](scene, mask)
+    assert _unchanged(scene, cfg.build_scene()[0])
+
+
+def test_a_redraw_during_a_rollout_lays_the_tile_again():
+    # Only the tile's strip is drawn when the overlay starts; the first
+    # support read grows the drawn span, and every read after it must
+    # still see the patch, as the whole composited raster does.
+    cfg = _short_road()
+    pipe, state0 = cfg.pipeline(), cfg.initial_state()
+    scene, mask = cfg.build_scene()
+    patch = _random_grays(cfg.initial_patch(), 5)
+    strip = cfg.build_scene()[0]
+    patch_tile(strip, patch, mask)
+    got = rollout_with_patch(scene, mask, patch, state0, 5, pipe)
+    assert scene.draw.lo <= strip.draw.lo < strip.draw.hi <= scene.draw.hi
+    assert scene.draw.hi - scene.draw.lo > strip.draw.hi - strip.draw.lo
+    assert _unchanged(scene, cfg.build_scene()[0])
+    whole = composite_patch(scene, patch, mask)
+    want = rollout_with_patch(whole, mask, patch, state0, 5, pipe)
+    bare = rollout_with_patch(scene, mask, None, state0, 5, pipe)
+    assert got.states == want.states and len(got.tapes) == 5
+    for a, b in zip(got.tapes, want.tapes):
+        assert a.responses.tobytes() == b.responses.tobytes()
+        assert a.grays.tobytes() == b.grays.tobytes()
+    # the support does see the patch
+    assert got.states != bare.states
+    # and nothing holds the strip's block once a read redraws the span,
+    # nor the tile once it is laid, but its grays are laid again
+    scene, _ = cfg.build_scene()
+    tile = patch_tile(scene, patch, mask)
+    old, laid = weakref.ref(scene.draw.block), weakref.ref(tile.pixels)
+    with overlay(scene, tile):
+        del tile
+        assert laid() is None
+        scene.columns(0, scene.shape[1])
+        assert old() is None
+        assert np.array_equal(scene.draw.block, whole.pixels)

@@ -1,5 +1,10 @@
 """Closed-loop scoring: entry detection, crossing-time interpolation."""
 
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -127,3 +132,38 @@ def test_identity_patch_run_matches_the_bare_road(scenario72, scene72):
     assert ghost.attack_time is None
     assert ghost.states == bare.states
     assert ghost.steers == bare.steers
+
+
+_STEADY_FAULTS = """
+import resource
+from roadpatch.config import load_config, resolve_scenario
+from roadpatch.sim import run_closed_loop
+cfg = load_config(resolve_scenario("highway-72"))
+scene, mask = cfg.build_scene()
+pipe, state0 = cfg.pipeline(), cfg.initial_state()
+def run():
+    return run_closed_loop(scene, mask, None, state0, cfg.duration_s, pipe,
+                           cfg.goal_m).frames_evaluated
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+frames = sum(run() for _ in range(3))
+print(frames, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the fault count depends on glibc malloc")
+def test_steady_benign_frames_take_no_page_faults():
+    # Once a run has drawn its columns, a frame's temporaries must come
+    # from the heap glibc malloc keeps.  Its mmap and trim thresholds
+    # grow when a large block is freed, as the setup's temporaries are;
+    # left at their defaults, every frame maps and unmaps its arrays (a
+    # prototype measured about 99 minor faults a frame, and half the
+    # speed).  Steady frames take about 0.03 each.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _STEADY_FAULTS], env=env,
+                          capture_output=True, text=True, check=True)
+    frames, faults = map(int, done.stdout.split())
+    assert frames == 600
+    assert faults < frames, f"{faults} minor page faults in {frames} frames"

@@ -3,6 +3,7 @@ rollout can read, drawn and read bit for bit as the full-width grid.  A
 column is drawn on its first read, so a run draws only the columns it
 reads, in whatever order, and they are the same bits."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -27,6 +28,7 @@ from roadpatch.scene import (
     ColumnDraw,
     RoadSpec,
     lane_line_mask,
+    overlay,
     patch_tile,
     render_road_bev,
 )
@@ -178,16 +180,16 @@ def test_dense_frames_are_the_full_width_frame_inside_the_window(
     full, full_mask = _full_width(scenario72)
     patch = _patches(scenario72)[1]
     cam = scenario72.camera
-    for window, whole in (
-            (scene, full),
-            (dataclasses.replace(scene, tile=patch_tile(scene, patch, mask)),
-             dataclasses.replace(full, tile=patch_tile(full, patch,
-                                                       full_mask)))):
-        got = warp_bev_to_camera(window, cam, pose).pixels
-        want = warp_bev_to_camera(whole, cam, pose).pixels
+    for tiles in ((), (patch_tile(scene, patch, mask),
+                       patch_tile(full, patch, full_mask))):
+        with contextlib.ExitStack() as laid:
+            for bev, tile in zip((scene, full), tiles):
+                laid.enter_context(overlay(bev, tile))
+            got = warp_bev_to_camera(scene, cam, pose).pixels
+            want = warp_bev_to_camera(full, cam, pose).pixels
         gx, gy, front = pixel_ground_points(cam, pose)
-        inside = front & interp.inside(*window.fractional_index(gx, gy),
-                                       window.pixels.shape)
+        inside = front & interp.inside(*scene.fractional_index(gx, gy),
+                                       scene.pixels.shape)
         assert np.array_equal(got[inside], want[inside])
         assert np.all(got[~inside] == 0.0)
         # the frame does reach past the window, where the full width is lit
