@@ -187,16 +187,15 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     detection succeeded, and is not kept.  A patch's
     :func:`~roadpatch.scene.patch_tile` is written into ``scene``'s grays
     for the rollout's length and taken out again when it ends, however it
-    ends (:func:`~roadpatch.scene.overlay`), so every read of the scene
-    sees the patch and the scene is not copied.  Each frame then keeps a
-    :class:`FrameTape` for the gradient pass, its footprint found without
-    an image-sized mask and its grays read from the tile.  Only the
-    optimizer passes a patch; a rollout without one (the closed loop lays
-    its own) keeps no tape.
+    ends (:func:`~roadpatch.scene.overlay`), so every read of the scene,
+    support, footprint or whole frame, sees the patch and the scene is
+    not copied.  Each frame then keeps a :class:`FrameTape` for the
+    gradient pass, its footprint found without an image-sized mask.  Only
+    the optimizer passes a patch; a rollout without one (the closed loop
+    lays its own) keeps no tape.
     """
     if horizon < 1:
         raise InvalidArgumentError("horizon must be >= 1")
-    tile = None if patch is None else patch_tile(scene, patch, line_mask)
     cam = pipe.camera
     support = support_set(pipe.detector, cam)
 
@@ -207,7 +206,8 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     truncated = False
 
     s = state0
-    with nullcontext() if tile is None else overlay(scene, tile):
+    with (nullcontext() if patch is None
+          else overlay(scene, patch_tile(scene, patch, line_mask))):
         for t in range(1, horizon + 1):
             values = warp_bev_to_points(scene, cam, s, support.xf, support.yf,
                                         support.front)
@@ -220,9 +220,9 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
             steer = steer_from_path(path, pipe.controller, pipe.vehicle)
             if frame_sink is not None:
                 frame_sink(warp_bev_to_camera(scene, cam, s, index=t))
-            if tile is not None:
+            if patch is not None:
                 tapes.append(FrameTape(det.responses, *patch_pixels(
-                    scene, cam, s, patch, tile)))
+                    scene, cam, s, patch)))
             paths.append(path)
             steers.append(steer)
             s = step(s, steer, pipe.vehicle)

@@ -40,7 +40,6 @@ from .motion import VehicleState
 from .scene import (
     BevImage,
     PatchState,
-    PatchTile,
     _rect_index_ranges,
     composite_adjoint_local,
     composite_taps,
@@ -181,18 +180,6 @@ def _ground_index(bev: BevImage, gx, gy, front):
     n_i, n_j = bev.shape
     valid = front & interp.inside(fi, fj, (n_i, n_j))
     return np.clip(fi, 0.0, n_i - 1), np.clip(fj, 0.0, n_j - 1), valid
-
-
-def _tile_gather(tile: PatchTile, fi, fj):
-    """Bilinear read of the tile at clamped scene indices inside it.
-
-    Shifting an index by the tile's integer offset is exact in float64,
-    so a point reads the taps and weights it reads in the scene, and
-    ``interp.combine`` sums them in the same order.  At the tile's last
-    row or column that is not the raster's, the one tap with nonzero
-    weight is the same in both, and the zero-weight terms add nothing.
-    """
-    return interp.gather(tile.pixels, fi - tile.row0, fj - tile.col0)
 
 
 def _sample_ground(bev: BevImage, fi, fj, valid):
@@ -454,27 +441,26 @@ def patch_footprint(cfg: CameraConfig, pose: VehicleState,
 
 
 def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                 patch: PatchState,
-                 tile: PatchTile) -> tuple[np.ndarray, np.ndarray]:
+                 patch: PatchState) -> tuple[np.ndarray, np.ndarray]:
     """The patch footprint as row runs (``(start, stop)`` flat image
     indices, one per row it covers, in row order), and the warped grays
     of its pixels in that order.
 
     ``run_pixels`` of the runs equals ``np.flatnonzero(patch_footprint(...))``
-    and the grays are the dense warp's of ``bev`` with ``tile``, the
-    patch's :func:`~roadpatch.scene.patch_tile`, laid in, but no
-    image-sized array is built.  The grays are read from the tile alone,
-    in blocks (``_blocks``): every footprint ground point lies inside the
-    patch rectangle, so all of its taps lie in the tile.  The rectangle
-    may reach half a pixel past the raster's outer pixel centres; such a
-    point is clamped into the raster, and zero where the raster has no
-    source, as the dense warp does.
+    and the grays are the dense warp's of ``bev``, but no image-sized
+    array is built.  During a patched run the scene's grays hold the
+    patch's tile (:func:`~roadpatch.scene.overlay`), so the grays are the
+    patched ones.  They are read from the scene in blocks (``_blocks``),
+    with the taps, weights, clamp and validity test of the support and
+    the dense warp (:func:`_sample_ground`): the patch rectangle may
+    reach half a pixel past the raster's outer pixel centres, and such a
+    point is clamped into the raster, zero where it has no source.
     """
     runs, gx, gy = _footprint_band(cfg, pose, patch.placement.rect)
     grays = np.empty(gx.shape)
     for block in _blocks(gx.size):
-        fi, fj, valid = _ground_index(bev, gx[block], gy[block], True)
-        grays[block] = np.where(valid, _tile_gather(tile, fi, fj), 0.0)
+        grays[block] = _sample_ground(bev, *_ground_index(
+            bev, gx[block], gy[block], True))
     return runs, grays
 
 

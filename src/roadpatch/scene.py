@@ -5,9 +5,11 @@ above.  Geometry lives in road coordinates: x forward along the lane,
 y positive to the left, units in meters.  Raster rows follow x and
 columns follow y; ``origin`` is the ground position of the center of
 pixel (0, 0).  A raster may hold only a window of its grid's columns,
-drawn bit for bit as the whole grid would draw them.  A rendered raster
-draws its columns on first read and holds only those, so a run takes
-memory only for the columns it reads.
+drawn bit for bit as the whole grid would draw them.  Every raster keeps
+its grays in a :class:`ColumnDraw`: a rendered one draws its columns on
+first read and holds only those, so a run takes memory only for the
+columns it reads, and a raster given whole holds every column from the
+start.
 
 A road patch is an independently rastered gray rectangle that is
 resampled onto the scene grid when composited.  Lane-line pixels are
@@ -113,6 +115,14 @@ class ColumnDraw:
         # grays under it, whose pixels a redraw keeps
         self.under: PatchTile | None = None
 
+    @classmethod
+    def holding(cls, block: np.ndarray) -> "ColumnDraw":
+        """A raster given whole, such as :func:`composite_patch`'s: its span
+        is already every column of ``block``, so it has no road to draw."""
+        held = cls(None, 0, *block.shape, 0, np.zeros(block.shape[1], bool))
+        held.block, held.hi = block, block.shape[1]
+        return held
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.n_x, self.lines.size
@@ -167,10 +177,11 @@ class ColumnDraw:
 class BevImage:
     """Ground-plane raster with its resolution and placement metadata.
 
-    The grays are ``raster``, or, for a rendered scene, the columns
-    ``draw`` has drawn so far; every read draws the columns it touches
-    first (:meth:`gather`, :meth:`columns`), ``pixels`` is the whole
-    raster with every column drawn, and ``shape`` draws nothing.
+    The grays are the columns ``draw`` holds; every read draws the columns
+    it touches first (:meth:`gather`, :meth:`columns`), ``pixels`` is the
+    whole raster with every column drawn, and ``shape`` draws nothing.  A
+    raster given whole (:meth:`ColumnDraw.holding`) holds every column, so
+    no read of it draws.
 
     There is one raster, patched or not: for the length of a patched run
     :func:`overlay` writes the composited patch's tile into these grays,
@@ -185,12 +196,11 @@ class BevImage:
     the whole grid reads there.  ``grid_y`` defaults to ``origin[1]``.
     """
 
-    raster: np.ndarray | None   # (n_x, n_y) float64 gray in [0, 1]
+    draw: ColumnDraw             # its (n_x, n_y) float64 grays in [0, 1]
     meters_per_pixel: float
     origin: tuple[float, float]  # ground (x, y) of pixel (0, 0) center
     col0: int = 0
     grid_y: float | None = None
-    draw: ColumnDraw | None = None   # draws the grays when raster is None
 
     def __post_init__(self):
         if self.grid_y is None:
@@ -200,7 +210,7 @@ class BevImage:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.raster.shape if self.draw is None else self.draw.shape
+        return self.draw.shape
 
     @property
     def pixels(self) -> np.ndarray:
@@ -211,8 +221,6 @@ class BevImage:
     def columns(self, a: int, b: int) -> tuple[np.ndarray, int]:
         """A row-major array that holds at least raster columns ``[a, b)``
         (drawn first), and the raster column its first column is."""
-        if self.draw is None:
-            return self.raster, 0
         self.draw.cover(a, b)
         return self.draw.block, self.draw.lo
 
@@ -223,8 +231,6 @@ class BevImage:
         point reads the taps and weights it reads in the whole raster,
         summed in the same order."""
         draw = self.draw
-        if draw is None:
-            return interp.gather(self.raster, fi, fj)
         if not draw.done and fj.size:
             # a point's first tap column is floor(fj), clipped as taps does
             last = max(draw.shape[1] - 2, 0)
@@ -404,11 +410,11 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
     c0, c1 = _columns(cols, n_y)
     ys = origin[1] + np.arange(c0, c1) * meters_per_pixel
-    return BevImage(raster=None, meters_per_pixel=meters_per_pixel,
+    return BevImage(ColumnDraw(road, seed, n_x, n_y, c0,
+                               _line_columns(road, ys)),
+                    meters_per_pixel=meters_per_pixel,
                     origin=(origin[0], origin[1] + c0 * meters_per_pixel),
-                    col0=c0, grid_y=origin[1],
-                    draw=ColumnDraw(road, seed, n_x, n_y, c0,
-                                    _line_columns(road, ys)))
+                    col0=c0, grid_y=origin[1])
 
 
 def lane_line_mask(road: RoadSpec, extent, meters_per_pixel: float,
@@ -493,8 +499,8 @@ def overlay(scene: BevImage, tile: PatchTile):
     and the grays it replaced back when the block ends, however it ends.
 
     The grays written over are the scene's own, kept aside (the tile's
-    size), so the scene afterwards holds the bits it held before.  A
-    rendered scene draws the tile's columns first; when a read grows its
+    size), so the scene afterwards holds the bits it held before.  The
+    scene draws the tile's columns first; when a read grows its drawn
     span while the tile is laid, the tile's grays are laid again over the
     new block (:meth:`ColumnDraw.cover`).  Neither a block nor the tile
     is held here across the yield: a redraw lets the old block go, and a
@@ -506,29 +512,28 @@ def overlay(scene: BevImage, tile: PatchTile):
     under = tile.cut(*scene.columns(*span))
     tile.lay(*scene.columns(*span))
     del tile
-    if scene.draw is not None:
-        scene.draw.under = under
+    scene.draw.under = under
     try:
         yield scene
     finally:
-        if scene.draw is not None:
-            scene.draw.under = None
+        scene.draw.under = None
         under.lay(*scene.columns(*span))
 
 
 def composite_patch(scene: BevImage, patch: PatchState,
                     line_mask: np.ndarray) -> BevImage:
-    """The scene with :func:`patch_tile` pasted into a copy of its raster.
+    """The scene with :func:`patch_tile` pasted into a copy of its whole
+    raster, held whole (:meth:`ColumnDraw.holding`).
 
     Production code lays the tile into the shared scene for a run
-    instead (:func:`overlay`); this whole-raster form serves checks and
-    tests.  Compositing the same patch twice is a no-op by construction
-    (pure replacement).
+    instead (:func:`overlay`); this copy serves checks and tests.
+    Compositing the same patch twice is a no-op by construction (pure
+    replacement).
     """
     tile = patch_tile(scene, patch, line_mask)
     out = scene.pixels.copy()
     tile.lay(out, 0)
-    return replace(scene, raster=out, draw=None)
+    return replace(scene, draw=ColumnDraw.holding(out))
 
 
 def composite_taps(scene: BevImage, patch: PatchState,

@@ -8,10 +8,13 @@ the trajectory CSV's field list.  The exceptions are the bilinear kernel
 form of ``roadpatch.interp``'s whose writes are one ``bincount`` a tap,
 not ``interp``'s ``np.add.at``, the footprint and gradient pass in the form
 that keeps one flat index per footprint pixel and stacks every frame's
-splat (``footprint_band`` to ``stacked_patch_gradient``), and the
-full-width scene (``render_road_bev``, ``lane_line_mask``) that the
-production scene is a column window of; production must match all three
-bit for bit.
+splat (``footprint_band`` to ``stacked_patch_gradient``), whose
+footprint grays are read from ``composite_patch``'s whole raster with
+the plain kernel, not from the overlaid scene, and the full-width scene
+(``render_road_bev``, ``lane_line_mask``) that the production scene is a
+column window of; production must match all three bit for bit.  A raster
+given whole here (``load_bev``, ``render_road_bev``) is held whole, by
+``ColumnDraw.holding``, as production holds a composited raster.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from roadpatch.camera import (
     _ground_hits,
     _ground_index,
     _rows_seeing,
-    _tile_gather,
     _vehicle_ground_grid,
     _vehicle_to_world,
     splat_camera_to_bev,
@@ -51,6 +53,7 @@ from roadpatch.motion import VehicleParams, VehicleState, clamp_steer, step
 from roadpatch.pgmio import _sidecar_path, read_pgm
 from roadpatch.scene import (
     BevImage,
+    ColumnDraw,
     PatchState,
     RoadSpec,
     _composite_indices,
@@ -150,7 +153,7 @@ def load_bev(path) -> BevImage:
     meta = json.loads(_sidecar_path(path).read_text())
     if meta.get("kind") != "bev":
         raise InvalidArgumentError(f"{path} sidecar does not describe a scene")
-    return BevImage(raster=read_pgm(path),
+    return BevImage(ColumnDraw.holding(read_pgm(path)),
                     meters_per_pixel=float(meta["meters_per_pixel"]),
                     origin=(float(meta["origin"][0]), float(meta["origin"][1])))
 
@@ -231,16 +234,16 @@ def footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def patch_pixels(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
-                 patch: PatchState, tile):
+def patch_pixels(whole: BevImage, cfg: CameraConfig, pose: VehicleState,
+                 patch: PatchState):
     """The footprint's sorted flat indices, every column of the rows that
-    see the patch tested, and the tile's grays there."""
+    see the patch tested, and the grays there of ``whole``, the patch's
+    ``composite_patch``, read at once with the plain kernel."""
     pixels, gx, gy = footprint_band(cfg, pose, patch.placement.rect)
-    grays = np.empty(gx.shape)
-    for block in _blocks(gx.size):
-        fi, fj, valid = _ground_index(bev, gx[block], gy[block], True)
-        grays[block] = np.where(valid, _tile_gather(tile, fi, fj), 0.0)
-    return pixels, grays
+    fi, fj, valid = _ground_index(whole, gx, gy, True)
+    raster = whole.pixels
+    grays = combine(raster.ravel(), *taps(fi, fj, raster.shape))
+    return pixels, np.where(valid, grays, 0.0)
 
 
 def stacked_composite_adjoint(local_grad, row0, col0, scene, patch,
@@ -342,8 +345,8 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
     else:
         pixels = np.full((n_x, n_y), road.asphalt_intensity)
     pixels[:, line_cols] = road.line_intensity
-    return BevImage(raster=pixels, meters_per_pixel=meters_per_pixel,
-                    origin=origin)
+    return BevImage(ColumnDraw.holding(pixels),
+                    meters_per_pixel=meters_per_pixel, origin=origin)
 
 
 def lane_line_mask(road: RoadSpec, extent,

@@ -278,3 +278,35 @@ def test_optimize_is_bit_reproducible(record_check, tmp_path):
               f"history.csv identical={same_history}")
     record_check("optimize runs are byte-reproducible", ok, detail)
     assert ok, detail
+
+
+def test_attack_across_frame_phases(record_check, scenario72, scenario126,
+                                    attack72, attack126):
+    # The headline attack times are measured at one frame phase.  Each
+    # optimized patch is evaluated again from ten starts moved back by
+    # k/10 of a frame's travel; only the benign runs are held to a bound.
+    details = []
+    ok = True
+    for cfg, run in ((scenario72, attack72), (scenario126, attack126)):
+        patch = load_patch(run["out"] / "patch.pgm")
+        scene, mask = cfg.build_scene()
+        pipe, state0 = cfg.pipeline(), cfg.initial_state()
+        travel = state0.speed * pipe.vehicle.dt
+        cells, reached, benign = [], 0, 0.0
+        for k in range(10):
+            start = dataclasses.replace(state0, x=state0.x - k / 10 * travel)
+            bare = run_closed_loop(scene, mask, None, start, cfg.duration_s,
+                                   pipe, cfg.goal_m)
+            benign = max(benign, bare.max_lateral_deviation)
+            hit = run_closed_loop(scene, mask, patch, start, cfg.duration_s,
+                                  pipe, cfg.goal_m)
+            reached += hit.succeeded
+            when = "-" if hit.attack_time is None else f"{hit.attack_time:.3f}s"
+            cells.append(f"{k / 10:.1f}:{hit.max_lateral_deviation:.2f}m/"
+                         f"{when}")
+        ok &= benign < 0.1
+        details.append(f"{cfg.speed_kmh:.0f}km/h goal at {reached}/10 phases "
+                       f"[{' '.join(cells)}] benign max|y|={benign:.2e}m")
+    record_check("attack across ten frame phases (benign centred at each)",
+                 ok, "; ".join(details))
+    assert ok, details

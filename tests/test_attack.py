@@ -35,7 +35,7 @@ from roadpatch.config import config_from_dict
 from roadpatch.detector import desired_path, detect_lanes, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
 from roadpatch.motion import VehicleState
-from roadpatch.scene import patch_tile
+from roadpatch.scene import composite_patch, overlay, patch_tile
 from roadpatch.sim import run_closed_loop
 
 from reference import (
@@ -515,7 +515,8 @@ def test_footprint_runs_expand_to_the_per_pixel_footprint(name, request):
     # A row's footprint pixels are one interval, so one run a row holds
     # them: at every pose of an initial-patch rollout, and at the corners
     # of the pose envelope, the runs expand to the per-pixel indices and
-    # the grays are the per-pixel ones.
+    # the grays are the per-pixel ones, read from the scene with the
+    # patch's tile laid in.
     cfg = request.getfixturevalue(name)
     scene, mask = cfg.build_scene()
     pipe = cfg.pipeline()
@@ -523,7 +524,7 @@ def test_footprint_runs_expand_to_the_per_pixel_footprint(name, request):
     patch = cfg.initial_patch()
     record = rollout_with_patch(scene, mask, patch, cfg.initial_state(),
                                 cfg.attack.horizon_frames, pipe)
-    tile = patch_tile(scene, patch, mask)
+    whole = composite_patch(scene, patch, mask)
     x = cfg.placement.start_x - 10.0
     corners = [VehicleState(x, y, heading, 20.0)
                for y in (-MAX_LATERAL, MAX_LATERAL)
@@ -531,9 +532,9 @@ def test_footprint_runs_expand_to_the_per_pixel_footprint(name, request):
     taped = list(zip(record.states, record.tapes))
     assert len(taped) == cfg.attack.horizon_frames
     for pose, tape in taped + [(pose, None) for pose in corners]:
-        runs, grays = patch_pixels(scene, pipe.camera, pose, patch, tile)
-        pixels, want = reference.patch_pixels(scene, pipe.camera, pose, patch,
-                                              tile)
+        with overlay(scene, patch_tile(scene, patch, mask)):
+            runs, grays = patch_pixels(scene, pipe.camera, pose, patch)
+        pixels, want = reference.patch_pixels(whole, pipe.camera, pose, patch)
         assert pixels.size
         assert np.array_equal(run_pixels(runs), pixels)
         assert grays.tobytes() == want.tobytes()

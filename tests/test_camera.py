@@ -41,6 +41,7 @@ from roadpatch.scene import (
     composite_patch,
     composite_taps,
     lane_line_mask,
+    overlay,
     patch_tile,
     render_road_bev,
     uniform_patch,
@@ -361,8 +362,8 @@ def test_patch_footprint_matches_a_per_pixel_reference(pose):
         assert tested.start <= cols[0] and cols[-1] < tested.stop
     np.testing.assert_array_equal(patch_footprint(CAM, pose, patch), want)
     bev = composite_patch(scene, patch, mask)
-    runs, values = patch_pixels(scene, CAM, pose, patch,
-                                patch_tile(scene, patch, mask))
+    with overlay(scene, patch_tile(scene, patch, mask)):
+        runs, values = patch_pixels(scene, CAM, pose, patch)
     assert runs.shape == (rows.size, 2)
     np.testing.assert_array_equal(run_pixels(runs), np.flatnonzero(want))
     np.testing.assert_array_equal(values, _per_pixel_warp(bev, pose)[0][want])

@@ -1,5 +1,6 @@
 """Bilinear gather/scatter primitives."""
 
+import dataclasses
 import inspect
 import pathlib
 
@@ -8,9 +9,9 @@ import pytest
 
 from roadpatch import interp
 from roadpatch.attack import patch_gradient, rollout_with_patch
-from roadpatch.camera import warp_bev_to_camera
+from roadpatch.camera import patch_pixels, warp_bev_to_camera
 from roadpatch.detector import support_set
-from roadpatch.scene import overlay, patch_tile
+from roadpatch.scene import BevImage, overlay, patch_tile
 
 import reference
 
@@ -163,6 +164,21 @@ def test_every_bilinear_write_goes_through_one_kernel():
     assert "composite_taps(" in tile and "interp.combine(" in tile
     assert "interp.taps" not in tile and "interp.gather" not in tile
     assert "_patch_fractional" not in tile
+
+
+def test_one_scene_kind_and_one_footprint_read():
+    # Every scene keeps its grays in its ColumnDraw, and the footprint
+    # reads them through the read the support and the dense warp use.
+    src = pathlib.Path(interp.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for word in ("raster:", "raster=", ".raster", "draw is None",
+                     "draw is not None", "_tile_gather"):
+            assert word not in text, (path.name, word)
+    assert "raster" not in {f.name for f in dataclasses.fields(BevImage)}
+    assert list(inspect.signature(patch_pixels).parameters) == [
+        "bev", "cfg", "pose", "patch"]
+    assert "_sample_ground(" in inspect.getsource(patch_pixels)
 
 
 def _patched_run(scenario, scene, mask):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from roadpatch.attack import rollout_with_patch
+from roadpatch import interp
 from roadpatch.camera import (
     CameraConfig,
+    _footprint_band,
     patch_pixels,
     run_pixels,
     warp_bev_to_camera,
@@ -21,6 +23,7 @@ from roadpatch.detector import DetectorConfig, support_set
 from roadpatch.errors import IncompleteModelInputError
 from roadpatch.motion import VehicleState
 from roadpatch.scene import (
+    ColumnDraw,
     PatchPlacement,
     RoadSpec,
     composite_patch,
@@ -52,9 +55,9 @@ def _assert_reads_agree(scene, tile, whole, patch, pose, support):
                                support.front),
             warp_bev_to_points(whole, CAM, pose, support.xf, support.yf,
                                support.front))
-        runs, grays = patch_pixels(scene, CAM, pose, patch, tile)
+        runs, grays = patch_pixels(scene, CAM, pose, patch)
     pixels = run_pixels(runs)
-    assert np.array_equal(grays, want.ravel()[pixels])
+    assert grays.tobytes() == frame.ravel()[pixels].tobytes()
     return pixels, grays
 
 
@@ -145,7 +148,14 @@ def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
         assert got[corner] == whole.pixels[-1, 0 if k == 0 else -1]
         assert got[corner] != scene.pixels[-1, 0 if k == 0 else -1]
         for pose in poses:
-            _assert_reads_agree(scene, tile, whole, patch, pose, support)
+            pixels, _ = _assert_reads_agree(scene, tile, whole, patch, pose,
+                                            support)
+            # the footprint reaches past the outer column centres, where
+            # its points are clamped into the raster
+            fj = scene.fractional_index(*_footprint_band(
+                CAM, pose, placement.rect)[1:])[1]
+            assert pixels.size
+            assert fj.min() < 0.0 if k == 0 else fj.max() > n_j - 1
 
 
 # A patched run writes its tile into the scene's grays and must write the
@@ -187,8 +197,6 @@ def _runs(cfg, patch):
 
 def _unchanged(scene, fresh):
     """Whether every gray ``scene`` holds is ``fresh``'s, bit for bit."""
-    if scene.draw is None:
-        return scene.raster.tobytes() == fresh.pixels.tobytes()
     draw = scene.draw
     return (draw.under is None and draw.hi > draw.lo
             and draw.block.tobytes() == fresh.draw.draw(draw.lo,
@@ -201,11 +209,68 @@ def test_a_patched_run_leaves_the_scene_grays_as_they_were(run, kind):
     cfg = _short_road()
     scene, mask = cfg.build_scene()
     if kind == "raster":
-        scene = dataclasses.replace(scene, raster=scene.pixels.copy(),
-                                    draw=None)
+        scene = dataclasses.replace(
+            scene, draw=ColumnDraw.holding(scene.pixels.copy()))
     patch = _random_grays(cfg.initial_patch(), 4)
     _runs(cfg, patch)[run](scene, mask)
     assert _unchanged(scene, cfg.build_scene()[0])
+
+
+def test_a_held_raster_is_never_drawn(monkeypatch):
+    # composite_patch's raster holds every column from the start, so no
+    # read of it draws: not a gather, a column read, its pixels, nor a
+    # patched run laid over it.
+    cfg = _short_road()
+    pipe, state0 = cfg.pipeline(), cfg.initial_state()
+    scene, mask = cfg.build_scene()
+    whole = composite_patch(scene, _random_grays(cfg.initial_patch(), 6),
+                            mask)
+    held = whole.pixels.copy()
+
+    def refuse(self, a, b):
+        raise AssertionError(f"a held raster drew columns [{a}, {b})")
+
+    monkeypatch.setattr(ColumnDraw, "draw", refuse)
+    assert whole.draw.done
+    n_i, n_j = whole.shape
+    fi = np.array([0.0, n_i - 1.0, 3.5, 100.25])
+    fj = np.array([0.0, n_j - 1.0, 7.25, 0.5])
+    assert whole.gather(fi, fj).tobytes() \
+        == interp.gather(held, fi, fj).tobytes()
+    block, lo = whole.columns(3, 40)
+    assert lo == 0 and block is whole.pixels is whole.draw.block
+    other = _random_grays(cfg.initial_patch(), 7)
+    with overlay(whole, patch_tile(whole, other, mask)):
+        laid = whole.pixels.copy()
+        warp_bev_to_camera(whole, CAM, state0)
+    record = rollout_with_patch(whole, mask, other, state0, 5, pipe)
+    assert len(record.tapes) == 5 and record.tapes[0].grays.size
+    again = composite_patch(whole, other, mask)
+    assert again.pixels.tobytes() == laid.tobytes()
+    assert not np.array_equal(laid, held)
+    assert whole.pixels.tobytes() == held.tobytes()
+
+
+def test_footprint_grays_are_the_dense_warp_along_a_patched_closed_loop(
+        scenario126):
+    # At every pose of a patched highway-126 closed loop, the footprint's
+    # grays are the dense warp's of the scene with the tile laid in.
+    cfg = scenario126
+    scene, mask = cfg.build_scene()
+    patch = _random_grays(cfg.initial_patch(), 8)
+    result = run_closed_loop(scene, mask, patch, cfg.initial_state(),
+                             cfg.duration_s, cfg.pipeline(), cfg.goal_m)
+    seen = 0
+    with overlay(scene, patch_tile(scene, patch, mask)):
+        for pose in result.states[:result.frames_evaluated]:
+            runs, grays = patch_pixels(scene, cfg.camera, pose, patch)
+            if not grays.size:
+                continue
+            dense = warp_bev_to_camera(scene, cfg.camera, pose).pixels
+            assert grays.tobytes() \
+                == dense.ravel()[run_pixels(runs)].tobytes()
+            seen += 1
+    assert seen >= 30
 
 
 def test_a_redraw_during_a_rollout_lays_the_tile_again():

@@ -14,7 +14,7 @@ from roadpatch.pgmio import (
     save_patch,
     write_pgm,
 )
-from roadpatch.scene import BevImage, PatchPlacement, uniform_patch
+from roadpatch.scene import BevImage, ColumnDraw, PatchPlacement, uniform_patch
 
 from reference import load_bev
 
@@ -101,8 +101,8 @@ def test_read_rejects_malformed_files(tmp_path):
 
 def test_bev_sidecar_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    bev = BevImage(raster=rng.uniform(size=(4, 6)), meters_per_pixel=0.5,
-                   origin=(0.25, -1.25))
+    bev = BevImage(ColumnDraw.holding(rng.uniform(size=(4, 6))),
+                   meters_per_pixel=0.5, origin=(0.25, -1.25))
     p = tmp_path / "scene.pgm"
     save_bev(p, bev, extra={"note": "test"})
     assert (tmp_path / "scene.json").exists()
@@ -161,8 +161,8 @@ def test_sidecar_kind_is_checked(tmp_path):
     save_patch(tmp_path / "p.pgm", patch)
     with pytest.raises(InvalidArgumentError):
         load_bev(tmp_path / "p.pgm")
-    bev = BevImage(raster=np.full((2, 2), 0.5), meters_per_pixel=0.1,
-                   origin=(0.05, 0.05))
+    bev = BevImage(ColumnDraw.holding(np.full((2, 2), 0.5)),
+                   meters_per_pixel=0.1, origin=(0.05, 0.05))
     save_bev(tmp_path / "s.pgm", bev)
     with pytest.raises(InvalidArgumentError):
         load_patch(tmp_path / "s.pgm")
