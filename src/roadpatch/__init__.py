@@ -43,7 +43,6 @@ from .scene import (
     RoadSpec,
     composite_patch,
     identity_patch,
-    lane_line_mask,
     render_road_bev,
     uniform_patch,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "detect_lanes",
     "ground_to_image",
     "identity_patch",
-    "lane_line_mask",
     "load_config",
     "rollout_objective",
     "optimize_patch",

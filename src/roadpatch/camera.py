@@ -326,45 +326,39 @@ def warp_bev_to_points(bev: BevImage, cfg: CameraConfig, pose: VehicleState,
     return _sample_ground(bev, fi, fj, valid)
 
 
-def _rows_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
-    """The image rows whose ground points can fall inside ``rect``.
+def _window_seeing(cfg: CameraConfig, pose: VehicleState,
+                   rect) -> tuple[slice, slice]:
+    """The image rows and the image columns whose ground points can fall
+    inside ``rect``, from one projection of its four corners.
 
     Every pixel of a row lies the same distance ahead of the vehicle, and
     every point of the rect lies between its corners' distances ahead, so
     only rows in that range can hit it; one row of margin on each side
     absorbs round-off.
-    """
-    x_lo, x_hi, y_lo, y_hi = rect
-    ahead, _ = _world_to_vehicle(pose, np.array([x_lo, x_lo, x_hi, x_hi]),
-                                 np.array([y_lo, y_hi, y_lo, y_hi]))
-    r0 = _first_ground_row(cfg)
-    back = -_vehicle_ground_grid(cfg)[0][r0:, 0]     # increases down the image
-    a = int(np.searchsorted(back, -ahead.max(), side="left"))
-    b = int(np.searchsorted(back, -ahead.min(), side="right"))
-    return slice(r0 + max(a - 1, 0), r0 + min(b + 1, back.size))
 
-
-def _columns_seeing(cfg: CameraConfig, pose: VehicleState, rect) -> slice:
-    """The image columns whose ground points can fall inside ``rect``,
-    clipped to the image (possibly none).
-
-    When the rect's four corners lie in front of the camera, the rect
-    projects onto the convex hull of theirs, so only columns between
-    their projections' smallest and largest ``u`` can see it; one column
-    of margin before and two past absorb round-off.  Otherwise the rect
+    The columns are clipped to the image (possibly none).  When the
+    rect's four corners lie in front of the camera, the rect projects
+    onto the convex hull of theirs, so only columns between their
+    projections' smallest and largest ``u`` can see it; one column of
+    margin before and two past absorb round-off.  Otherwise the rect
     reaches behind the camera, its projection is unbounded, and every
     column is kept.
     """
     x_lo, x_hi, y_lo, y_hi = rect
     ahead, left = _world_to_vehicle(pose, np.array([x_lo, x_lo, x_hi, x_hi]),
                                     np.array([y_lo, y_hi, y_lo, y_hi]))
+    r0 = _first_ground_row(cfg)
+    back = -_vehicle_ground_grid(cfg)[0][r0:, 0]     # increases down the image
+    a = int(np.searchsorted(back, -ahead.max(), side="left"))
+    b = int(np.searchsorted(back, -ahead.min(), side="right"))
+    rows = slice(r0 + max(a - 1, 0), r0 + min(b + 1, back.size))
     width = cfg.image_size[0]
     depth = ahead * math.cos(cfg.pitch) + cfg.height * math.sin(cfg.pitch)
     if not np.all(depth > _DEPTH_EPS):
-        return slice(0, width)
+        return rows, slice(0, width)
     u = cfg.principal_point[0] - cfg.focal * left / depth
     start = min(max(math.floor(u.min()) - 1, 0), width)
-    return slice(start, min(max(math.ceil(u.max()) + 2, start), width))
+    return rows, slice(start, min(max(math.ceil(u.max()) + 2, start), width))
 
 
 def _ground_hits(cfg: CameraConfig, pose: VehicleState, rect, rows,
@@ -382,8 +376,8 @@ def _ground_hits(cfg: CameraConfig, pose: VehicleState, rect, rows,
 def _footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
     """The pixels whose ground point lies inside ``rect``, as row runs,
     and their ground points in row-major order, found on the rows and
-    columns that can see it (:func:`_rows_seeing`,
-    :func:`_columns_seeing`) in blocks (``_blocks``).
+    columns that can see it (:func:`_window_seeing`) in blocks
+    (``_blocks``).
 
     A run is the ``(start, stop)`` flat indices of one row's hits.  In a
     row, ``xf`` and ``front`` are constant and ``yf`` falls with the
@@ -392,8 +386,7 @@ def _footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
     Each tested pixel's test and ground point are the whole row's, so
     the columns left out change no run and no bit.
     """
-    rows = _rows_seeing(cfg, pose, rect)
-    cols = _columns_seeing(cfg, pose, rect)
+    rows, cols = _window_seeing(cfg, pose, rect)
     width = cfg.image_size[0]
     if cols.start == cols.stop:
         return np.empty((0, 2), np.intp), np.empty(0), np.empty(0)
@@ -424,7 +417,7 @@ def run_pixels(runs: np.ndarray) -> np.ndarray:
 def model_input_sees(cfg: CameraConfig, pose: VehicleState, rect) -> bool:
     """Whether any model-input pixel has its ground point inside ``rect``;
     only the model-input block of the rows that can see it is tested."""
-    rows = _rows_seeing(cfg, pose, rect)
+    rows, _ = _window_seeing(cfg, pose, rect)
     rx, ry, rw, rh = cfg.model_input_rect
     block = slice(max(rows.start, ry), min(rows.stop, ry + rh))
     return bool(_ground_hits(cfg, pose, rect, block,
@@ -494,9 +487,11 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     Only pixels on the rows that see the patch's scene rectangle grown by
     one scene pixel can have a tap inside it.  Each frame's runs are
     summed, in run order, into a zero buffer over those rows.  The
-    buffer's nonzero pixels whose ground point lies within a scene pixel
-    of the rectangle are found in blocks (``_blocks``) and splatted, the
-    warp taps transposed into four per-tap sums over the scene rectangle
+    buffer's nonzero pixels whose ground point is sourced and lies within
+    a scene pixel of the rectangle are found in blocks (``_blocks``), at
+    the scene indices the warp reads (:func:`_ground_index`, whose clamp
+    leaves a sourced point as it is), and splatted, the warp taps
+    transposed into four per-tap sums over the scene rectangle
     (:func:`~roadpatch.interp.scatter`, one block at a time), whose
     :func:`~roadpatch.interp.total` is taken at the frame's end; then the
     composite resampling is transposed onto the patch raster, its taps
@@ -521,7 +516,7 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     band_buf = np.empty(front.size - _first_ground_row(cfg) * width)
     sums = np.empty((4, *local_shape))
     for pose, runs in grads:
-        rows = _rows_seeing(cfg, pose, grown)
+        rows, _ = _window_seeing(cfg, pose, grown)
         start, stop = rows.start * width, rows.stop * width
         band = band_buf[:stop - start]
         band[:] = 0.0
@@ -532,10 +527,9 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
         sums[:] = 0.0
         for block in _blocks(kept.size):
             pix = kept[block] + start
-            bi, bj = scene.fractional_index(*_vehicle_to_world(
-                pose, xf[pix], yf[pix]))
-            near = (front[pix] & interp.inside(bi, bj, scene.shape)
-                    & (bi > i_lo - 1.0) & (bi < i_hi + 1.0)
+            bi, bj, valid = _ground_index(scene, *_vehicle_to_world(
+                pose, xf[pix], yf[pix]), front[pix])
+            near = (valid & (bi > i_lo - 1.0) & (bi < i_hi + 1.0)
                     & (bj > j_lo - 1.0) & (bj < j_hi + 1.0))
             interp.scatter(sums, bi[near] - row0, bj[near] - col0,
                            band[kept[block][near]])

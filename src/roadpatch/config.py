@@ -49,7 +49,6 @@ from .scene import (
     _raster_extent,
     _rect_leaves,
     identity_patch,
-    lane_line_mask,
     render_road_bev,
     uniform_patch,
 )
@@ -284,11 +283,12 @@ class ScenarioConfig:
                 min(math.floor((reach - grid_y) / mpp) + 4, n_y))
 
     def build_scene(self) -> tuple[BevImage, np.ndarray]:
-        """The scene raster and its line mask, over ``columns`` only."""
-        mpp, cols = self.scene.meters_per_pixel, self.columns
-        scene = render_road_bev(self.road, self.extent, mpp, self.seed, cols)
-        mask = lane_line_mask(self.road, self.extent, mpp, cols)
-        return scene, mask
+        """The scene over ``columns`` only and its line mask: a read-only
+        view of the line columns its draw paints, for every row."""
+        scene = render_road_bev(self.road, self.extent,
+                                self.scene.meters_per_pixel, self.seed,
+                                self.columns)
+        return scene, np.broadcast_to(scene.draw.lines, scene.shape)
 
     def pipeline(self) -> PipelineConfig:
         return PipelineConfig(camera=self.camera, detector=self.detector,

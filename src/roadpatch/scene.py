@@ -101,8 +101,9 @@ class ColumnDraw:
     :func:`render_road_bev` of the whole grid gives them: the grid's
     row-major uniform draw from ``default_rng(seed)``, advanced to each
     row's first column, plus the asphalt gray, clamped, with the lane
-    lines painted over.  Every step is elementwise, so a column comes out
-    the same whatever the columns drawn with it.
+    lines painted over the columns ``lines`` marks, the scene's one line
+    mask.  Every step is elementwise, so a column comes out the same
+    whatever the columns drawn with it.
     """
 
     def __init__(self, road: RoadSpec, seed: int, n_x: int, n_y: int,
@@ -415,17 +416,6 @@ def render_road_bev(road: RoadSpec, extent, meters_per_pixel: float,
                     meters_per_pixel=meters_per_pixel,
                     origin=(origin[0], origin[1] + c0 * meters_per_pixel),
                     col0=c0, grid_y=origin[1])
-
-
-def lane_line_mask(road: RoadSpec, extent, meters_per_pixel: float,
-                   cols: tuple[int, int] | None = None) -> np.ndarray:
-    """Boolean raster that is True exactly where rendering paints a line
-    (over the same ``cols`` of the grid): a read-only view of one row,
-    since every row is the same."""
-    n_x, n_y, origin = _grid(extent, meters_per_pixel)
-    c0, c1 = _columns(cols, n_y)
-    ys = origin[1] + np.arange(c0, c1) * meters_per_pixel
-    return np.broadcast_to(_line_columns(road, ys), (n_x, c1 - c0))
 
 
 def _rect_index_ranges(scene: BevImage, placement: PatchPlacement):

@@ -12,7 +12,8 @@ splat (``footprint_band`` to ``stacked_patch_gradient``), whose
 footprint grays are read from ``composite_patch``'s whole raster with
 the plain kernel, not from the overlaid scene, and the full-width scene
 (``render_road_bev``, ``lane_line_mask``) that the production scene is a
-column window of; production must match all three bit for bit.  A raster
+column window of; production must match all three bit for bit.
+Production keeps the line mask only as its draw's line columns.  A raster
 given whole here (``load_bev``, ``render_road_bev``) is held whole, by
 ``ColumnDraw.holding``, as production holds a composited raster.
 """
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import roadpatch.scene
 from roadpatch import interp
 from roadpatch.artifacts import TRAJECTORY_FIELDS
 from roadpatch.attack import (
@@ -42,9 +44,9 @@ from roadpatch.camera import (
     _blocks,
     _ground_hits,
     _ground_index,
-    _rows_seeing,
     _vehicle_ground_grid,
     _vehicle_to_world,
+    _window_seeing,
     splat_camera_to_bev,
 )
 from roadpatch.detector import detector_gradient, support_gradient, support_set
@@ -54,6 +56,7 @@ from roadpatch.pgmio import _sidecar_path, read_pgm
 from roadpatch.scene import (
     BevImage,
     ColumnDraw,
+    PatchPlacement,
     PatchState,
     RoadSpec,
     _composite_indices,
@@ -223,7 +226,7 @@ def scatter(shape: tuple[int, int], fi: np.ndarray, fj: np.ndarray,
 def footprint_band(cfg: CameraConfig, pose: VehicleState, rect):
     """Sorted flat indices of the pixels whose ground point lies inside
     ``rect``, and their ground points."""
-    rows = _rows_seeing(cfg, pose, rect)
+    rows, _ = _window_seeing(cfg, pose, rect)
     width = cfg.image_size[0]
     parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0))]
     for block in _blocks(rows.stop - rows.start, width):
@@ -273,7 +276,7 @@ def stacked_splat(grads, cfg: CameraConfig, scene: BevImage,
     local = np.zeros((len(grads), i_hi - i_lo + 5, j_hi - j_lo + 5))
     xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
     for k, (pose, runs) in enumerate(grads):
-        rows = _rows_seeing(cfg, pose, grown)
+        rows, _ = _window_seeing(cfg, pose, grown)
         start, stop = rows.start * width, rows.stop * width
         band = np.zeros(stop - start)
         for pixels, values in runs:
@@ -355,3 +358,20 @@ def lane_line_mask(road: RoadSpec, extent,
     n_x, n_y, origin = _grid(extent, meters_per_pixel)
     ys = origin[1] + np.arange(n_y) * meters_per_pixel
     return np.broadcast_to(_line_columns(road, ys), (n_x, n_y)).copy()
+
+
+# A 0.25 m raster whose pixel centres and half-pixel points are exact in
+# binary, rendered as production renders it, and two patch strips over
+# its whole length, flush against its first and last rows and one side's
+# column each: fractional indices land exactly on the raster's edges.
+EDGE_MPP = 0.25
+EDGE_EXTENT = (0.0, 70.0, -34.0, 34.0)
+EDGE_STRIPS = [PatchPlacement(0.0, -32.0, 4.0, 70.0, margin=0.0),
+               PatchPlacement(0.0, 32.0, 4.0, 70.0, margin=0.0)]
+
+
+def edge_scene() -> tuple[BevImage, np.ndarray]:
+    """The edge raster and its line mask."""
+    road = RoadSpec(road_length=70.0)
+    return (roadpatch.scene.render_road_bev(road, EDGE_EXTENT, EDGE_MPP, 3),
+            lane_line_mask(road, EDGE_EXTENT, EDGE_MPP))

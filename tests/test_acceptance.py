@@ -29,14 +29,19 @@ from roadpatch.motion import VehicleParams, VehicleState
 from roadpatch.pgmio import load_patch
 from roadpatch.scene import (
     composite_patch,
-    lane_line_mask,
     render_road_bev,
     uniform_patch,
 )
 from roadpatch.sim import run_closed_loop
 
 from conftest import run_cli
-from reference import frame_gradient, image_to_ground, rect_slices, rollout
+from reference import (
+    frame_gradient,
+    image_to_ground,
+    lane_line_mask,
+    rect_slices,
+    rollout,
+)
 
 
 def test_benign_closed_loop_stays_centered(record_check, scenario72,
@@ -309,4 +314,68 @@ def test_attack_across_frame_phases(record_check, scenario72, scenario126,
                        f"[{' '.join(cells)}] benign max|y|={benign:.2e}m")
     record_check("attack across ten frame phases (benign centred at each)",
                  ok, "; ".join(details))
+    assert ok, details
+
+
+def _blocky(patch, per, rng):
+    """A patch uniform over each ``per`` x ``per`` block of cells, each
+    block's gray drawn from ``rng`` within the patch's bounds."""
+    n, m = patch.values.shape
+    blocks = rng.uniform(patch.v_min, patch.v_max,
+                         (-(-n // per), -(-m // per)))
+    return patch.with_values(blocks[np.ix_(np.arange(n) // per,
+                                           np.arange(m) // per)])
+
+
+def _box_along_x(patch, per):
+    """The patch's grays averaged over ``per`` cells along x, centred,
+    with the end cells repeated past the ends."""
+    pad = np.pad(patch.values, ((per // 2, per - 1 - per // 2), (0, 0)),
+                 mode="edge")
+    box = np.lib.stride_tricks.sliding_window_view(pad, per, axis=0)
+    return patch.with_values(np.clip(box.mean(axis=-1), patch.v_min,
+                                     patch.v_max))
+
+
+def test_null_patches_do_not_pass_for_an_attack(record_check, scenario72,
+                                                scenario126, attack72,
+                                                attack126):
+    # Controls for the optimized patches, which the frame-phase line
+    # evaluates: the constant patches at either gray bound, 20 seeded
+    # random patches uniform over each 1 m x 1 m block of cells, and the
+    # optimized patch box-smoothed along x over 1 m, each evaluated in
+    # the closed loop.  Only the benign and the identity-patch runs are
+    # held to a bound; the others are reported.
+    details = []
+    ok = True
+    for cfg, run in ((scenario72, attack72), (scenario126, attack126)):
+        best = load_patch(run["out"] / "patch.pgm")
+        per = round(1.0 / best.grid_mpp)
+        scene, mask = cfg.build_scene()
+        pipe, state0 = cfg.pipeline(), cfg.initial_state()
+        rng = np.random.default_rng(2024)
+        patches = {
+            "benign": None,
+            "identity": cfg.identity_patch(),
+            "v_min": best.with_values(np.full_like(best.values, best.v_min)),
+            "v_max": best.with_values(np.full_like(best.values, best.v_max)),
+            **{f"random{k}": _blocky(best, per, rng) for k in range(20)},
+            "smoothed": _box_along_x(best, per),
+        }
+        dev, goal = {}, []
+        for name, patch in patches.items():
+            result = run_closed_loop(scene, mask, patch, state0,
+                                     cfg.duration_s, pipe, cfg.goal_m)
+            dev[name] = result.max_lateral_deviation
+            if result.succeeded:
+                goal.append(name)
+        ok &= dev["benign"] < 0.1 and dev["identity"] < 0.1
+        randoms = " ".join(f"{dev[f'random{k}']:.2f}" for k in range(20))
+        details.append(
+            f"{cfg.speed_kmh:.0f}km/h max|y| benign={dev['benign']:.2e}m "
+            f"identity={dev['identity']:.2e}m v_min={dev['v_min']:.2e}m "
+            f"v_max={dev['v_max']:.2e}m random=[{randoms}]m "
+            f"smoothed={dev['smoothed']:.2f}m goal={goal or '-'}")
+    record_check("null patches: benign and identity runs stay centred", ok,
+                 "; ".join(details))
     assert ok, details

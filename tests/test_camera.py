@@ -10,9 +10,9 @@ from roadpatch.camera import (
     MAX_HEADING,
     MAX_LATERAL,
     CameraConfig,
-    _columns_seeing,
     _vehicle_ground_grid,
     _vehicle_to_world,
+    _window_seeing,
     check_pose_bounds,
     ground_to_image,
     model_input_gaps,
@@ -40,14 +40,20 @@ from roadpatch.scene import (
     composite_adjoint_local,
     composite_patch,
     composite_taps,
-    lane_line_mask,
     overlay,
     patch_tile,
     render_road_bev,
     uniform_patch,
 )
 
-from reference import image_to_ground, rect_slices, scatter
+from reference import (
+    EDGE_STRIPS,
+    edge_scene,
+    image_to_ground,
+    lane_line_mask,
+    rect_slices,
+    scatter,
+)
 
 CAM = CameraConfig()
 ORIGIN = VehicleState(0.0, 0.0, 0.0, 10.0)
@@ -347,7 +353,7 @@ def test_patch_footprint_matches_a_per_pixel_reference(pose):
     # all of them when a corner lies behind the camera, none when the
     # patch projects beside the image
     width = CAM.image_size[0]
-    tested = _columns_seeing(CAM, pose, patch.placement.rect)
+    tested = _window_seeing(CAM, pose, patch.placement.rect)[1]
     assert tested.start <= tested.stop
     assert (tested == slice(0, width)) == (pose in (_OVER, _BEHIND,
                                                     _ONE_BEHIND))
@@ -371,21 +377,45 @@ def test_patch_footprint_matches_a_per_pixel_reference(pose):
         want[rect_slices(CAM)].any())
 
 
-@pytest.mark.parametrize("pose", [ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),
-                                  VehicleState(15.0, -2.5, -0.15, 10.0)])
-def test_splat_matches_a_per_pixel_reference(pose):
+_INNER_PATCH = PatchPlacement(20.0, 0.2, 2.0, 12.0)
+_SPLAT_CASES = {
+    **{f"pose{k}": (_scene, _INNER_PATCH, 0.1, pose)
+       for k, pose in enumerate([ORIGIN, VehicleState(6.0, 1.2, 0.1, 10.0),
+                                 VehicleState(15.0, -2.5, -0.15, 10.0)])},
+    **{f"edge{k}-pose{m}": (edge_scene, strip, 0.5, pose)
+       for k, strip in enumerate(EDGE_STRIPS)
+       for m, pose in enumerate([VehicleState(-2.0, 0.0, 0.0, 10.0),
+                                 VehicleState(3.0, 1.0, 0.03, 10.0),
+                                 VehicleState(3.0, -1.0, -0.03, 10.0)])},
+}
+
+
+@pytest.mark.parametrize("make, placement, grid, pose", _SPLAT_CASES.values(),
+                         ids=_SPLAT_CASES.keys())
+def test_splat_matches_a_per_pixel_reference(make, placement, grid, pose):
     # The splat reads only the rows that can see the patch; scattering
-    # from every pixel of the image must give the identical result.
-    scene, mask = _scene()
-    patch = uniform_patch(PatchPlacement(20.0, 0.2, 2.0, 12.0), 0.1, 0.40)
+    # from every pixel of the image must give the identical result.  An
+    # edge strip lies flush against the raster's first and last rows and
+    # one side's column, so some points past the raster, which have no
+    # source, clamp to indices within a pixel of the patch.
+    scene, mask = make()
+    patch = uniform_patch(placement, grid, 0.40)
     g = np.random.default_rng(3).standard_normal((480, 640))
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
     gx, gy, front = pixel_ground_points(CAM, pose)
     fi, fj = scene.fractional_index(gx, gy)
-    near = (front & interp.inside(fi, fj, scene.pixels.shape)
-            & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
-            & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
+    inside = interp.inside(fi, fj, scene.pixels.shape)
+
+    def box(i, j):
+        return ((i > i_lo - 1.0) & (i < i_hi + 1.0)
+                & (j > j_lo - 1.0) & (j < j_hi + 1.0))
+
+    near = front & inside & box(fi, fj)
     assert near.any()
+    n_i, n_j = scene.pixels.shape
+    clamped = front & ~inside & box(np.clip(fi, 0.0, n_i - 1),
+                                    np.clip(fj, 0.0, n_j - 1))
+    assert clamped.any() == (make is edge_scene)
     local = scatter((i_hi - i_lo + 5, j_hi - j_lo + 5),
                     fi[near] - (i_lo - 2), fj[near] - (j_lo - 2), g[near])
     want = composite_adjoint_local(local, composite_taps(

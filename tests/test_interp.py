@@ -1,5 +1,6 @@
 """Bilinear gather/scatter primitives."""
 
+import ast
 import dataclasses
 import inspect
 import pathlib
@@ -179,6 +180,43 @@ def test_one_scene_kind_and_one_footprint_read():
     assert list(inspect.signature(patch_pixels).parameters) == [
         "bev", "cfg", "pose", "patch"]
     assert "_sample_ground(" in inspect.getsource(patch_pixels)
+
+
+def _calls(path: pathlib.Path):
+    """Each call in the module at ``path``, as the name called and the
+    innermost function the call is written in (None at module level)."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                found.add((getattr(func, "attr", getattr(func, "id", None)),
+                           where))
+            inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                      ast.AsyncFunctionDef))
+                     else where)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_one_window_one_scene_index_and_one_line_mask():
+    # A rect's image window, a ground point's scene indices (for the warp
+    # and for its transpose, the splat) and a scene's line columns each
+    # have one rule, written once.
+    src = pathlib.Path(interp.__file__).parent
+    callers = {"fractional_index": set(), "_line_columns": set()}
+    for path in sorted(src.glob("*.py")):
+        for name, where in _calls(path):
+            if name in callers:
+                callers[name].add((path.name, where))
+        text = path.read_text()
+        for word in ("_rows_seeing", "_columns_seeing", "lane_line_mask"):
+            assert word not in text, (path.name, word)
+    assert callers == {"fractional_index": {("camera.py", "_ground_index")},
+                       "_line_columns": {("scene.py", "render_road_bev")}}
 
 
 def _patched_run(scenario, scene, mask):

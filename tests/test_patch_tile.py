@@ -24,16 +24,14 @@ from roadpatch.errors import IncompleteModelInputError
 from roadpatch.motion import VehicleState
 from roadpatch.scene import (
     ColumnDraw,
-    PatchPlacement,
-    RoadSpec,
     composite_patch,
-    lane_line_mask,
     overlay,
     patch_tile,
-    render_road_bev,
     uniform_patch,
 )
 from roadpatch.sim import run_closed_loop
+
+from reference import EDGE_MPP, EDGE_STRIPS, edge_scene
 
 CAM = CameraConfig()
 
@@ -94,29 +92,15 @@ def test_tile_reads_equal_the_composited_scene_along_a_closed_loop():
     assert seen == len(frames)
 
 
-# A 0.25 m raster whose pixel centres and half-pixel points are exact in
-# binary, seen from the road origin at heading 0, where a ground point is
-# its own vehicle-frame point: fractional indices land exactly on the
-# raster's first and last rows and columns.
-_MPP = 0.25
-_EXTENT = (0.0, 70.0, -34.0, 34.0)
-_STRIPS = [PatchPlacement(0.0, -32.0, 4.0, 70.0, margin=0.0),
-           PatchPlacement(0.0, 32.0, 4.0, 70.0, margin=0.0)]
-
-
-def _edge_scene():
-    road = RoadSpec(road_length=70.0)
-    return (render_road_bev(road, _EXTENT, _MPP, 3),
-            lane_line_mask(road, _EXTENT, _MPP))
-
-
 def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
-    scene, mask = _edge_scene()
+    # seen from the road origin at heading 0, a ground point is its own
+    # vehicle-frame point
+    scene, mask = edge_scene()
     n_i, n_j = scene.pixels.shape
     origin = VehicleState(0.0, 0.0, 0.0, 10.0)
     # every pixel centre and half-pixel point, one step past each edge
-    gx = scene.origin[0] + 0.5 * _MPP * np.arange(-1, 2 * n_i)
-    gy = scene.origin[1] + 0.5 * _MPP * np.arange(-1, 2 * n_j)
+    gx = scene.origin[0] + 0.5 * EDGE_MPP * np.arange(-1, 2 * n_i)
+    gy = scene.origin[1] + 0.5 * EDGE_MPP * np.arange(-1, 2 * n_j)
     xf, yf = (a.copy() for a in np.meshgrid(gx, gy, indexing="ij"))
     front = np.ones(xf.shape, dtype=bool)
     fi, fj = scene.fractional_index(xf, yf)
@@ -131,7 +115,7 @@ def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
              VehicleState(3.0, 1.0, 0.03, 10.0),
              VehicleState(3.0, -1.0, -0.03, 10.0)]
     support = support_set(DetectorConfig(), CAM)
-    for k, placement in enumerate(_STRIPS):
+    for k, placement in enumerate(EDGE_STRIPS):
         patch = _random_grays(uniform_patch(placement, 0.5, 0.3), 10 + k)
         tile = patch_tile(scene, patch, mask)
         rows, cols = tile.pixels.shape

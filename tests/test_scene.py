@@ -12,10 +12,11 @@ from roadpatch.scene import (
     composite_taps,
     composite_patch,
     identity_patch,
-    lane_line_mask,
     render_road_bev,
     uniform_patch,
 )
+
+from reference import lane_line_mask
 
 EXTENT = (0.0, 40.0, -6.0, 6.0)
 MPP = 0.05

@@ -27,7 +27,6 @@ from roadpatch.motion import VehicleState
 from roadpatch.scene import (
     ColumnDraw,
     RoadSpec,
-    lane_line_mask,
     overlay,
     patch_tile,
     render_road_bev,
@@ -86,7 +85,7 @@ def test_any_column_window_is_drawn_bit_for_bit(cols):
     road, mpp = RoadSpec(road_length=30.0), 0.25
     extent = (0.0, 30.0, -34.0, 34.0)
     window = render_road_bev(road, extent, mpp, 11, cols)
-    mask = lane_line_mask(road, extent, mpp, cols)
+    mask = np.broadcast_to(window.draw.lines, window.shape)
     full = reference.render_road_bev(road, extent, mpp, 11)
     full_mask = reference.lane_line_mask(road, extent, mpp)
     assert full.pixels.shape[1] == 272
@@ -228,8 +227,10 @@ def test_building_a_scene_draws_no_column(monkeypatch):
 
 
 def test_the_line_mask_is_one_read_only_row(scenario72):
-    mask = scenario72.build_scene()[1]
+    scene, mask = scenario72.build_scene()
     assert mask.strides[0] == 0 and not mask.flags.writeable
+    # it is a view of the columns the scene's draw paints
+    assert np.shares_memory(mask, scene.draw.lines)
     with pytest.raises(ValueError):
         mask[0, 0] = True
     with pytest.raises(ValueError):
