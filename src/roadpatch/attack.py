@@ -20,7 +20,6 @@ rollout copies the scene.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,6 @@ from .scene import (
     PatchState,
     composite_patch,  # unused here; bench/spans.py rebinds it in this module
     overlay,
-    patch_tile,
 )
 
 
@@ -206,8 +204,7 @@ def rollout_with_patch(scene: BevImage, line_mask: np.ndarray,
     truncated = False
 
     s = state0
-    with (nullcontext() if patch is None
-          else overlay(scene, patch_tile(scene, patch, line_mask))):
+    with overlay(scene, patch, line_mask):
         for t in range(1, horizon + 1):
             values = warp_bev_to_points(scene, cam, s, support.xf, support.yf,
                                         support.front)

@@ -491,13 +491,15 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     a scene pixel of the rectangle are found in blocks (``_blocks``), at
     the scene indices the warp reads (:func:`_ground_index`, whose clamp
     leaves a sourced point as it is), and splatted, the warp taps
-    transposed into four per-tap sums over the scene rectangle
+    transposed into four per-tap sums over the patch's window
     (:func:`~roadpatch.interp.scatter`, one block at a time), whose
     :func:`~roadpatch.interp.total` is taken at the frame's end; then the
-    composite resampling is transposed onto the patch raster, its taps
-    (:func:`~roadpatch.scene.composite_taps`) computed once for every
-    frame.  A pixel in two runs holds ``(0 + a) + b``, which is ``a + b``.
-    A pixel left out holds ±0, which adds nothing to a tap sum that starts
+    composite resampling is transposed onto the patch raster.  The window
+    and its taps (:func:`~roadpatch.scene.composite_taps`) are computed
+    once for every frame; the window is clipped at the raster's edge, as
+    the warp's taps are, so the sums are the whole-raster transpose's.
+    A pixel in two runs holds ``(0 + a) + b``, which is ``a + b``.  A
+    pixel left out holds ±0, which adds nothing to a tap sum that starts
     at +0, and the rest keep their row-major order, so the result is
     bit-identical to splatting the whole image that holds the runs' sum.
     """
@@ -506,15 +508,13 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     mpp, ox = scene.meters_per_pixel, scene.origin[0]
     grown = (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
              scene.column_y(j_lo - 1), scene.column_y(j_hi + 1))
-    row0, col0 = i_lo - 2, j_lo - 2
-    local_shape = (i_hi - i_lo + 5, j_hi - j_lo + 5)
-    taps = composite_taps(scene, patch, line_mask, row0, col0, local_shape)
+    (row0, col0, window), taps = composite_taps(scene, patch, line_mask)
     xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
     # One band buffer for the pass, as long as every row below the
     # horizon, and one set of tap sums: frame-sized buffers allocated per
     # frame let glibc malloc trim the heap between frames.
     band_buf = np.empty(front.size - _first_ground_row(cfg) * width)
-    sums = np.empty((4, *local_shape))
+    sums = np.empty((4, *window))
     for pose, runs in grads:
         rows, _ = _window_seeing(cfg, pose, grown)
         start, stop = rows.start * width, rows.stop * width

@@ -69,9 +69,8 @@ class RoadSpec:
 
 @dataclass(frozen=True)
 class PatchTile:
-    """The composited scene over a patch's index rectangle grown by two
-    pixels on each side, clipped at the raster's edge: ``pixels[k, l]``
-    is scene pixel ``(row0 + k, col0 + l)``."""
+    """The composited scene over a patch's window (:func:`composite_taps`):
+    ``pixels[k, l]`` is scene pixel ``(row0 + k, col0 + l)``."""
 
     row0: int
     col0: int
@@ -448,56 +447,54 @@ def _patch_fractional(scene: BevImage, patch: PatchState, rows, cols):
     return np.clip(fi, 0.0, n_len - 1), np.clip(fj, 0.0, n_wid - 1)
 
 
-def _composite_indices(scene: BevImage, patch: PatchState, line_mask: np.ndarray):
-    """Row/col index arrays of scene pixels replaced by the patch."""
-    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
-    if i_hi < i_lo or j_hi < j_lo:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
-    rows, cols = np.mgrid[i_lo:i_hi + 1, j_lo:j_hi + 1]
-    keep = ~line_mask[i_lo:i_hi + 1, j_lo:j_hi + 1]
-    return rows[keep].astype(np.intp), cols[keep].astype(np.intp)
-
-
 def patch_tile(scene: BevImage, patch: PatchState,
                line_mask: np.ndarray) -> PatchTile:
     """Resample the patch onto the scene grid; lane-line pixels pass through.
 
-    The result holds a copy of the scene over the patch's index rectangle
-    grown by two pixels on each side (clipped at the raster's edge), with
-    the patch's resampled grays written into it.  Replacement is linear
-    in the patch values, which is what makes the camera-side gradient
-    splat an exact adjoint.
+    The result holds a copy of the scene over the patch's window
+    (:func:`composite_taps`), with the patch's resampled grays written
+    into it.  Replacement is linear in the patch values, which is what
+    makes the camera-side gradient splat an exact adjoint.
     """
     if line_mask.shape != scene.shape:
         raise InvalidArgumentError("line_mask shape must match the scene")
-    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
-    n_i, n_j = scene.shape
-    row0, col0 = max(i_lo - 2, 0), max(j_lo - 2, 0)
-    row1, col1 = min(i_hi + 3, n_i), min(j_hi + 3, n_j)
-    block, lo = scene.columns(col0, col1)
-    pixels = block[row0:row1, col0 - lo:col1 - lo].copy()
-    at, idx, w, _ = composite_taps(scene, patch, line_mask, row0, col0,
-                                   pixels.shape)
-    pixels.reshape(-1)[at] = interp.combine(patch.values.ravel(), idx, w)
+    (row0, col0, (n_i, n_j)), (at, idx, w, _) = composite_taps(
+        scene, patch, line_mask)
+    grays = interp.combine(patch.values.ravel(), idx, w)
+    # The taps (3.3 MB on highway-126) go before the window's columns are
+    # drawn: a draw made while they were held left a patched
+    # --dump-frames run's peak RSS 1.9 MB higher (glibc malloc).
+    del idx, w
+    block, lo = scene.columns(col0, col0 + n_j)
+    pixels = block[row0:row0 + n_i, col0 - lo:col0 - lo + n_j].copy()
+    pixels.reshape(-1)[at] = grays
     return PatchTile(row0, col0, pixels)
 
 
 @contextmanager
-def overlay(scene: BevImage, tile: PatchTile):
-    """Write ``tile`` into the scene's grays for the length of the block,
-    and the grays it replaced back when the block ends, however it ends.
+def overlay(scene: BevImage, patch: PatchState | None,
+            line_mask: np.ndarray):
+    """Write the patch's :func:`patch_tile` into the scene's grays for the
+    length of the block, and the grays it replaced back when the block
+    ends, however it ends; with no patch, lay nothing.
 
     The grays written over are the scene's own, kept aside (the tile's
     size), so the scene afterwards holds the bits it held before.  The
     scene draws the tile's columns first; when a read grows its drawn
     span while the tile is laid, the tile's grays are laid again over the
     new block (:meth:`ColumnDraw.cover`).  Neither a block nor the tile
-    is held here across the yield: a redraw lets the old block go, and a
-    caller that keeps no other reference to the tile lets it go too, so
-    a run holds one tile-sized array beside the scene.  Overlays do not
-    nest, so a scene serves one patched run at a time.
+    is held here across the yield: a redraw lets the old block go, and so
+    does the tile once laid, so a run holds one tile-sized array beside
+    the scene.  Overlays do not nest: a second patch laid inside one is
+    refused, since its end would forget the first patch's grays.
     """
+    if patch is None:
+        yield scene
+        return
+    if scene.draw.under is not None:
+        raise InvalidArgumentError(
+            "a patch is already laid in this scene; overlays do not nest")
+    tile = patch_tile(scene, patch, line_mask)
     span = (tile.col0, tile.col0 + tile.pixels.shape[1])
     under = tile.cut(*scene.columns(*span))
     tile.lay(*scene.columns(*span))
@@ -527,25 +524,30 @@ def composite_patch(scene: BevImage, patch: PatchState,
 
 
 def composite_taps(scene: BevImage, patch: PatchState,
-                   line_mask: np.ndarray, row0: int, col0: int,
-                   local_shape: tuple[int, int]):
-    """The composite's taps: which pixels of a buffer of ``local_shape``
-    scene pixels from ``(row0, col0)`` on the patch replaces, and the
-    patch-grid taps each one reads.
+                   line_mask: np.ndarray):
+    """The patch's window on the scene and the composite's taps in it.
 
-    The buffer must hold every pixel :func:`patch_tile` replaces.  Returns
-    the replaced pixels' flat indices into that buffer, their patch-grid
-    taps and weights, and the patch shape.  :func:`patch_tile` writes
-    its grays through them and :func:`composite_adjoint_local` reads a
-    gradient back through them.  They depend only on the placement, the
-    patch grid, the line mask and the buffer, so a gradient pass computes
-    them once for all of its frames.
+    The window ``(row0, col0, (n_i, n_j))`` is the patch's index
+    rectangle grown by two pixels on each side, clipped at the raster's
+    edge: the pixels :func:`patch_tile` copies and the splat sums over.
+    The taps are the replaced pixels' flat indices into the window, their
+    patch-grid taps and weights, and the patch shape.  :func:`patch_tile`
+    writes its grays through them and :func:`composite_adjoint_local`
+    reads a gradient back through them.  All of it depends only on the
+    placement, the patch grid and the line mask, so a gradient pass
+    computes it once for all of its frames.
     """
-    rows, cols = _composite_indices(scene, patch, line_mask)
-    at = (rows - row0) * local_shape[1] + (cols - col0)
+    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
+    n_i, n_j = scene.shape
+    row0, col0 = max(i_lo - 2, 0), max(j_lo - 2, 0)
+    shape = (min(i_hi + 3, n_i) - row0, min(j_hi + 3, n_j) - col0)
+    rows, cols = np.mgrid[i_lo:i_hi + 1, j_lo:j_hi + 1]
+    keep = ~line_mask[i_lo:i_hi + 1, j_lo:j_hi + 1]
+    rows, cols = rows[keep], cols[keep]
+    at = (rows - row0) * shape[1] + (cols - col0)
     idx, w = interp.taps(*_patch_fractional(scene, patch, rows, cols),
                          patch.values.shape)
-    return at, idx, w, patch.values.shape
+    return (row0, col0, shape), (at, idx, w, patch.values.shape)
 
 
 def composite_adjoint_local(local_grad: np.ndarray, taps) -> np.ndarray:
@@ -553,9 +555,8 @@ def composite_adjoint_local(local_grad: np.ndarray, taps) -> np.ndarray:
 
     Exact transpose of the resampling performed by :func:`patch_tile`:
     only the replaced pixels contribute, with the same bilinear weights.
-    ``local_grad`` covers the scene pixels that ``taps`` (its
-    :func:`composite_taps`) was made for, which may be just the patch's
-    scene rectangle.
+    ``local_grad`` covers the window that ``taps`` (the second half of
+    :func:`composite_taps`) was made for.
     """
     at, idx, w, shape = taps
     values = np.asarray(local_grad).ravel()[at]

@@ -9,7 +9,6 @@ linearly between the bracketing control steps.  Runs without a patch
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .attack import PipelineConfig, rollout_with_patch
 from .camera import CameraConfig, model_input_sees
 from .errors import InvalidArgumentError
 from .motion import VehicleState
-from .scene import BevImage, PatchState, overlay, patch_tile
+from .scene import BevImage, PatchState, overlay
 
 
 @dataclass
@@ -99,8 +98,7 @@ def run_closed_loop(scene: BevImage, line_mask: np.ndarray,
     if duration_s <= 0.0:
         raise InvalidArgumentError("duration_s must be positive")
     horizon = int(round(duration_s / pipe.vehicle.dt))
-    with (nullcontext() if patch is None
-          else overlay(scene, patch_tile(scene, patch, line_mask))):
+    with overlay(scene, patch, line_mask):
         if frame_sink is not None:
             scene.columns(0, scene.shape[1])   # whole frames read every column
         record = rollout_with_patch(scene, line_mask, None, state0, horizon,

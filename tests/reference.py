@@ -59,7 +59,6 @@ from roadpatch.scene import (
     PatchPlacement,
     PatchState,
     RoadSpec,
-    _composite_indices,
     _grid,
     _line_columns,
     _patch_fractional,
@@ -251,10 +250,14 @@ def patch_pixels(whole: BevImage, cfg: CameraConfig, pose: VehicleState,
 
 def stacked_composite_adjoint(local_grad, row0, col0, scene, patch,
                               line_mask):
-    """The composite adjoint of a stack of scene-rectangle gradients."""
+    """The composite adjoint of a stack of window gradients, whose first
+    pixel is scene pixel ``(row0, col0)``: the replaced pixels are the
+    pixel centres in the patch's rect off the lane lines, row-major."""
     shape = patch.values.shape
     out = np.zeros((local_grad.shape[0], shape[0] * shape[1]))
-    rows, cols = _composite_indices(scene, patch, line_mask)
+    i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
+    rows, cols = np.nonzero(~line_mask[i_lo:i_hi + 1, j_lo:j_hi + 1])
+    rows, cols = rows + i_lo, cols + j_lo
     if rows.size:
         idx, w = taps(*_patch_fractional(scene, patch, rows, cols), shape)
         rows, cols = rows - row0, cols - col0
@@ -265,15 +268,19 @@ def stacked_composite_adjoint(local_grad, row0, col0, scene, patch,
 
 def stacked_splat(grads, cfg: CameraConfig, scene: BevImage,
                   patch: PatchState, line_mask) -> np.ndarray:
-    """Every frame's ``(pose, runs)`` splatted into one stack of
-    scene-rectangle gradients, then composited back as one stack."""
+    """Every frame's ``(pose, runs)`` splatted into one stack of gradients
+    over the patch's window (its index rectangle grown by two pixels on
+    each side, clipped at the raster's edge), then composited back as one
+    stack."""
     width = cfg.image_size[0]
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
     mpp, ox = scene.meters_per_pixel, scene.origin[0]
     grown = (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
              scene.column_y(j_lo - 1), scene.column_y(j_hi + 1))
-    row0, col0 = i_lo - 2, j_lo - 2
-    local = np.zeros((len(grads), i_hi - i_lo + 5, j_hi - j_lo + 5))
+    n_i, n_j = scene.shape
+    row0, col0 = max(i_lo - 2, 0), max(j_lo - 2, 0)
+    local = np.zeros((len(grads), min(i_hi + 3, n_i) - row0,
+                      min(j_hi + 3, n_j) - col0))
     xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
     for k, (pose, runs) in enumerate(grads):
         rows, _ = _window_seeing(cfg, pose, grown)

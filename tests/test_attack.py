@@ -35,7 +35,7 @@ from roadpatch.config import config_from_dict
 from roadpatch.detector import desired_path, detect_lanes, support_set
 from roadpatch.errors import InvalidArgumentError, NoVisibilityError
 from roadpatch.motion import VehicleState
-from roadpatch.scene import composite_patch, overlay, patch_tile
+from roadpatch.scene import composite_patch, overlay
 from roadpatch.sim import run_closed_loop
 
 from reference import (
@@ -532,7 +532,7 @@ def test_footprint_runs_expand_to_the_per_pixel_footprint(name, request):
     taped = list(zip(record.states, record.tapes))
     assert len(taped) == cfg.attack.horizon_frames
     for pose, tape in taped + [(pose, None) for pose in corners]:
-        with overlay(scene, patch_tile(scene, patch, mask)):
+        with overlay(scene, patch, mask):
             runs, grays = patch_pixels(scene, pipe.camera, pose, patch)
         pixels, want = reference.patch_pixels(whole, pipe.camera, pose, patch)
         assert pixels.size

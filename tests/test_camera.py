@@ -41,7 +41,6 @@ from roadpatch.scene import (
     composite_patch,
     composite_taps,
     overlay,
-    patch_tile,
     render_road_bev,
     uniform_patch,
 )
@@ -368,7 +367,7 @@ def test_patch_footprint_matches_a_per_pixel_reference(pose):
         assert tested.start <= cols[0] and cols[-1] < tested.stop
     np.testing.assert_array_equal(patch_footprint(CAM, pose, patch), want)
     bev = composite_patch(scene, patch, mask)
-    with overlay(scene, patch_tile(scene, patch, mask)):
+    with overlay(scene, patch, mask):
         runs, values = patch_pixels(scene, CAM, pose, patch)
     assert runs.shape == (rows.size, 2)
     np.testing.assert_array_equal(run_pixels(runs), np.flatnonzero(want))
@@ -394,10 +393,12 @@ _SPLAT_CASES = {
                          ids=_SPLAT_CASES.keys())
 def test_splat_matches_a_per_pixel_reference(make, placement, grid, pose):
     # The splat reads only the rows that can see the patch; scattering
-    # from every pixel of the image must give the identical result.  An
-    # edge strip lies flush against the raster's first and last rows and
-    # one side's column, so some points past the raster, which have no
-    # source, clamp to indices within a pixel of the patch.
+    # from every pixel of the image into the whole raster, cut to the
+    # patch's window, must give the identical result.  An edge strip lies
+    # flush against the raster's first and last rows and one side's
+    # column, so some points past the raster, which have no source, clamp
+    # to indices within a pixel of the patch, and points on the last row
+    # or column centre take the whole raster's clipped taps.
     scene, mask = make()
     patch = uniform_patch(placement, grid, 0.40)
     g = np.random.default_rng(3).standard_normal((480, 640))
@@ -416,9 +417,8 @@ def test_splat_matches_a_per_pixel_reference(make, placement, grid, pose):
     clamped = front & ~inside & box(np.clip(fi, 0.0, n_i - 1),
                                     np.clip(fj, 0.0, n_j - 1))
     assert clamped.any() == (make is edge_scene)
-    local = scatter((i_hi - i_lo + 5, j_hi - j_lo + 5),
-                    fi[near] - (i_lo - 2), fj[near] - (j_lo - 2), g[near])
-    want = composite_adjoint_local(local, composite_taps(
-        scene, patch, mask, i_lo - 2, j_lo - 2, local.shape))
+    (row0, col0, (h, w)), taps = composite_taps(scene, patch, mask)
+    whole = scatter(scene.shape, fi[near], fj[near], g[near])
+    want = composite_adjoint_local(whole[row0:row0 + h, col0:col0 + w], taps)
     np.testing.assert_array_equal(
         splat_camera_to_bev(g, CAM, pose, scene, patch, mask), want)

@@ -219,6 +219,29 @@ def test_one_window_one_scene_index_and_one_line_mask():
                        "_line_columns": {("scene.py", "render_road_bev")}}
 
 
+def test_one_patch_window_laid_by_one_call():
+    # The patch's window and the composite's taps have one owner,
+    # composite_taps(scene, patch, line_mask), and overlay is the one call
+    # that lays a patch: only scene.py builds a tile, and no run stands a
+    # nullcontext in for an absent patch.
+    src = pathlib.Path(interp.__file__).parent
+    tile_callers, taps_args = set(), []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for word in ("nullcontext", "_composite_indices"):
+            assert word not in text, (path.name, word)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                if name == "patch_tile":
+                    tile_callers.add(path.name)
+                if name == "composite_taps":
+                    taps_args.append(len(node.args) + len(node.keywords))
+    assert tile_callers == {"scene.py"}
+    assert len(taps_args) >= 2 and set(taps_args) == {3}
+
+
 def _patched_run(scenario, scene, mask):
     """A 5-frame patched rollout's tapes, its patch gradient, and one dense
     frame, all on highway-72."""
@@ -227,7 +250,7 @@ def _patched_run(scenario, scene, mask):
     record = rollout_with_patch(scene, mask, patch, scenario.initial_state(),
                                 5, pipe)
     grad = patch_gradient(record, scenario.attack, pipe, scene, patch, mask)
-    with overlay(scene, patch_tile(scene, patch, mask)):
+    with overlay(scene, patch, mask):
         frame = warp_bev_to_camera(scene, pipe.camera, record.states[2])
     return record, grad, frame.pixels
 

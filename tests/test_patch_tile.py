@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import roadpatch.scene
 from roadpatch.attack import rollout_with_patch
 from roadpatch import interp
 from roadpatch.camera import (
@@ -20,7 +21,7 @@ from roadpatch.camera import (
 )
 from roadpatch.config import config_from_dict
 from roadpatch.detector import DetectorConfig, support_set
-from roadpatch.errors import IncompleteModelInputError
+from roadpatch.errors import IncompleteModelInputError, InvalidArgumentError
 from roadpatch.motion import VehicleState
 from roadpatch.scene import (
     ColumnDraw,
@@ -42,10 +43,10 @@ def _random_grays(patch, seed):
                                          patch.values.shape))
 
 
-def _assert_reads_agree(scene, tile, whole, patch, pose, support):
-    """Reads of ``scene`` with ``tile`` laid in equal those of ``whole``."""
+def _assert_reads_agree(scene, mask, whole, patch, pose, support):
+    """Reads of ``scene`` with ``patch`` laid in equal those of ``whole``."""
     want = warp_bev_to_camera(whole, CAM, pose).pixels
-    with overlay(scene, tile):
+    with overlay(scene, patch, mask):
         frame = warp_bev_to_camera(scene, CAM, pose).pixels
         assert np.array_equal(frame, want)
         assert np.array_equal(
@@ -77,14 +78,13 @@ def test_tile_reads_equal_the_composited_scene_along_a_closed_loop():
                              frame_sink=frames.append)
     assert len(frames) == result.frames_evaluated == 20
     whole = composite_patch(scene, patch, mask)
-    tile = patch_tile(scene, patch, mask)
     support = support_set(cfg.detector, cfg.camera)
     seen = 0
     for frame, pose in zip(frames, result.states):
         assert frame.pose == pose
         assert np.array_equal(
             frame.pixels, warp_bev_to_camera(whole, CAM, pose).pixels)
-        pixels, grays = _assert_reads_agree(scene, tile, whole, patch, pose,
+        pixels, grays = _assert_reads_agree(scene, mask, whole, patch, pose,
                                             support)
         # the tile is read: the base scene gives other grays there
         base = warp_bev_to_camera(scene, CAM, pose).pixels.ravel()[pixels]
@@ -123,7 +123,7 @@ def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
         assert tile.row0 == 0 and tile.row0 + rows == n_i
         assert (tile.col0 == 0) if k == 0 else (tile.col0 + cols == n_j)
         whole = composite_patch(scene, patch, mask)
-        with overlay(scene, tile):
+        with overlay(scene, patch, mask):
             got = warp_bev_to_points(scene, CAM, origin, xf, yf, front)
         assert np.array_equal(
             got, warp_bev_to_points(whole, CAM, origin, xf, yf, front))
@@ -132,7 +132,7 @@ def test_a_tile_clipped_at_the_raster_edge_reads_the_composited_grays():
         assert got[corner] == whole.pixels[-1, 0 if k == 0 else -1]
         assert got[corner] != scene.pixels[-1, 0 if k == 0 else -1]
         for pose in poses:
-            pixels, _ = _assert_reads_agree(scene, tile, whole, patch, pose,
+            pixels, _ = _assert_reads_agree(scene, mask, whole, patch, pose,
                                             support)
             # the footprint reaches past the outer column centres, where
             # its points are clamped into the raster
@@ -200,6 +200,24 @@ def test_a_patched_run_leaves_the_scene_grays_as_they_were(run, kind):
     assert _unchanged(scene, cfg.build_scene()[0])
 
 
+def test_overlays_refuse_to_nest(scenario72):
+    # A patch laid inside another's overlay would end by forgetting the
+    # outer patch's grays under it, so the next read that grows the drawn
+    # span would drop the outer patch: the inner overlay is refused, and
+    # the outer one still restores the scene bit for bit.
+    cfg = scenario72
+    scene, mask = cfg.build_scene()
+    outer = cfg.initial_patch()
+    inner = uniform_patch(outer.placement, outer.grid_mpp, 0.2)
+    want = composite_patch(cfg.build_scene()[0], outer, mask).pixels
+    with overlay(scene, outer, mask):
+        with pytest.raises(InvalidArgumentError, match="do not nest"):
+            with overlay(scene, inner, mask):
+                pass
+        assert scene.columns(0, scene.shape[1])[0].tobytes() == want.tobytes()
+    assert _unchanged(scene, cfg.build_scene()[0])
+
+
 def test_a_held_raster_is_never_drawn(monkeypatch):
     # composite_patch's raster holds every column from the start, so no
     # read of it draws: not a gather, a column read, its pixels, nor a
@@ -224,7 +242,7 @@ def test_a_held_raster_is_never_drawn(monkeypatch):
     block, lo = whole.columns(3, 40)
     assert lo == 0 and block is whole.pixels is whole.draw.block
     other = _random_grays(cfg.initial_patch(), 7)
-    with overlay(whole, patch_tile(whole, other, mask)):
+    with overlay(whole, other, mask):
         laid = whole.pixels.copy()
         warp_bev_to_camera(whole, CAM, state0)
     record = rollout_with_patch(whole, mask, other, state0, 5, pipe)
@@ -245,7 +263,7 @@ def test_footprint_grays_are_the_dense_warp_along_a_patched_closed_loop(
     result = run_closed_loop(scene, mask, patch, cfg.initial_state(),
                              cfg.duration_s, cfg.pipeline(), cfg.goal_m)
     seen = 0
-    with overlay(scene, patch_tile(scene, patch, mask)):
+    with overlay(scene, patch, mask):
         for pose in result.states[:result.frames_evaluated]:
             runs, grays = patch_pixels(scene, cfg.camera, pose, patch)
             if not grays.size:
@@ -257,7 +275,7 @@ def test_footprint_grays_are_the_dense_warp_along_a_patched_closed_loop(
     assert seen >= 30
 
 
-def test_a_redraw_during_a_rollout_lays_the_tile_again():
+def test_a_redraw_during_a_rollout_lays_the_tile_again(monkeypatch):
     # Only the tile's strip is drawn when the overlay starts; the first
     # support read grows the drawn span, and every read after it must
     # still see the patch, as the whole composited raster does.
@@ -281,12 +299,19 @@ def test_a_redraw_during_a_rollout_lays_the_tile_again():
     # the support does see the patch
     assert got.states != bare.states
     # and nothing holds the strip's block once a read redraws the span,
-    # nor the tile once it is laid, but its grays are laid again
+    # nor the tile the overlay built once it is laid, but its grays are
+    # laid again
     scene, _ = cfg.build_scene()
-    tile = patch_tile(scene, patch, mask)
-    old, laid = weakref.ref(scene.draw.block), weakref.ref(tile.pixels)
-    with overlay(scene, tile):
-        del tile
+    refs = []
+
+    def built(*args):
+        tile = patch_tile(*args)
+        refs.extend([weakref.ref(scene.draw.block), weakref.ref(tile.pixels)])
+        return tile
+
+    monkeypatch.setattr(roadpatch.scene, "patch_tile", built)
+    with overlay(scene, patch, mask):
+        old, laid = refs
         assert laid() is None
         scene.columns(0, scene.shape[1])
         assert old() is None

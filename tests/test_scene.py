@@ -176,8 +176,9 @@ def test_composite_adjoint_matches_the_forward_inner_product():
     f1 = composite_patch(scene, patch.with_values(patch.values + dv),
                          mask).pixels
     lhs = float(np.sum(g * (f1 - f0)))
+    (row0, col0, (h, w)), taps = composite_taps(scene, patch, mask)
     rhs = float(np.sum(composite_adjoint_local(
-        g, composite_taps(scene, patch, mask, 0, 0, g.shape)) * dv))
+        g[row0:row0 + h, col0:col0 + w], taps) * dv))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -189,11 +190,12 @@ def test_a_patch_between_pixel_centres_replaces_nothing():
     mask = lane_line_mask(road, EXTENT, MPP)
     patch = uniform_patch(PatchPlacement(5.01, 0.01, 0.02, 0.02, margin=0.0),
                           0.01, 0.45)
-    taps = composite_taps(scene, patch, mask, 0, 0, scene.pixels.shape)
+    (row0, col0, (h, w)), taps = composite_taps(scene, patch, mask)
     assert taps[0].size == 0
     np.testing.assert_array_equal(composite_patch(scene, patch, mask).pixels,
                                   scene.pixels)
-    out = composite_adjoint_local(scene.pixels, taps)
+    out = composite_adjoint_local(
+        scene.pixels[row0:row0 + h, col0:col0 + w], taps)
     assert out.dtype == np.float64 and out.shape == patch.values.shape
     assert not np.any(out)
 

@@ -3,7 +3,6 @@ rollout can read, drawn and read bit for bit as the full-width grid.  A
 column is drawn on its first read, so a run draws only the columns it
 reads, in whatever order, and they are the same bits."""
 
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -28,7 +27,6 @@ from roadpatch.scene import (
     ColumnDraw,
     RoadSpec,
     overlay,
-    patch_tile,
     render_road_bev,
 )
 from roadpatch.sim import run_closed_loop
@@ -179,11 +177,8 @@ def test_dense_frames_are_the_full_width_frame_inside_the_window(
     full, full_mask = _full_width(scenario72)
     patch = _patches(scenario72)[1]
     cam = scenario72.camera
-    for tiles in ((), (patch_tile(scene, patch, mask),
-                       patch_tile(full, patch, full_mask))):
-        with contextlib.ExitStack() as laid:
-            for bev, tile in zip((scene, full), tiles):
-                laid.enter_context(overlay(bev, tile))
+    for laid in (None, patch):
+        with overlay(scene, laid, mask), overlay(full, laid, full_mask):
             got = warp_bev_to_camera(scene, cam, pose).pixels
             want = warp_bev_to_camera(full, cam, pose).pixels
         gx, gy, front = pixel_ground_points(cam, pose)
