@@ -270,19 +270,6 @@ def _stealth_gradient(tape: FrameTape, lambda_reg: float,
     return 2.0 * lambda_reg * (tape.grays - base_value)
 
 
-def _mean(splats) -> np.ndarray:
-    """Mean of the frames' patch-grid gradients, read one at a time and
-    summed in frame order."""
-    acc, n = None, 0
-    for n, s in enumerate(splats, start=1):
-        if acc is None:
-            acc = np.zeros_like(s)
-        acc += s
-    if acc is None:
-        raise NoVisibilityError("no frame in the horizon ever saw the patch")
-    return acc / n
-
-
 def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                    pipe: PipelineConfig, scene: BevImage, patch: PatchState,
                    line_mask: np.ndarray) -> np.ndarray:
@@ -298,18 +285,23 @@ def patch_gradient(record: RolloutRecord, cfg: AttackConfig,
     splatting the runs' sum through the warp/composite adjoint is
     bit-identical to splatting the whole image.  Every frame that saw the
     patch weighs 1; a record without tapes has none and raises
-    ``NoVisibilityError``.  The frames stream through the splat one at a
-    time, so the pass holds one frame's pixel gradient and splat.
+    ``NoVisibilityError``.  The frames stream through one splat, which
+    sums them in scene space, so the pass holds one frame's pixel
+    gradient at a time.
     """
     upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
     support = support_set(pipe.detector, pipe.camera).pixels
+    seen = [(state, tape) for state, tape in zip(record.states, record.tapes)
+            if tape.grays.size]
+    if not seen:
+        raise NoVisibilityError("no frame in the horizon ever saw the patch")
     grads = ((state, [(support, support_gradient(tape.responses, upstream,
                                                  pipe.detector, pipe.camera)),
                       (tape.pixels, _stealth_gradient(tape, cfg.lambda_reg,
                                                       patch.base_value))])
-             for state, tape in zip(record.states, record.tapes)
-             if tape.grays.size)
-    return _mean(splat_pixels(grads, pipe.camera, scene, patch, line_mask))
+             for state, tape in seen)
+    return splat_pixels(grads, pipe.camera, scene, patch,
+                        line_mask) / len(seen)
 
 
 @dataclass
@@ -387,6 +379,7 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
     for it in range(1, cfg.iterations + 1):
         if grad is None:
             grad = patch_gradient(record, cfg, pipe, scene, current, line_mask)
+            record.tapes.clear()    # nothing reads them again
         # Steepest descent in the max-norm geometry: raw gradients put
         # almost all their mass on a handful of cells, which stalls the
         # search long before the patch develops large-scale structure,
@@ -407,7 +400,7 @@ def optimize_patch(scene: BevImage, line_mask: np.ndarray, patch0: PatchState,
                     accepted = True
                     break
                 # A rejected candidate's tapes go before the next rollout,
-                # so at most the current record and one candidate are held.
+                # so a rollout holds no other record's tapes.
                 del cand_record
             if accepted:
                 grad = None

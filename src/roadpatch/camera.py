@@ -469,20 +469,18 @@ def splat_camera_to_bev(grad_image: np.ndarray, cfg: CameraConfig,
     if grad_image.shape != tuple(reversed(cfg.image_size)):
         raise InvalidArgumentError("grad_image shape must match the camera image")
     run = (np.arange(grad_image.size), grad_image.ravel())
-    return next(splat_pixels([(pose, [run])], cfg, scene, patch, line_mask))
+    return splat_pixels([(pose, [run])], cfg, scene, patch, line_mask)
 
 
 def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
-                 line_mask: np.ndarray):
-    """Pull sparse image-space gradients back onto the patch grid, one
-    frame at a time.
+                 line_mask: np.ndarray) -> np.ndarray:
+    """Pull sparse image-space gradients back onto the patch grid: the sum
+    of every frame's patch-grid gradient.
 
     ``grads`` is an iterable of one ``(pose, runs)`` pair per frame.  Each
     run is a ``(pixels, values)`` pair of sorted distinct flat image
     indices and the gradient there; a frame's gradient is the sum of its
-    runs, zero at every other pixel.  Yields each frame's patch-grid
-    gradient as soon as the frame is read, so a pass holds one frame's
-    temporaries at a time.
+    runs, zero at every other pixel.  A pass reads one frame at a time.
 
     Only pixels on the rows that see the patch's scene rectangle grown by
     one scene pixel can have a tap inside it.  Each frame's runs are
@@ -492,16 +490,17 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     the scene indices the warp reads (:func:`_ground_index`, whose clamp
     leaves a sourced point as it is), and splatted, the warp taps
     transposed into four per-tap sums over the patch's window
-    (:func:`~roadpatch.interp.scatter`, one block at a time), whose
-    :func:`~roadpatch.interp.total` is taken at the frame's end; then the
-    composite resampling is transposed onto the patch raster.  The window
-    and its taps (:func:`~roadpatch.scene.composite_taps`) are computed
-    once for every frame; the window is clipped at the raster's edge, as
-    the warp's taps are, so the sums are the whole-raster transpose's.
+    (:func:`~roadpatch.interp.scatter`, one block at a time) that every
+    frame adds to, whose :func:`~roadpatch.interp.total` is taken at the
+    pass's end; then the composite resampling is transposed onto the patch
+    raster, once.  The window and its taps (``composite_taps``) are
+    computed once; the window is clipped at the raster's edge, as the
+    warp's taps are, so the sums are the whole-raster transpose's.
     A pixel in two runs holds ``(0 + a) + b``, which is ``a + b``.  A
     pixel left out holds ±0, which adds nothing to a tap sum that starts
-    at +0, and the rest keep their row-major order, so the result is
-    bit-identical to splatting the whole image that holds the runs' sum.
+    at +0, and the rest keep their row-major order, so one frame is
+    bit-identical to splatting the whole image that holds its runs' sum;
+    summing frames before the composite adjoint moves a pass at round-off.
     """
     width = cfg.image_size[0]
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
@@ -514,7 +513,7 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
     # horizon, and one set of tap sums: frame-sized buffers allocated per
     # frame let glibc malloc trim the heap between frames.
     band_buf = np.empty(front.size - _first_ground_row(cfg) * width)
-    sums = np.empty((4, *window))
+    sums = np.zeros((4, *window))
     for pose, runs in grads:
         rows, _ = _window_seeing(cfg, pose, grown)
         start, stop = rows.start * width, rows.stop * width
@@ -524,7 +523,6 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
             a, b = np.searchsorted(pixels, (start, stop))
             band[pixels[a:b] - start] += values[a:b]
         kept = np.flatnonzero(band)
-        sums[:] = 0.0
         for block in _blocks(kept.size):
             pix = kept[block] + start
             bi, bj, valid = _ground_index(scene, *_vehicle_to_world(
@@ -533,4 +531,4 @@ def splat_pixels(grads, cfg: CameraConfig, scene: BevImage, patch: PatchState,
                     & (bj > j_lo - 1.0) & (bj < j_hi + 1.0))
             interp.scatter(sums, bi[near] - row0, bj[near] - col0,
                            band[kept[block][near]])
-        yield composite_adjoint_local(interp.total(sums), taps)
+    return composite_adjoint_local(interp.total(sums), taps)

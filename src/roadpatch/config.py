@@ -13,6 +13,7 @@ file's value before hashing.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -134,7 +135,14 @@ _SECTIONS = (
 
 def defaults() -> dict:
     """The complete scenario document every file is merged onto: the run
-    keys, then each section's class fields (tuples as lists)."""
+    keys, then each section's class fields (tuples as lists).  Each call
+    returns its own deep copy of one document built once."""
+    return copy.deepcopy(_defaults())
+
+
+@cache
+def _defaults() -> dict:
+    """The defaults document, built once from the section objects."""
     doc = dict(_RUN)
     for section, _, obj in _SECTIONS:
         doc.setdefault(section, {}).update(

@@ -8,7 +8,7 @@ the trajectory CSV's field list.  The exceptions are the bilinear kernel
 form of ``roadpatch.interp``'s whose writes are one ``bincount`` a tap,
 not ``interp``'s ``np.add.at``, the footprint and gradient pass in the form
 that keeps one flat index per footprint pixel and stacks every frame's
-splat (``footprint_band`` to ``stacked_patch_gradient``), whose
+splatted points (``footprint_band`` to ``stacked_patch_gradient``), whose
 footprint grays are read from ``composite_patch``'s whole raster with
 the plain kernel, not from the overlaid scene, and the full-width scene
 (``render_road_bev``, ``lane_line_mask``) that the production scene is a
@@ -34,7 +34,6 @@ from roadpatch.attack import (
     AttackConfig,
     PipelineConfig,
     RolloutRecord,
-    _mean,
     _path_upstream,
     _stealth_gradient,
 )
@@ -47,10 +46,14 @@ from roadpatch.camera import (
     _vehicle_ground_grid,
     _vehicle_to_world,
     _window_seeing,
-    splat_camera_to_bev,
+    splat_pixels,
 )
 from roadpatch.detector import detector_gradient, support_gradient, support_set
-from roadpatch.errors import InvalidArgumentError, NoGroundIntersectionError
+from roadpatch.errors import (
+    InvalidArgumentError,
+    NoGroundIntersectionError,
+    NoVisibilityError,
+)
 from roadpatch.motion import VehicleParams, VehicleState, clamp_steer, step
 from roadpatch.pgmio import _sidecar_path, read_pgm
 from roadpatch.scene import (
@@ -110,16 +113,20 @@ def aggregate_gradients_bev(grads, counts, camera: CameraConfig,
                             line_mask: np.ndarray) -> np.ndarray:
     """Average per-frame gradients on the patch grid.
 
-    Each image gradient is splatted through the exact warp/composite
-    adjoint at its own pose; every frame that saw the patch (nonzero
-    footprint size) weighs 1.  Frames that never saw the patch
-    contribute nothing; if no frame saw it, there is nothing to optimize.
+    The images of the frames that saw the patch (nonzero footprint size)
+    go through one pass of the exact warp/composite adjoint, each as one
+    run over every pixel at its own pose, and the sum is divided by their
+    number, so every such frame weighs 1.  Frames that never saw the
+    patch contribute nothing; if no frame saw it, there is nothing to
+    optimize.
     """
     if len(grads) != len(counts):
         raise InvalidArgumentError("grads and counts must align")
-    return _mean([splat_camera_to_bev(g.image, camera, g.pose, scene, patch,
-                                      line_mask)
-                  for g, c in zip(grads, counts) if c])
+    seen = [(g.pose, [(np.arange(g.image.size), g.image.ravel())])
+            for g, c in zip(grads, counts) if c]
+    if not seen:
+        raise NoVisibilityError("no frame in the horizon ever saw the patch")
+    return splat_pixels(seen, camera, scene, patch, line_mask) / len(seen)
 
 
 def rollout(state0: VehicleState, steers, params: VehicleParams):
@@ -248,65 +255,56 @@ def patch_pixels(whole: BevImage, cfg: CameraConfig, pose: VehicleState,
     return pixels, np.where(valid, grays, 0.0)
 
 
-def stacked_composite_adjoint(local_grad, row0, col0, scene, patch,
-                              line_mask):
-    """The composite adjoint of a stack of window gradients, whose first
-    pixel is scene pixel ``(row0, col0)``: the replaced pixels are the
-    pixel centres in the patch's rect off the lane lines, row-major."""
+def composite_adjoint(local_grad, row0, col0, scene, patch, line_mask):
+    """The composite adjoint of a window gradient, whose first pixel is
+    scene pixel ``(row0, col0)``: the replaced pixels are the pixel
+    centres in the patch's rect off the lane lines, row-major."""
     shape = patch.values.shape
-    out = np.zeros((local_grad.shape[0], shape[0] * shape[1]))
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
     rows, cols = np.nonzero(~line_mask[i_lo:i_hi + 1, j_lo:j_hi + 1])
     rows, cols = rows + i_lo, cols + j_lo
-    if rows.size:
-        idx, w = taps(*_patch_fractional(scene, patch, rows, cols), shape)
-        rows, cols = rows - row0, cols - col0
-        for k, g in enumerate(local_grad):
-            out[k] = accumulate(out.shape[1], idx, w, g[rows, cols])
-    return out.reshape((-1,) + shape)
+    idx, w = taps(*_patch_fractional(scene, patch, rows, cols), shape)
+    return accumulate(shape[0] * shape[1], idx, w,
+                      local_grad[rows - row0, cols - col0]).reshape(shape)
 
 
 def stacked_splat(grads, cfg: CameraConfig, scene: BevImage,
                   patch: PatchState, line_mask) -> np.ndarray:
-    """Every frame's ``(pose, runs)`` splatted into one stack of gradients
-    over the patch's window (its index rectangle grown by two pixels on
-    each side, clipped at the raster's edge), then composited back as one
-    stack."""
-    width = cfg.image_size[0]
+    """Every frame's ``(pose, runs)`` splatted at once.  Each frame's runs
+    are summed, in run order, into a zero image; its nonzero pixels whose
+    ground point is sourced and lies within a scene pixel of the patch's
+    index rectangle are stacked in frame and pixel order, scattered over
+    the patch's window (its index rectangle grown by two pixels on each
+    side, clipped at the raster's edge), then composited back once.
+    Every pixel of the image is projected, not just those on the rows
+    that can see the patch."""
     i_lo, i_hi, j_lo, j_hi = _rect_index_ranges(scene, patch.placement)
-    mpp, ox = scene.meters_per_pixel, scene.origin[0]
-    grown = (ox + (i_lo - 1) * mpp, ox + (i_hi + 1) * mpp,
-             scene.column_y(j_lo - 1), scene.column_y(j_hi + 1))
     n_i, n_j = scene.shape
     row0, col0 = max(i_lo - 2, 0), max(j_lo - 2, 0)
-    local = np.zeros((len(grads), min(i_hi + 3, n_i) - row0,
-                      min(j_hi + 3, n_j) - col0))
+    window = (min(i_hi + 3, n_i) - row0, min(j_hi + 3, n_j) - col0)
     xf, yf, front = (a.ravel() for a in _vehicle_ground_grid(cfg))
-    for k, (pose, runs) in enumerate(grads):
-        rows, _ = _window_seeing(cfg, pose, grown)
-        start, stop = rows.start * width, rows.stop * width
-        band = np.zeros(stop - start)
+    parts = [(np.empty(0), np.empty(0), np.empty(0))]
+    for pose, runs in grads:
+        image = np.zeros(front.size)
         for pixels, values in runs:
-            a, b = np.searchsorted(pixels, (start, stop))
-            band[pixels[a:b] - start] += values[a:b]
-        kept = np.flatnonzero(band)
-        pix = kept + start
+            image[pixels] += values
+        pix = np.flatnonzero(image)
         fi, fj = scene.fractional_index(*_vehicle_to_world(pose, xf[pix],
                                                            yf[pix]))
         near = (front[pix] & interp.inside(fi, fj, scene.shape)
                 & (fi > i_lo - 1.0) & (fi < i_hi + 1.0)
                 & (fj > j_lo - 1.0) & (fj < j_hi + 1.0))
-        local[k] = scatter(local.shape[1:], fi[near] - row0,
-                           fj[near] - col0, band[kept][near])
-    return stacked_composite_adjoint(local, row0, col0, scene, patch,
-                                     line_mask)
+        parts.append((fi[near] - row0, fj[near] - col0, image[pix][near]))
+    fi, fj, values = (np.concatenate(p) for p in zip(*parts))
+    return composite_adjoint(scatter(window, fi, fj, values), row0, col0,
+                             scene, patch, line_mask)
 
 
 def stacked_patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                            pipe: PipelineConfig, scene: BevImage,
                            patch: PatchState, line_mask) -> np.ndarray:
-    """The gradient pass over a list of every frame's pixel gradients and
-    their stacked splat, averaged over the stack."""
+    """The gradient pass over a list of every frame's pixel gradients,
+    splatted at once, divided by the number of frames."""
     upstream = _path_upstream(cfg, pipe, pipe.controller.decision_points)
     support = support_set(pipe.detector, pipe.camera).pixels
     grads = []
@@ -317,11 +315,8 @@ def stacked_patch_gradient(record: RolloutRecord, cfg: AttackConfig,
                                 pipe.camera)
         stealth = _stealth_gradient(tape, cfg.lambda_reg, patch.base_value)
         grads.append((state, [(support, path), (tape.pixels, stealth)]))
-    splats = stacked_splat(grads, pipe.camera, scene, patch, line_mask)
-    acc = np.zeros_like(splats[0])
-    for s in splats:
-        acc += s
-    return acc / len(splats)
+    return stacked_splat(grads, pipe.camera, scene, patch,
+                         line_mask) / len(grads)
 
 
 def row_runs(pixels: np.ndarray, width: int) -> np.ndarray:

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
 import pytest
 
 import reference
-from roadpatch import attack
+from roadpatch import attack, camera, interp
 from roadpatch.attack import (
     AttackConfig,
     FrameTape,
@@ -213,11 +214,18 @@ def test_aggregate_is_the_mean_over_frames_that_saw_the_patch(scenario72,
                                      patch, mask)
     np.testing.assert_array_equal(single, splats[0])
 
-    # every frame that saw the patch weighs 1, whatever its pixel count
+    # every frame that saw the patch weighs 1, whatever its pixel count:
+    # the frames' points are summed in scene space, then composited back
+    # once, so the mean of the frames' splats moves at round-off only
     assert counts[0] != counts[1]
     both = aggregate_gradients_bev(fg, counts, pipe.camera, scene, patch,
                                    mask)
-    np.testing.assert_array_equal(both, (splats[0] + splats[1]) / 2)
+    stacked = reference.stacked_splat(
+        [(g.pose, [(np.arange(g.image.size), g.image.ravel())]) for g in fg],
+        pipe.camera, scene, patch, mask)
+    assert both.tobytes() == (stacked / 2).tobytes()
+    np.testing.assert_allclose(both, (splats[0] + splats[1]) / 2, rtol=0,
+                               atol=1e-14 * np.abs(both).max())
 
     # zero-count frames are skipped before their image is ever touched
     junk = FrameGradient(image=np.ones_like(fg[0].image), pose=fg[0].pose,
@@ -545,16 +553,17 @@ def test_footprint_runs_expand_to_the_per_pixel_footprint(name, request):
             assert tape.grays.tobytes() == want.tobytes()
 
 
-def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
-    # The support and the footprint overlap; each run holds exact zeros
-    # of both signs, and some shared pixels get values that cancel.
-    scene, mask = scene72
-    pipe = scenario72.pipeline()
-    patch = scenario72.initial_patch()
+def _zero_laden_runs(scenario, scene, mask, patch, frames):
+    """``(pose, runs)`` of the first ``frames`` frames of an initial-patch
+    rollout: one run on the detector's support and one on the footprint,
+    each holding random values, exact zeros of both signs, and, at some
+    pixels they share, values that cancel."""
+    pipe = scenario.pipeline()
     record = rollout_with_patch(scene, mask, patch,
-                                scenario72.initial_state(), 3, pipe)
+                                scenario.initial_state(), frames, pipe)
     support = support_set(pipe.detector, pipe.camera).pixels
     rng = np.random.default_rng(8)
+    grads = []
     for tape, pose in zip(record.tapes, record.states):
         shared = np.intersect1d(support, tape.pixels)
         assert shared.size
@@ -567,16 +576,76 @@ def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
         (sp, sv), (fp, fv) = runs
         cancel = shared[::7]
         fv[np.searchsorted(fp, cancel)] = -sv[np.searchsorted(sp, cancel)]
+        grads.append((pose, runs))
+    return grads
+
+
+def test_sparse_splat_matches_the_image_splat(scenario72, scene72):
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    patch = scenario72.initial_patch()
+    for pose, runs in _zero_laden_runs(scenario72, scene, mask, patch, 3):
+        sparse = splat_pixels([(pose, runs)], pipe.camera, scene, patch, mask)
+        assert sparse.shape == patch.values.shape
+        assert np.any(sparse != 0.0)
+        # each frame's runs summed first, its points scattered at once
+        want = reference.stacked_splat([(pose, runs)], pipe.camera, scene,
+                                       patch, mask)
+        assert sparse.tobytes() == want.tobytes()
         image = np.zeros(pipe.camera.image_size[::-1])
         for pixels, values in runs:
             image.ravel()[pixels] += values
-        sparse, = splat_pixels([(pose, runs)], pipe.camera, scene, patch,
-                               mask)
-        assert sparse.shape == patch.values.shape
-        assert np.any(sparse != 0.0)
         dense = splat_camera_to_bev(image, pipe.camera, pose, scene, patch,
                                     mask)
         assert sparse.tobytes() == dense.tobytes()
+
+
+def test_exact_zeros_add_nothing_to_a_splat(scenario72, scene72):
+    # Exact zeros of either sign are left out of the tap sums, which start
+    # at +0, so a pass over runs that hold them is bit-identical to one
+    # over the same runs without them.
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    patch = scenario72.initial_patch()
+    grads = _zero_laden_runs(scenario72, scene, mask, patch, 3)
+    bare = [(pose, [(pixels[values != 0.0], values[values != 0.0])
+                    for pixels, values in runs])
+            for pose, runs in grads]
+    assert all(p.size < q.size for (_, r), (_, s) in zip(bare, grads)
+               for (p, _), (q, _) in zip(r, s))
+    got = splat_pixels(grads, pipe.camera, scene, patch, mask)
+    want = splat_pixels(bare, pipe.camera, scene, patch, mask)
+    assert np.any(got != 0.0)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_gradient_pass_takes_one_composite_adjoint(scenario72, scene72,
+                                                     monkeypatch):
+    # Every frame of the pass is summed in scene space first: one total of
+    # the tap sums and one composite adjoint for the whole horizon.
+    scene, mask = scene72
+    pipe = scenario72.pipeline()
+    patch = scenario72.initial_patch()
+    record = rollout_with_patch(scene, mask, patch,
+                                scenario72.initial_state(),
+                                scenario72.attack.horizon_frames, pipe)
+    assert sum(tape.grays.size > 0 for tape in record.tapes) == 34
+    calls = {"adjoint": 0, "total": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(camera, "composite_adjoint_local",
+                        counted("adjoint", camera.composite_adjoint_local))
+    # the splat's own totals, not those of the kernel's other writes
+    monkeypatch.setattr(camera, "interp", types.SimpleNamespace(
+        **{**vars(interp), "total": counted("total", interp.total)}))
+    grad = patch_gradient(record, scenario72.attack, pipe, scene, patch, mask)
+    assert np.any(grad != 0.0)
+    assert calls == {"adjoint": 1, "total": 1}
 
 
 def test_frame_gradient_of_a_frameless_record(scenario72, scene72):
@@ -675,9 +744,10 @@ def test_patched_runs_never_copy_the_scene(scenario72, scene72):
 
 def test_a_gradient_pass_holds_one_frame_at_a_time(scenario72, scene72):
     # The pass streams its frames through the splat.  On this full-horizon
-    # highway-72 rollout of a random in-bounds patch it traced 17.5 MB at
+    # highway-72 rollout of a random in-bounds patch it traced 11.1 MB at
     # its peak, and the stacked reference pass, which builds every frame's
-    # pixel gradient and splat first, 53.6 MB (numpy 2.4.6, Python 3.11.7).
+    # pixel gradient and stacks every frame's splatted points first,
+    # 233 MB (numpy 2.4.6, Python 3.11.7).
     scene, mask = scene72
     pipe = scenario72.pipeline()
     patch = _patched(scenario72, "random")
@@ -695,13 +765,17 @@ def test_a_gradient_pass_holds_one_frame_at_a_time(scenario72, scene72):
 def test_the_optimizer_holds_at_most_one_candidate(monkeypatch):
     # While a candidate rolls out, the current record is the only earlier
     # one alive: a rejected candidate's tapes are gone before the next.
+    # The current record's tapes are gone too, once its gradient is taken.
     cfg = _stalling_config()
-    alive, records = [], []
+    alive, taped, records, tapes = [], [], [], []
 
     def tracked(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in records))
+        taped.append(sum(ref() is not None for ref in tapes))
         record = rollout(*args, **kwargs)
         records.append(weakref.ref(record))
+        tapes.extend(weakref.ref(a) for tape in record.tapes
+                     for a in (tape.responses, tape.runs, tape.grays))
         return record
 
     rollout = attack.rollout_with_patch
@@ -712,3 +786,4 @@ def test_the_optimizer_holds_at_most_one_candidate(monkeypatch):
     accepted = sum(h.accepted for h in result.history[1:])
     assert len(records) - 1 > accepted > 0       # some candidates rejected
     assert alive[0] == 0 and max(alive) == 1
+    assert tapes and max(taped) == 0

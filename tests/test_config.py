@@ -110,6 +110,26 @@ def test_defaults_are_isolated():
     assert d2["road"]["lane_width"] == 3.6
     assert 1.0 not in d2["controller"]["decision_points"]
 
+    # every container a call returns, however deep, is its own
+    want = json.dumps(defaults(), sort_keys=True)
+    mutated = []
+
+    def mutate(value):
+        if isinstance(value, dict):
+            for v in value.values():
+                mutate(v)
+            value["mutated"] = True
+            mutated.append(dict)
+        elif isinstance(value, list):
+            for v in value:
+                mutate(v)
+            value.append("mutated")
+            mutated.append(list)
+
+    mutate(defaults())
+    assert dict in mutated and list in mutated
+    assert json.dumps(defaults(), sort_keys=True) == want
+
 
 def test_resolve_scenario_paths(tmp_path):
     f = tmp_path / "mine.json"

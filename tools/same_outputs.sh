@@ -8,9 +8,12 @@
 # there and in the working tree, with OPENBLAS_NUM_THREADS=1 and
 # --deterministic: `benign` on the three bundled scenarios, `render
 # highway-126`, `optimize highway-72 --iterations 12` followed by
-# `evaluate --dump-frames`, `optimize highway-126 --iterations 3`
+# `evaluate --dump-frames`, `optimize highway-126` at its full budget
 # followed by a plain `evaluate`, and `evaluate highway-126
-# --identity-patch --dump-frames`.  Prints the file counts and a `diff -r` of the two
+# --identity-patch --dump-frames`.  The 12 highway-72 iterations accept
+# only `sign` steps; the highway-126 run converges after 16 iterations
+# and accepts scaled steps too, so a change to the scaled direction's
+# bits shows.  Prints the file counts and a `diff -r` of the two
 # output trees; exits 1 if they differ, or if a command fails.  Writes
 # nothing into the repository (the export is `git archive`, not a
 # worktree, and no bytecode is written); the temporary directory goes
@@ -40,7 +43,7 @@ run_set() {
         rp render highway-126 --out render-126
         rp optimize highway-72 --iterations 12 --out attack-72
         rp evaluate highway-72 --out attack-72 --dump-frames attack-72/frames
-        rp optimize highway-126 --iterations 3 --out attack-126
+        rp optimize highway-126 --out attack-126
         rp evaluate highway-126 --out attack-126
         rp evaluate highway-126 --identity-patch --out identity-126 \
             --dump-frames identity-126/frames
